@@ -30,6 +30,7 @@ from .hyperseries import (
     contiguous_relation_check,
     pfq_truncate,
     pfq_unity_sum_exact,
+    terminating_4f3_block,
     terminating_4f3_check,
     terminating_4f3_closed_form,
 )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,6 @@ from typing import Any, Callable, Sequence
 
 from . import hyperseries, numerics, suite
 from .exactnum import ZeroLowerPochhammer
-from .hyperseries import DegenerateLambda
 from .identities import IdentityId, verify_grid
 from .report import VerificationReport, encode_value
 
@@ -70,6 +70,19 @@ def _parse_fraction(text: str) -> Fraction:
         ) from None
 
 
+def _parse_jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a worker count, got {text!r}"
+        ) from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
+    # more workers than CPUs only adds processes, never throughput
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
     return tuple(_parse_fraction(part) for part in text.split(","))
 
@@ -106,8 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="also write the report to this path"
     )
     common.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for grid sweeps (default 1)",
+        "--jobs", type=_parse_jobs, default=1,
+        help="worker processes for grid sweeps (default 1, at most the "
+        "CPU count)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -238,28 +252,15 @@ def _cmd_coeffs(args) -> tuple[list[VerificationReport], dict[str, Any]]:
 
 
 def _cmd_fourf3(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    grid_c = args.c or hyperseries.DEFAULT_RATIONAL_GRID
-    grid_e = args.e or hyperseries.DEFAULT_RATIONAL_GRID
-    evaluation = VerificationReport(name="terminating-4f3")
-    contiguous = VerificationReport(name="contiguous-relation")
-    for n in range(args.n[0], args.n[1] + 1):
-        for lam in range(args.lam[0], args.lam[1] + 1):
-            for c in grid_c:
-                for e in grid_e:
-                    try:
-                        first = hyperseries.terminating_4f3_check(n, c, e, lam)
-                        second = hyperseries.contiguous_relation_check(
-                            n, c, e, lam
-                        )
-                    except (DegenerateLambda, ZeroLowerPochhammer):
-                        evaluation.record_skip()
-                        contiguous.record_skip()
-                        continue
-                    first.elapsed_ms = None
-                    second.elapsed_ms = None
-                    evaluation.merge(first)
-                    contiguous.merge(second)
-    return [evaluation, contiguous], {}
+    grid = hyperseries.DEFAULT_RATIONAL_GRID
+    reports = suite.f43_sweep(
+        range(args.n[0], args.n[1] + 1),
+        args.c or grid,
+        args.e or grid,
+        range(args.lam[0], args.lam[1] + 1),
+        jobs=args.jobs,
+    )
+    return reports, {}
 
 
 def _cmd_gamma(args) -> tuple[list[VerificationReport], dict[str, Any]]:

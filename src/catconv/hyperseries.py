@@ -5,10 +5,23 @@ Cauchy product, and certifies the catalogued product formulae
 coefficient-by-coefficient.  Also evaluates terminating series at unit
 argument exactly, which backs the closed-form and contiguous-relation
 checks.
+
+The kernels work on integers, not on ``Fraction`` terms.  All parameters
+of one series are scaled to a single common denominator (one lcm), so the
+ratio of term k+1 to term k becomes an integer row ``(num, den)``.  A
+terminating sum folds its rows by backward Horner, an expansion carries
+its running term as an unreduced integer pair, and a Cauchy product
+convolves each factor's coefficients over that factor's common
+denominator.  Reduction happens once, where a value leaves the kernel as a
+``Fraction``.  A ``Fraction`` per term would pay a gcd on every product
+and sum; those gcds, not the big-integer products themselves, were most
+of the cost, and an unreduced pair only grows by the few bits of one row
+per step.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,6 +55,7 @@ __all__ = [
     "terminating_4f3_closed_form",
     "terminating_4f3_check",
     "contiguous_relation_check",
+    "terminating_4f3_block",
 ]
 
 # Argument tags: the only forms the product formulae use.  The squared tag
@@ -122,6 +136,58 @@ class TruncatedSeries:
         return self.coeffs[k]
 
 
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """One lcm of the denominators, and every value scaled by it to an int."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _ratio_rows(
+    uppers: Sequence[Fraction],
+    lowers: Sequence[Fraction],
+    steps: int,
+) -> list[tuple[int, int]]:
+    """Integer term-ratio rows of a hypergeometric series.
+
+    Row k is ``(num, den)`` with ``term(k+1) = term(k) * num / den``, for
+    k = 0 .. steps-1.  The rows stop before the first k at which an upper
+    parameter plus k is zero: that term and every later one vanish.  Uppers
+    are checked before lowers, so termination wins; a lower parameter
+    ``l`` with ``l + k == 0`` at a step reached first raises
+    ``ZeroLowerPochhammer(l, k)``.
+    """
+    stop = steps
+    for u in uppers:
+        if u.denominator == 1 and 0 <= -u.numerator < stop:
+            stop = -u.numerator
+    hits = [
+        (-l.numerator, i)
+        for i, l in enumerate(lowers)
+        if l.denominator == 1 and 0 <= -l.numerator < stop
+    ]
+    if hits:
+        k, i = min(hits)
+        raise ZeroLowerPochhammer(lowers[i], k)
+    scale, scaled = _common_denominator([*uppers, *lowers])
+    ups, lows = scaled[: len(uppers)], scaled[len(uppers) :]
+    # u + k = (U + k*scale) / scale: every upper leaves a 1/scale in the
+    # row and every lower a scale, so only their surplus remains
+    surplus = len(lows) - len(ups)
+    num_unit = scale ** max(surplus, 0)
+    den_unit = scale ** max(-surplus, 0)
+    rows = []
+    for k in range(stop):
+        shift = k * scale
+        num = num_unit
+        for u in ups:
+            num *= u + shift
+        den = den_unit * (k + 1)
+        for l in lows:
+            den *= l + shift
+        rows.append((num, den))
+    return rows
+
+
 def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     """Expand a hypergeometric series spec to exact coefficients.
 
@@ -129,61 +195,42 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     maps it onto a power of x (with sign or quarter-square scaling), then
     the prefactor shifts and scales the whole series.  An upper parameter
     hitting zero terminates the expansion; a lower parameter hitting zero
-    first raises :class:`ZeroLowerPochhammer`.
+    first raises :class:`ZeroLowerPochhammer`, also at the step past the
+    last stored term.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     pref_coeff, pref_power = spec.prefactor
+    stride = 2 if spec.argument == ARG_SQUARED else 1
     coeffs = [Fraction(0)] * (order + 1)
-    term = Fraction(1)
-    k = 0
-    while True:
-        position = 2 * k if spec.argument == ARG_SQUARED else k
-        position += pref_power
-        if position > order:
-            break
-        value = term
-        if spec.argument == ARG_MINUS and k % 2:
-            value = -value
-        elif spec.argument == ARG_SQUARED:
-            value = value / Fraction(4) ** k
-        coeffs[position] = pref_coeff * value
-        # advance the running term; numerator zero means termination
-        numerator = Fraction(1)
-        terminated = False
-        for u in spec.uppers:
-            factor = u + k
-            if factor == 0:
-                terminated = True
-                break
-            numerator *= factor
-        if terminated:
-            break
-        denominator = Fraction(k + 1)
-        for l in spec.lowers:
-            factor = l + k
-            if factor == 0:
-                raise ZeroLowerPochhammer(l, k)
-            denominator *= factor
-        term = term * numerator / denominator
-        k += 1
+    last = (order - pref_power) // stride
+    if last < 0:
+        return TruncatedSeries(order, tuple(coeffs))
+    rows = _ratio_rows(spec.uppers, spec.lowers, last + 1)
+    sign = -1 if spec.argument == ARG_MINUS else 1
+    quarter = 4 if spec.argument == ARG_SQUARED else 1
+    num, den = pref_coeff.numerator, pref_coeff.denominator
+    coeffs[pref_power] = pref_coeff
+    for k, (row_num, row_den) in enumerate(rows[:last], start=1):
+        num *= sign * row_num
+        den *= quarter * row_den
+        coeffs[pref_power + stride * k] = Fraction(num, den)
     return TruncatedSeries(order, tuple(coeffs))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the smaller order."""
     order = min(a.order, b.order)
-    out = []
-    for n in range(order + 1):
-        acc = Fraction(0)
-        for i in range(n + 1):
-            ai = a.coeffs[i]
-            if ai:
-                bj = b.coeffs[n - i]
-                if bj:
-                    acc += ai * bj
-        out.append(acc)
-    return TruncatedSeries(order, tuple(out))
+    a_scale, left = _common_denominator(a.coeffs[: order + 1])
+    b_scale, right = _common_denominator(b.coeffs[: order + 1])
+    scale = a_scale * b_scale
+    return TruncatedSeries(
+        order,
+        tuple(
+            Fraction(sum(left[i] * right[n - i] for i in range(n + 1)), scale)
+            for n in range(order + 1)
+        ),
+    )
 
 
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -378,32 +425,47 @@ def pfq_unity_sum_exact(
     ``last_index`` reaches the cutoff, making the partial sum the full
     value.  Termination by a zero numerator factor short-circuits.
     """
-    ups = [Fraction(u) for u in uppers]
-    lows = [Fraction(l) for l in lowers]
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(last_index + 1):
-        total += term
-        if k == last_index:
-            break
-        numerator = Fraction(1)
-        dead = False
-        for u in ups:
-            factor = u + k
-            if factor == 0:
-                dead = True
-                break
-            numerator *= factor
-        if dead:
-            break
-        denominator = Fraction(k + 1)
-        for l in lows:
-            factor = l + k
-            if factor == 0:
-                raise ZeroLowerPochhammer(l, k)
-            denominator *= factor
-        term = term * numerator / denominator
-    return total
+    if last_index < 0:
+        return Fraction(0)
+    rows = _ratio_rows(
+        [Fraction(u) for u in uppers], [Fraction(l) for l in lowers], last_index
+    )
+    # backward Horner: 1 + r0 (1 + r1 (... (1 + r_{m-1}))), kept as p/q
+    p = q = 1
+    for num, den in reversed(rows):
+        q *= den
+        p = p * num + q
+    return Fraction(p, q)
+
+
+def _f43_factor(n: int, c: Fraction, e: Fraction) -> Fraction:
+    # the lam-free half-order Pochhammer quotient of the closed form
+    return poch_quotient(
+        [Fraction(-n), 1 - c - e - n], [1 - c - n, 1 - e - n], n // 2
+    )
+
+
+def _f43_tail(n: int, lam: Fraction) -> Fraction:
+    # the parity-dependent linear factor in lam
+    if n % 2 == 0:
+        return (2 * lam + n) / (2 * lam)
+    return Fraction(-(1 + n)) / (2 * lam)
+
+
+def _contiguous_combination(
+    n: int, lam: Fraction, plain: Fraction, raised: Fraction | None
+) -> Fraction:
+    # (lam - a)/lam * plain + a/lam * raised at a = -n; at n = 0 the
+    # raised series does not terminate, but its coefficient a/lam vanishes
+    if n == 0:
+        return plain
+    return (lam + n) / lam * plain - n / lam * raised
+
+
+def _undefined_at(x: Fraction, n: int) -> bool:
+    # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
+    # lower parameter of the 4F3 within its n + 1 terms
+    return x.denominator == 1 and 1 - n <= x <= 0
 
 
 def terminating_4f3_closed_form(
@@ -424,14 +486,7 @@ def terminating_4f3_closed_form(
     lam = Fraction(lam)
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    base = poch_quotient(
-        [Fraction(-n), 1 - c - e - n], [1 - c - n, 1 - e - n], n // 2
-    )
-    if n % 2 == 0:
-        tail = (2 * lam + n) / (2 * lam)
-    else:
-        tail = Fraction(-(1 + n)) / (2 * lam)
-    return base * tail
+    return _f43_factor(n, c, e) * _f43_tail(n, lam)
 
 
 def terminating_4f3_check(
@@ -493,13 +548,8 @@ def contiguous_relation_check(
     lowers = [1 + a - c, 1 + a - e]
     four = pfq_unity_sum_exact([a, c, e, 1 + lam], lowers + [lam], n)
     plain = pfq_unity_sum_exact([a, c, e], lowers, n)
-    if n == 0:
-        # raised-parameter series does not terminate at a = 0, but its
-        # coefficient a/lam vanishes, so it never contributes
-        rhs = plain
-    else:
-        raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1)
-        rhs = (lam - a) / lam * plain + a / lam * raised
+    raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1) if n else None
+    rhs = _contiguous_combination(n, lam, plain, raised)
     report = VerificationReport(name="contiguous-relation")
     params = (("n", n), ("c", c), ("e", e), ("lam", lam))
     if four == rhs:
@@ -508,3 +558,57 @@ def contiguous_relation_check(
         report.record_failure(CaseRecord(params=params, lhs=four, rhs=rhs))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
+
+
+def terminating_4f3_block(
+    n: int,
+    c: RationalLike,
+    e: RationalLike,
+    lams: Iterable[RationalLike],
+) -> tuple[VerificationReport, VerificationReport]:
+    """Both 4F3 checks at every lam of one (n, c, e) block.
+
+    Returns the ``terminating-4f3`` and ``contiguous-relation`` reports.
+    The plain and raised 3F2 and the closed form's Pochhammer factor do
+    not depend on lam, so each is computed once per block.  Each lam's 4F3
+    is summed once, and that brute-force sum is the left side of both
+    checks.
+
+    A point is skipped in both reports when lam is zero, or when a lower
+    parameter of the 4F3 hits zero within its n + 1 terms: c or e an
+    integer in [1-n, 0], or lam an integer in [1-n, -1].  The series is
+    then 0/0 or infinite, whatever its truncated sum happens to give.  The
+    3F2 share those lowers, so no :class:`ZeroLowerPochhammer` arises.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    c = Fraction(c)
+    e = Fraction(e)
+    lams = [Fraction(lam) for lam in lams]
+    evaluation = VerificationReport(name="terminating-4f3")
+    contiguous = VerificationReport(name="contiguous-relation")
+    block_skipped = _undefined_at(c, n) or _undefined_at(e, n)
+    if not block_skipped:
+        a = Fraction(-n)
+        lowers = [1 - c - n, 1 - e - n]
+        plain = pfq_unity_sum_exact([a, c, e], lowers, n)
+        raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1) if n else None
+        factor = _f43_factor(n, c, e)
+    for lam in lams:
+        if block_skipped or lam == 0 or _undefined_at(lam, n):
+            evaluation.record_skip()
+            contiguous.record_skip()
+            continue
+        four = pfq_unity_sum_exact([a, c, e, 1 + lam], lowers + [lam], n)
+        params = (("n", n), ("c", c), ("e", e), ("lam", lam))
+        for report, rhs in (
+            (evaluation, factor * _f43_tail(n, lam)),
+            (contiguous, _contiguous_combination(n, lam, plain, raised)),
+        ):
+            if four == rhs:
+                report.record_pass()
+            else:
+                report.record_failure(
+                    CaseRecord(params=params, lhs=four, rhs=rhs)
+                )
+    return evaluation, contiguous

@@ -13,7 +13,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Sequence
 
 from . import hyperseries, numerics
 from .identities import (
@@ -36,6 +36,7 @@ __all__ = [
     "CriterionResult",
     "SuiteResult",
     "CRITERIA",
+    "f43_sweep",
     "run_all",
     "DIXON_TRIPLES",
     "DIXON_TERMINATING",
@@ -316,47 +317,54 @@ def criterion_products(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     return _finish(5, "product formulae through fixed order", reports, start)
 
 
-def _f43_worker(point: tuple) -> tuple[VerificationReport, VerificationReport]:
-    n, c, e, lam = point
-    first = hyperseries.terminating_4f3_check(n, c, e, lam)
-    second = hyperseries.contiguous_relation_check(n, c, e, lam)
-    first.elapsed_ms = None
-    second.elapsed_ms = None
-    return first, second
+def _f43_worker(
+    block: tuple,
+) -> tuple[VerificationReport, VerificationReport]:
+    return hyperseries.terminating_4f3_block(*block)
+
+
+def f43_sweep(
+    ns: Sequence[int],
+    cs: Sequence[Fraction],
+    es: Sequence[Fraction],
+    lams: Iterable[int | Fraction],
+    jobs: int = 1,
+) -> list[VerificationReport]:
+    """The 4F3 evaluation and contiguous-relation reports over a grid.
+
+    The work is split into (n, c, e) blocks, each covering every lam, so
+    the series a block shares are summed once also inside the pool.
+    """
+    lams = tuple(Fraction(lam) for lam in lams)
+    blocks = [(n, c, e, lams) for n in ns for c in cs for e in es]
+    evaluation = VerificationReport(name="terminating-4f3")
+    contiguous = VerificationReport(name="contiguous-relation")
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(
+                pool.map(
+                    _f43_worker,
+                    blocks,
+                    chunksize=max(1, len(blocks) // (jobs * 8)),
+                )
+            )
+    else:
+        results = map(_f43_worker, blocks)
+    for first, second in results:
+        evaluation.merge(first)
+        contiguous.merge(second)
+    return [evaluation, contiguous]
 
 
 def criterion_f43(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 6: terminating 4F3 evaluation plus contiguous relation."""
     start = time.perf_counter()
     grid = hyperseries.DEFAULT_RATIONAL_GRID
-    points = [
-        (n, c, e, Fraction(lam))
-        for n in range(sizes.f43_n + 1)
-        for lam in range(1, sizes.f43_lam + 1)
-        for c in grid
-        for e in grid
-    ]
-    evaluation = VerificationReport(name="terminating-4f3")
-    contiguous = VerificationReport(name="contiguous-relation")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for first, second in pool.map(
-                _f43_worker, points, chunksize=max(1, len(points) // (jobs * 8))
-            ):
-                evaluation.merge(first)
-                contiguous.merge(second)
-    else:
-        for point in points:
-            first, second = _f43_worker(point)
-            evaluation.merge(first)
-            contiguous.merge(second)
-    evaluation.elapsed_ms = None
-    contiguous.elapsed_ms = None
+    reports = f43_sweep(
+        range(sizes.f43_n + 1), grid, grid, range(1, sizes.f43_lam + 1), jobs
+    )
     return _finish(
-        6,
-        "terminating 4f3 and contiguous relation",
-        [evaluation, contiguous],
-        start,
+        6, "terminating 4f3 and contiguous relation", reports, start
     )
 
 

@@ -13,6 +13,7 @@ import time
 
 from catconv.suite import (
     FULL_SIZES,
+    SuiteSizes,
     criterion_cors,
     criterion_f43,
     criterion_gamma,
@@ -83,6 +84,21 @@ def test_criterion_05_product_formulae_order_48():
 def test_criterion_06_terminating_4f3_and_contiguous():
     result = report(criterion_f43(FULL_SIZES))
     assert result.passed, failing_cases(result)
+    # n = 0..40, lam = 1..8, an 8 x 8 (c, e) grid: nothing skipped
+    assert [(r.name, r.cases_run, r.skipped) for r in result.reports] == [
+        ("terminating-4f3", 20992, 0),
+        ("contiguous-relation", 20992, 0),
+    ]
+
+
+def test_criterion_06_same_reports_in_the_pool():
+    sizes = SuiteSizes(f43_n=6, f43_lam=2)
+    serial = criterion_f43(sizes, jobs=1)
+    pooled = criterion_f43(sizes, jobs=2)
+    assert [r.as_dict(include_timing=False) for r in serial.reports] == [
+        r.as_dict(include_timing=False) for r in pooled.reports
+    ]
+    assert serial.reports[0].cases_run == 7 * 2 * 64
 
 
 def test_criterion_07_gamma_selftest_three_precisions():

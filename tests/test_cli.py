@@ -9,6 +9,7 @@ from catconv.cli import (
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 
@@ -139,6 +140,20 @@ class TestDeterminism:
         assert "elapsed_ms" in payload
 
 
+class TestJobsOption:
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_nonpositive_or_malformed_is_usage_error(self, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["all", f"--jobs={value}"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_clamped_to_cpu_count(self, monkeypatch):
+        monkeypatch.setattr("catconv.cli.os.cpu_count", lambda: 3)
+        parser = build_parser()
+        assert parser.parse_args(["all", "--jobs", "2"]).jobs == 2
+        assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 3
+
+
 class TestOtherCommands:
     def test_coeffs_single_point(self, capsys):
         code, payload = run_json(
@@ -189,6 +204,20 @@ class TestOtherCommands:
         names = [r["name"] for r in payload["reports"]]
         assert names == ["terminating-4f3", "contiguous-relation"]
         assert payload["cases_run"] == 28
+
+    def test_fourf3_skips_undefined_points(self, capsys):
+        # c = -1, e = -2 and lam = -3..-1 put a zero in a lower parameter
+        # once n is large enough, lam = 0 is degenerate; the rest must pass
+        code, payload = run_json(
+            capsys,
+            "fourf3", "--n", "0..5", "--lambda=-3..2",
+            "--c=-1,1/3", "--e=1/5,-2",
+            "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert payload["failures"] == []
+        for report in payload["reports"]:
+            assert (report["cases_run"], report["skipped"]) == (55, 89)
 
     def test_gamma_selftest(self, capsys):
         code, payload = run_json(

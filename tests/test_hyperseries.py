@@ -28,10 +28,13 @@ from catconv.hyperseries import (
     pfq_unity_sum_exact,
     series_mul,
     series_sub,
+    terminating_4f3_block,
     terminating_4f3_check,
     terminating_4f3_closed_form,
 )
 from catconv.hyperseries import _product_sides
+
+import reference_kernels as ref
 
 F = Fraction
 
@@ -294,6 +297,112 @@ class TestUnitySum:
             for k in range(4)
         )
         assert value == direct
+
+
+class TestTerminating4F3Block:
+    def test_matches_single_point_checks(self):
+        lams = [F(1), F(2), F(1, 2), F(7, 3)]
+        for n in range(0, 9):
+            for c, e in [(F(1, 3), F(1, 5)), (F(3, 2), F(2)), (F(2, 3), F(5, 2))]:
+                evaluation, contiguous = terminating_4f3_block(n, c, e, lams)
+                assert evaluation.name == "terminating-4f3"
+                assert contiguous.name == "contiguous-relation"
+                for report in (evaluation, contiguous):
+                    assert (report.cases_run, report.skipped) == (len(lams), 0)
+                    assert report.ok, report.failures
+                for lam in lams:
+                    assert terminating_4f3_check(n, c, e, lam).ok
+                    assert contiguous_relation_check(n, c, e, lam).ok
+
+    def test_records_mismatch_with_both_values(self, monkeypatch):
+        # a wrong closed-form tail must surface as a failure of the
+        # evaluation check only, with the shared 4F3 sum as its lhs
+        monkeypatch.setattr(
+            "catconv.hyperseries._f43_tail", lambda n, lam: F(n + 1)
+        )
+        c, e = F(1, 3), F(1, 5)
+        evaluation, contiguous = terminating_4f3_block(3, c, e, [2])
+        assert contiguous.ok and contiguous.cases_run == 1
+        [case] = evaluation.failures
+        assert dict(case.params) == {"n": 3, "c": c, "e": e, "lam": F(2)}
+        assert case.lhs == ref.pfq_unity_sum_exact(
+            [F(-3), c, e, F(3)], [1 - c - 3, 1 - e - 3, F(2)], 3
+        )
+        assert case.rhs == terminating_4f3_closed_form(3, c, e, 2)
+
+    def test_undefined_parameters_are_skipped(self):
+        # c = -1 lies in [1-n, 0]: its upper and the lower 1-c-n both hit
+        # zero inside the sum, so the whole block is skipped
+        evaluation, contiguous = terminating_4f3_block(3, F(-1), F(1, 5), [1, 2])
+        for report in (evaluation, contiguous):
+            assert (report.cases_run, report.skipped) == (0, 2)
+
+    def test_zero_and_undefined_lambdas_are_skipped(self):
+        # lam = 0 is degenerate and -3..-1 are undefined at n = 4;
+        # lam = -4 terminates the series cleanly and still runs
+        lams = [-4, -3, -2, -1, 0, 1]
+        evaluation, contiguous = terminating_4f3_block(4, F(1, 3), F(1, 5), lams)
+        for report in (evaluation, contiguous):
+            assert (report.cases_run, report.skipped) == (2, 4)
+            assert report.ok, report.failures
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# nonpositive integers make uppers terminate and lowers hit zero
+parameters = st.one_of(st.integers(-6, 0).map(F), rationals)
+
+
+def outcome(fn, *args):
+    """A kernel's value, or the identity of the zero-lower error it raised."""
+    try:
+        return fn(*args)
+    except ZeroLowerPochhammer as exc:
+        return (type(exc), exc.parameter, exc.index, str(exc))
+
+
+class TestKernelsAgainstReference:
+    @settings(max_examples=300)
+    @given(
+        st.lists(parameters, max_size=4),
+        st.lists(parameters, max_size=3),
+        st.integers(-1, 14),
+    )
+    def test_unity_sum(self, uppers, lowers, last_index):
+        assert outcome(pfq_unity_sum_exact, uppers, lowers, last_index) == outcome(
+            ref.pfq_unity_sum_exact, uppers, lowers, last_index
+        )
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(parameters, max_size=3),
+        st.lists(parameters, max_size=3),
+        st.sampled_from([ARG_PLUS, ARG_MINUS, ARG_SQUARED]),
+        rationals,
+        st.integers(0, 3),
+        st.integers(0, 16),
+    )
+    def test_truncate(self, uppers, lowers, argument, coeff, power, order):
+        spec = SeriesSpec(
+            tuple(uppers), tuple(lowers), argument, prefactor=(coeff, power)
+        )
+        assert outcome(pfq_truncate, spec, order) == outcome(
+            ref.pfq_truncate, spec, order
+        )
+
+    @settings(max_examples=200)
+    @given(
+        st.integers(0, 8).flatmap(random_series),
+        st.integers(0, 8).flatmap(random_series),
+    )
+    def test_series_mul(self, a, b):
+        assert series_mul(a, b) == ref.series_mul(a, b)
+
+    def test_series_mul_of_expansions_at_order_48(self):
+        a = pfq_truncate(SeriesSpec((F(2, 3), F(1, 2)), (F(5, 3),)), 48)
+        b = pfq_truncate(
+            SeriesSpec((F(-7, 2),), (F(1, 3), F(3, 2)), ARG_SQUARED), 48
+        )
+        assert series_mul(a, b) == ref.series_mul(a, b)
 
 
 def test_series_sub_cancels_equal_series():
