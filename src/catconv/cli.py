@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -79,8 +78,8 @@ def _parse_jobs(text: str) -> int:
         ) from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
-    # more workers than CPUs only adds processes, never throughput
-    return min(jobs, os.cpu_count() or 1)
+    # the pools lower it to the usable CPUs; the echo keeps what was asked
+    return jobs
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -120,8 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_parse_jobs, default=1,
-        help="worker processes for grid sweeps (default 1, at most the "
-        "CPU count)",
+        help="worker processes for grid sweeps (default 1; more than the "
+        "usable CPUs run as that many)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

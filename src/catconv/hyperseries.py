@@ -489,6 +489,22 @@ def terminating_4f3_closed_form(
     return _f43_factor(n, c, e) * _f43_tail(n, lam)
 
 
+def _single_point(
+    which: int,
+    n: int,
+    c: RationalLike,
+    e: RationalLike,
+    lam: RationalLike,
+) -> VerificationReport:
+    # one report of terminating_4f3_block at a one-lam block
+    start = time.perf_counter()
+    if Fraction(lam) == 0:
+        raise DegenerateLambda("linear-factor parameter must be nonzero")
+    report = terminating_4f3_block(n, c, e, [lam])[which]
+    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
+    return report
+
+
 def terminating_4f3_check(
     n: int,
     c: RationalLike,
@@ -499,28 +515,11 @@ def terminating_4f3_check(
 
     The left side is the finite sum over k = 0..n; the right side is the
     closed form from ``terminating_4f3_closed_form``.  Both sides are exact
-    rationals.
+    rationals.  This is the ``terminating-4f3`` report of
+    :func:`terminating_4f3_block` at one lam, so a point where the series
+    is undefined is skipped; lam = 0 raises :class:`DegenerateLambda`.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = Fraction(c)
-    e = Fraction(e)
-    lam = Fraction(lam)
-    rhs = terminating_4f3_closed_form(n, c, e, lam)
-    start = time.perf_counter()
-    lhs = pfq_unity_sum_exact(
-        [Fraction(-n), c, e, 1 + lam],
-        [1 - c - n, 1 - e - n, lam],
-        n,
-    )
-    report = VerificationReport(name="terminating-4f3")
-    params = (("n", n), ("c", c), ("e", e), ("lam", lam))
-    if lhs == rhs:
-        report.record_pass()
-    else:
-        report.record_failure(CaseRecord(params=params, lhs=lhs, rhs=rhs))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    return _single_point(0, n, c, e, lam)
 
 
 def contiguous_relation_check(
@@ -535,29 +534,11 @@ def contiguous_relation_check(
     ``(lam - a)/lam`` times the plain 3F2 plus ``a/lam`` times the 3F2 with
     raised first parameter.  All three series terminate and are summed
     exactly.  The split comes from (lam+k)/lam = (lam-a)/lam + (a+k)/lam.
+    This is the ``contiguous-relation`` report of
+    :func:`terminating_4f3_block` at one lam, with the same skips and the
+    same :class:`DegenerateLambda` at lam = 0.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    c = Fraction(c)
-    e = Fraction(e)
-    lam = Fraction(lam)
-    if lam == 0:
-        raise DegenerateLambda("linear-factor parameter must be nonzero")
-    start = time.perf_counter()
-    a = Fraction(-n)
-    lowers = [1 + a - c, 1 + a - e]
-    four = pfq_unity_sum_exact([a, c, e, 1 + lam], lowers + [lam], n)
-    plain = pfq_unity_sum_exact([a, c, e], lowers, n)
-    raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1) if n else None
-    rhs = _contiguous_combination(n, lam, plain, raised)
-    report = VerificationReport(name="contiguous-relation")
-    params = (("n", n), ("c", c), ("e", e), ("lam", lam))
-    if four == rhs:
-        report.record_pass()
-    else:
-        report.record_failure(CaseRecord(params=params, lhs=four, rhs=rhs))
-    report.elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return report
+    return _single_point(1, n, c, e, lam)
 
 
 def terminating_4f3_block(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ __all__ = [
     "cor2_rhs_corrected",
     "verify_case",
     "verify_grid",
+    "usable_workers",
     "dictionary_check",
     "specialization_check",
     "specialization_findings",
@@ -729,6 +731,19 @@ def _grid_worker(args: tuple[IdentityId, IdentityParams]) -> tuple[str, CaseReco
     return ("pass", None)
 
 
+def usable_workers(jobs: int) -> int:
+    """``jobs`` lowered to the CPUs this process may run on, and at least 1.
+
+    More workers than CPUs only adds processes, never throughput.  The
+    affinity mask is used where the platform has one.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(jobs, cpus))
+
+
 def verify_grid(
     ident: IdentityId,
     n_range: tuple[int, int],
@@ -753,6 +768,7 @@ def verify_grid(
         ident, n_range, lam_range, mu_range, rational_grid, a_grid, c_grid
     )
     report = VerificationReport(name=ident.value)
+    jobs = usable_workers(jobs)
     if jobs > 1 and len(points) > 64:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = pool.map(

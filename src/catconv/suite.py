@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -24,6 +25,7 @@ from .identities import (
     DomainError,
     lhs_value,
     rhs_value,
+    usable_workers,
     validate,
     verify_grid,
 )
@@ -339,20 +341,20 @@ def f43_sweep(
     blocks = [(n, c, e, lams) for n in ns for c in cs for e in es]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(
-                    _f43_worker,
-                    blocks,
-                    chunksize=max(1, len(blocks) // (jobs * 8)),
-                )
+    jobs = usable_workers(jobs)
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
+    with pool:
+        if jobs > 1:
+            results = pool.map(
+                _f43_worker,
+                blocks,
+                chunksize=max(1, len(blocks) // (jobs * 8)),
             )
-    else:
-        results = map(_f43_worker, blocks)
-    for first, second in results:
-        evaluation.merge(first)
-        contiguous.merge(second)
+        else:
+            results = map(_f43_worker, blocks)
+        for first, second in results:
+            evaluation.merge(first)
+            contiguous.merge(second)
     return [evaluation, contiguous]
 
 
@@ -487,6 +489,7 @@ def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     start = time.perf_counter()
     points = _parity_points(sizes)
     report = VerificationReport(name="odd-index-vanishing")
+    jobs = usable_workers(jobs)
     if jobs > 1 and len(points) > 64:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = pool.map(

@@ -12,6 +12,7 @@ from catconv.cli import (
     build_parser,
     main,
 )
+from catconv.identities import usable_workers
 
 
 def run_cli(capsys, *argv):
@@ -147,11 +148,19 @@ class TestJobsOption:
             build_parser().parse_args(["all", f"--jobs={value}"])
         assert excinfo.value.code == EXIT_USAGE
 
-    def test_clamped_to_cpu_count(self, monkeypatch):
-        monkeypatch.setattr("catconv.cli.os.cpu_count", lambda: 3)
+    def test_parser_keeps_the_requested_count(self):
+        # the echoed config is the same on every host
         parser = build_parser()
         assert parser.parse_args(["all", "--jobs", "2"]).jobs == 2
-        assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 3
+        assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 64
+
+    def test_pools_are_lowered_to_the_usable_cpus(self, monkeypatch):
+        # sizes a pool without starting one
+        monkeypatch.setattr(
+            "catconv.identities.os.sched_getaffinity", lambda pid: {0, 1, 2},
+            raising=False,
+        )
+        assert [usable_workers(j) for j in (-1, 1, 2, 3, 64)] == [1, 1, 2, 3, 3]
 
 
 class TestOtherCommands:

@@ -232,6 +232,8 @@ class TestTerminating4F3:
     def test_zero_lambda_rejected(self):
         with pytest.raises(DegenerateLambda):
             terminating_4f3_closed_form(3, F(1, 3), F(1, 5), 0)
+        with pytest.raises(DegenerateLambda):
+            terminating_4f3_check(3, F(1, 3), F(1, 5), 0)
 
     @pytest.mark.parametrize("n", range(0, 13))
     @pytest.mark.parametrize("lam", [1, 2, F(1, 2), F(7, 3)])
@@ -300,7 +302,7 @@ class TestUnitySum:
 
 
 class TestTerminating4F3Block:
-    def test_matches_single_point_checks(self):
+    def test_passes_on_a_defined_grid(self):
         lams = [F(1), F(2), F(1, 2), F(7, 3)]
         for n in range(0, 9):
             for c, e in [(F(1, 3), F(1, 5)), (F(3, 2), F(2)), (F(2, 3), F(5, 2))]:
@@ -310,9 +312,15 @@ class TestTerminating4F3Block:
                 for report in (evaluation, contiguous):
                     assert (report.cases_run, report.skipped) == (len(lams), 0)
                     assert report.ok, report.failures
-                for lam in lams:
-                    assert terminating_4f3_check(n, c, e, lam).ok
-                    assert contiguous_relation_check(n, c, e, lam).ok
+
+    def test_single_point_checks_share_its_skips(self):
+        # c = -1 and lam = -1 are undefined at n = 3; the one-lam checks
+        # skip them as the block does instead of reporting a mismatch
+        for check in (terminating_4f3_check, contiguous_relation_check):
+            for c, lam in [(F(-1), F(2)), (F(1, 3), F(-1))]:
+                report = check(3, c, F(1, 5), lam)
+                assert (report.cases_run, report.skipped) == (0, 1)
+                assert report.elapsed_ms is not None
 
     def test_records_mismatch_with_both_values(self, monkeypatch):
         # a wrong closed-form tail must surface as a failure of the
