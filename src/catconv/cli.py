@@ -60,6 +60,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_n_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_range(text)
+    if lo < 0:
+        raise argparse.ArgumentTypeError(f"n must be nonnegative, got {text!r}")
+    return lo, hi
+
+
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--identity", required=True,
         choices=[ident.value for ident in IdentityId],
     )
-    verify.add_argument("--n", type=_parse_range, default=(0, 24))
+    verify.add_argument("--n", type=_parse_n_range, default=(0, 24))
     verify.add_argument("--lambda", dest="lam", type=_parse_range, default=None)
     verify.add_argument("--mu", type=_parse_range, default=None)
     verify.add_argument(
@@ -166,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fourf3", parents=[common],
         help="terminating 4F3 evaluation and contiguous relation",
     )
-    fourf3.add_argument("--n", type=_parse_range, default=(0, 12))
+    fourf3.add_argument("--n", type=_parse_n_range, default=(0, 12))
     fourf3.add_argument(
         "--lambda", dest="lam", type=_parse_range, default=(1, 4)
     )
@@ -202,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     integral.add_argument(
         "--which", required=True, choices=numerics.INTEGRAL_FAMILIES
     )
-    integral.add_argument("--n", type=_parse_range, default=(0, 8))
+    integral.add_argument("--n", type=_parse_n_range, default=(0, 8))
     integral.add_argument(
         "--lambda", dest="lam", type=_parse_range, default=(0, 3)
     )

@@ -106,20 +106,24 @@ def chi(condition: bool) -> int:
     return 1 if condition else 0
 
 
+def _rising_numerator(x: Fraction, n: int) -> int:
+    # q^n (x)_n for x = p/q: the integers p, p+q, ..., p+(n-1)q multiplied
+    p, q = x.numerator, x.denominator
+    return math.prod(range(p, p + n * q, q))
+
+
 def pochhammer(x: RationalLike, n: int) -> Fraction:
     """Rising factorial ``x (x+1) ... (x+n-1)`` with ``(x)_0 = 1``.
 
     A nonpositive-integer ``x`` within range is legal here and yields 0;
     only quotients (see :func:`poch_quotient`) reject such values in the
-    denominator.
+    denominator.  The product runs on integers over the single
+    denominator ``q**n``, so only the returned value is reduced.
     """
     if n < 0:
         raise ValueError(f"pochhammer requires n >= 0, got n={n}")
     x = Fraction(x)
-    out = Fraction(1)
-    for j in range(n):
-        out *= x + j
-    return out
+    return Fraction(_rising_numerator(x, n), x.denominator**n)
 
 
 def _zero_offset(x: Fraction, n: int) -> int | None:
@@ -139,6 +143,9 @@ def poch_quotient(
     Computes ``prod (u)_n / prod (l)_n`` exactly.  Every lower parameter
     must stay clear of ``{0, -1, ..., -(n-1)}``; a hit raises
     :class:`ZeroLowerPochhammer` naming the offending parameter and offset.
+    Each ``(p/q)_n`` enters as the integer ``q^n (p/q)_n`` with its
+    ``q^n`` moved to the other side, and one ``Fraction`` is built at the
+    end.
     """
     if n < 0:
         raise ValueError(f"poch_quotient requires n >= 0, got n={n}")
@@ -147,10 +154,12 @@ def poch_quotient(
         offset = _zero_offset(l, n)
         if offset is not None:
             raise ZeroLowerPochhammer(l, offset)
-    num = Fraction(1)
+    num = den = 1
     for u in uppers:
-        num *= pochhammer(u, n)
-    den = Fraction(1)
+        u = Fraction(u)
+        num *= _rising_numerator(u, n)
+        den *= u.denominator**n
     for l in lower_fracs:
-        den *= pochhammer(l, n)
-    return num / den
+        num *= l.denominator**n
+        den *= _rising_numerator(l, n)
+    return Fraction(num, den)

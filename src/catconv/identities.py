@@ -5,6 +5,17 @@ side, summed term by term with no reference to any closed form) with a
 closed-form evaluator (the right side, transcribed as stated).  Both are
 exact rationals, so verification is literal equality.
 
+The rational-valued sums run on integers.  Each summand is an integer
+numerator over an integer denominator: binomials come from ``math.comb``,
+and a rational parameter's rising factorials from an integer row with
+``(x)_k = row[k] / q**k`` over one shared ``q``, whose powers cancel in
+the balanced quotients of the propositions.  The summands are brought to
+the single lcm of their denominators by exact integer division and
+added with alternating signs, and one ``Fraction`` is built from the
+total.  Adding ``Fraction`` values instead pays a gcd on ever larger
+operands at every step; here the only gcds are the lcm's and the final
+reduction's.
+
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
 recorded as flagged discrepancies (with both exact values) and the
@@ -260,119 +271,118 @@ def _lhs_thm_d(p: IdentityParams) -> Fraction:
     return Fraction(total)
 
 
+def _rising_rows(params: Sequence[Fraction], n: int) -> list[list[int]]:
+    # integer rows with (x)_k = row[k] / q**k for every x, over one shared
+    # q = lcm of the denominators, so a balanced quotient loses its q's
+    q = math.lcm(*(x.denominator for x in params))
+    rows = []
+    for x in params:
+        start = x.numerator * (q // x.denominator)
+        row = [1]
+        for j in range(n):
+            row.append(row[-1] * (start + j * q))
+        rows.append(row)
+    return rows
+
+
+def _alternating_sum(
+    nums: Sequence[int], dens: Sequence[int], scale: int = 1
+) -> Fraction:
+    # scale * sum_k (-1)^k nums[k] / dens[k], over one lcm
+    lcm = math.lcm(*dens)
+    total = 0
+    for k, (num, den) in enumerate(zip(nums, dens)):
+        term = num * (lcm // den)
+        total += -term if k % 2 else term
+    return Fraction(scale * total, lcm)
+
+
+def _central_row(n: int, lam: int) -> list[int]:
+    # binomial(2j + 2lam, j + lam) for j = 0 .. n
+    return [math.comb(2 * j + 2 * lam, j + lam) for j in range(n + 1)]
+
+
 def _lhs_thm_e(p: IdentityParams) -> Fraction:
     n, lam, mu = p.n, p.lam, p.mu
-    total = Fraction(0)
-    for k in range(n + 1):
-        num = (
-            binomial(n, k)
-            * binomial(2 * k + 2 * lam, k + lam)
-            * binomial(2 * (n - k) + 2 * mu, n - k + mu)
-        )
-        den = binomial(k + 2 * lam, lam) * binomial(n - k + 2 * mu, mu)
-        term = Fraction(num, den)
-        total += -term if k % 2 else term
-    return total
-
-
-def _poch_row(x: Fraction, n: int) -> list[Fraction]:
-    # (x)_0 .. (x)_n
-    row = [Fraction(1)]
-    acc = Fraction(1)
-    for j in range(n):
-        acc *= x + j
-        row.append(acc)
-    return row
+    cl, cm = _central_row(n, lam), _central_row(n, mu)
+    return _alternating_sum(
+        [math.comb(n, k) * cl[k] * cm[n - k] for k in range(n + 1)],
+        [
+            math.comb(k + 2 * lam, lam) * math.comb(n - k + 2 * mu, mu)
+            for k in range(n + 1)
+        ],
+    )
 
 
 def _lhs_prop_a(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    pa = _poch_row(a, n)
-    pc = _poch_row(c, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = binomial(n, k) * pa[k] * pa[n - k] / (pc[k] * pc[n - k])
-        total += -term if k % 2 else term
-    return total
+    n = p.n
+    pa, pc = _rising_rows((p.a, p.c), n)
+    return _alternating_sum(
+        [math.comb(n, k) * pa[k] * pa[n - k] for k in range(n + 1)],
+        [pc[k] * pc[n - k] for k in range(n + 1)],
+    )
 
 
 def _lhs_prop_b(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    pa = _poch_row(a, n)
-    pc = _poch_row(c, n)
-    p2a = _poch_row(2 * a, n)
-    p2c = _poch_row(2 * c, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = binomial(n, k) * pa[k] * pc[n - k] / (p2a[k] * p2c[n - k])
-        total += -term if k % 2 else term
-    return total
+    n = p.n
+    pa, pc, p2a, p2c = _rising_rows((p.a, p.c, 2 * p.a, 2 * p.c), n)
+    return _alternating_sum(
+        [math.comb(n, k) * pa[k] * pc[n - k] for k in range(n + 1)],
+        [p2a[k] * p2c[n - k] for k in range(n + 1)],
+    )
 
 
 def _lhs_prop_c(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    pa = _poch_row(a, n)
-    pc = _poch_row(c, n)
-    pcm = _poch_row(c - 1, n)
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = binomial(n, k) * pa[k] * pa[n - k] / (pc[k] * pcm[n - k])
-        total += -term if k % 2 else term
-    return total
+    n = p.n
+    pa, pc, pcm = _rising_rows((p.a, p.c, p.c - 1), n)
+    return _alternating_sum(
+        [math.comb(n, k) * pa[k] * pa[n - k] for k in range(n + 1)],
+        [pc[k] * pcm[n - k] for k in range(n + 1)],
+    )
 
 
 def _lhs_cor_1(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
-    scale = (n - 1) * (n - 3) * catalan(lam) ** 2
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = Fraction(
-            binomial(n, k) * scale, catalan(k + lam) * catalan(n - k + lam)
-        )
-        total += -term if k % 2 else term
-    return total
+    return _alternating_sum(
+        [math.comb(n, k) for k in range(n + 1)],
+        [catalan(k + lam) * catalan(n - k + lam) for k in range(n + 1)],
+        (n - 1) * (n - 3) * catalan(lam) ** 2,
+    )
 
 
 def _lhs_cor_2(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
-    scale = n * binomial(1 + 2 * lam, lam) * catalan(lam)
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = Fraction(
-            binomial(n, k) * scale,
-            binomial(1 + 2 * k + 2 * lam, k + lam) * catalan(n - k + lam),
-        )
-        total += -term if k % 2 else term
-    return total
+    return _alternating_sum(
+        [math.comb(n, k) for k in range(n + 1)],
+        [
+            math.comb(1 + 2 * k + 2 * lam, k + lam) * catalan(n - k + lam)
+            for k in range(n + 1)
+        ],
+        n * math.comb(1 + 2 * lam, lam) * catalan(lam),
+    )
 
 
 def _lhs_cor_3(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
-    scale = (1 - n) * binomial(2 * lam, lam) ** 2
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = Fraction(
-            binomial(n, k) * scale,
-            binomial(2 * k + 2 * lam, k + lam)
-            * binomial(2 * (n - k) + 2 * lam, n - k + lam),
-        )
-        total += -term if k % 2 else term
-    return total
+    central = _central_row(n, lam)
+    return _alternating_sum(
+        [math.comb(n, k) for k in range(n + 1)],
+        [central[k] * central[n - k] for k in range(n + 1)],
+        (1 - n) * math.comb(2 * lam, lam) ** 2,
+    )
 
 
 def _lhs_cor_4(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
-    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * binomial(2 * lam, lam) ** 2
-    total = Fraction(0)
-    for k in range(n + 1):
-        term = Fraction(
-            binomial(n, k) * scale,
-            (1 + 2 * k + 2 * lam)
-            * binomial(2 * k + 2 * lam, k + lam)
-            * binomial(2 * (n - k) + 2 * lam, n - k + lam),
-        )
-        total += -term if k % 2 else term
-    return total
+    central = _central_row(n, lam)
+    return _alternating_sum(
+        [math.comb(n, k) for k in range(n + 1)],
+        [
+            (1 + 2 * k + 2 * lam) * central[k] * central[n - k]
+            for k in range(n + 1)
+        ],
+        n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * math.comb(2 * lam, lam) ** 2,
+    )
 
 
 # --- right sides: closed forms as catalogued ---------------------------

@@ -1,14 +1,15 @@
-"""Slow Fraction-per-term reference versions of the hyperseries kernels.
+"""Slow Fraction-per-term reference versions of the exact kernels.
 
 These are the term-by-term ``fractions.Fraction`` loops that
-``catconv.hyperseries`` used before its kernels moved to integer rows.
-They are kept only as oracles for the differential tests: every
-operation reduces by a gcd, which makes them slow but easy to read.
+``catconv.hyperseries``, ``catconv.exactnum`` and the brute-force sums of
+``catconv.identities`` used before they moved to integer rows.  They are
+kept only as oracles for the differential tests: every operation reduces
+by a gcd, which makes them slow but easy to read.
 """
 
 from fractions import Fraction
 
-from catconv.exactnum import ZeroLowerPochhammer
+from catconv.exactnum import ZeroLowerPochhammer, binomial, catalan
 from catconv.hyperseries import ARG_MINUS, ARG_SQUARED, TruncatedSeries
 
 
@@ -93,4 +94,156 @@ def pfq_unity_sum_exact(uppers, lowers, last_index):
                 raise ZeroLowerPochhammer(l, k)
             denominator *= factor
         term = term * numerator / denominator
+    return total
+
+
+# --- exactnum -----------------------------------------------------------
+
+def pochhammer(x, n):
+    if n < 0:
+        raise ValueError(f"pochhammer requires n >= 0, got n={n}")
+    x = Fraction(x)
+    out = Fraction(1)
+    for j in range(n):
+        out *= x + j
+    return out
+
+
+def _zero_offset(x, n):
+    if x.denominator == 1 and -x.numerator >= 0 and -x.numerator < n:
+        return -x.numerator
+    return None
+
+
+def poch_quotient(uppers, lowers, n):
+    if n < 0:
+        raise ValueError(f"poch_quotient requires n >= 0, got n={n}")
+    lower_fracs = [Fraction(l) for l in lowers]
+    for l in lower_fracs:
+        offset = _zero_offset(l, n)
+        if offset is not None:
+            raise ZeroLowerPochhammer(l, offset)
+    num = Fraction(1)
+    for u in uppers:
+        num *= pochhammer(u, n)
+    den = Fraction(1)
+    for l in lower_fracs:
+        den *= pochhammer(l, n)
+    return num / den
+
+
+# --- identities: brute-force left sides ---------------------------------
+
+def lhs_thm_e(p):
+    n, lam, mu = p.n, p.lam, p.mu
+    total = Fraction(0)
+    for k in range(n + 1):
+        num = (
+            binomial(n, k)
+            * binomial(2 * k + 2 * lam, k + lam)
+            * binomial(2 * (n - k) + 2 * mu, n - k + mu)
+        )
+        den = binomial(k + 2 * lam, lam) * binomial(n - k + 2 * mu, mu)
+        term = Fraction(num, den)
+        total += -term if k % 2 else term
+    return total
+
+
+def _poch_row(x, n):
+    # (x)_0 .. (x)_n
+    row = [Fraction(1)]
+    acc = Fraction(1)
+    for j in range(n):
+        acc *= x + j
+        row.append(acc)
+    return row
+
+
+def lhs_prop_a(p):
+    n, a, c = p.n, p.a, p.c
+    pa = _poch_row(a, n)
+    pc = _poch_row(c, n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = binomial(n, k) * pa[k] * pa[n - k] / (pc[k] * pc[n - k])
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_prop_b(p):
+    n, a, c = p.n, p.a, p.c
+    pa = _poch_row(a, n)
+    pc = _poch_row(c, n)
+    p2a = _poch_row(2 * a, n)
+    p2c = _poch_row(2 * c, n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = binomial(n, k) * pa[k] * pc[n - k] / (p2a[k] * p2c[n - k])
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_prop_c(p):
+    n, a, c = p.n, p.a, p.c
+    pa = _poch_row(a, n)
+    pc = _poch_row(c, n)
+    pcm = _poch_row(c - 1, n)
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = binomial(n, k) * pa[k] * pa[n - k] / (pc[k] * pcm[n - k])
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_cor_1(p):
+    n, lam = p.n, p.lam
+    scale = (n - 1) * (n - 3) * catalan(lam) ** 2
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(
+            binomial(n, k) * scale, catalan(k + lam) * catalan(n - k + lam)
+        )
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_cor_2(p):
+    n, lam = p.n, p.lam
+    scale = n * binomial(1 + 2 * lam, lam) * catalan(lam)
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(
+            binomial(n, k) * scale,
+            binomial(1 + 2 * k + 2 * lam, k + lam) * catalan(n - k + lam),
+        )
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_cor_3(p):
+    n, lam = p.n, p.lam
+    scale = (1 - n) * binomial(2 * lam, lam) ** 2
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(
+            binomial(n, k) * scale,
+            binomial(2 * k + 2 * lam, k + lam)
+            * binomial(2 * (n - k) + 2 * lam, n - k + lam),
+        )
+        total += -term if k % 2 else term
+    return total
+
+
+def lhs_cor_4(p):
+    n, lam = p.n, p.lam
+    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * binomial(2 * lam, lam) ** 2
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(
+            binomial(n, k) * scale,
+            (1 + 2 * k + 2 * lam)
+            * binomial(2 * k + 2 * lam, k + lam)
+            * binomial(2 * (n - k) + 2 * lam, n - k + lam),
+        )
+        total += -term if k % 2 else term
     return total

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +116,37 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
 
 
+class TestNRangeOption:
+    # the identity or family each command needs before it parses
+    COMMANDS = (
+        ("verify", "--identity", "thm-a"),
+        ("fourf3",),
+        ("integral", "--which", "thm-a"),
+    )
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize("n", ["-3..2", "-1", "-5..-2"])
+    def test_negative_lower_end_is_usage_error(self, command, n):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, f"--n={n}"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    def test_verify_rejects_before_any_case(self, capsys):
+        # this used to exit 0 after six silent skips
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--identity", "thm-a", "--n=-3..2", "--lambda", "0..1"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_zero_lower_end_is_kept(self, command):
+        assert build_parser().parse_args([*command, "--n", "0..3"]).n == (0, 3)
+
+    def test_lambda_stays_signed(self):
+        args = build_parser().parse_args(["fourf3", "--n", "0..5", "--lambda=-3..2"])
+        assert args.lam == (-3, 2)
+
+
 class TestDeterminism:
     ARGS = (
         "verify", "--identity", "thm-c",
@@ -125,6 +158,24 @@ class TestDeterminism:
         _, first = run_cli(capsys, *self.ARGS)
         _, second = run_cli(capsys, *self.ARGS)
         assert first == second
+
+    def test_quick_suite_is_byte_identical_across_jobs(self):
+        def quick_suite(jobs):
+            proc = subprocess.run(
+                [
+                    sys.executable, "-m", "catconv", "all", "--quick",
+                    "--format", "json", "--no-timing", "--jobs", jobs,
+                ],
+                capture_output=True,
+                timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            return proc.stdout
+
+        serial, pooled = quick_suite("1"), quick_suite("2")
+        # the config echoes the --jobs asked for; every other byte agrees
+        assert serial.count(b'"jobs": 1,') == 1
+        assert serial.replace(b'"jobs": 1,', b'"jobs": 2,') == pooled
 
     def test_no_timing_strips_elapsed_keys(self, capsys):
         _, payload = run_json(capsys, *self.ARGS)

@@ -17,6 +17,8 @@ from catconv.exactnum import (
     set_catalan_cache_cap,
 )
 
+import reference_kernels as ref
+
 
 class TestBinomial:
     def test_k_zero_is_empty_product(self):
@@ -179,3 +181,48 @@ class TestPochQuotient:
         for l in lowers:
             expected /= pochhammer(l, n)
         assert poch_quotient(uppers, lowers, n) == expected
+
+
+# signed rationals with q <= 7; nonpositive integers, plain or as
+# Fraction, are the zero factors
+signed = st.one_of(
+    st.integers(-8, 0),
+    st.integers(-8, 0).map(Fraction),
+    st.fractions(min_value=-8, max_value=8, max_denominator=7),
+)
+
+
+def outcome(fn, *args):
+    """A kernel's value, or the identity of the zero-lower error it raised."""
+    try:
+        return fn(*args)
+    except ZeroLowerPochhammer as exc:
+        return (type(exc), exc.parameter, exc.index, str(exc))
+
+
+class TestAgainstReference:
+    @settings(max_examples=300)
+    @given(signed, st.integers(0, 30))
+    def test_pochhammer(self, x, n):
+        value = pochhammer(x, n)
+        assert type(value) is Fraction
+        assert value == ref.pochhammer(x, n)
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(signed, max_size=4),
+        st.lists(signed, max_size=4),
+        st.integers(0, 30),
+    )
+    def test_poch_quotient(self, uppers, lowers, n):
+        assert outcome(poch_quotient, uppers, lowers, n) == outcome(
+            ref.poch_quotient, uppers, lowers, n
+        )
+
+    def test_poch_quotient_zero_lower_matches(self):
+        # the first lower that hits is named, with its offset, even when
+        # an upper is zero too
+        args = ([Fraction(-1), Fraction(2, 7)], [Fraction(5, 3), -4, -2], 6)
+        got = outcome(poch_quotient, *args)
+        assert got == outcome(ref.poch_quotient, *args)
+        assert got[1:3] == (Fraction(-4), 4)

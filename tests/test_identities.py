@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from catconv.exactnum import binomial, catalan
 from catconv.identities import (
@@ -23,6 +25,8 @@ from catconv.identities import (
     verify_case,
     verify_grid,
 )
+
+import reference_kernels as ref
 
 F = Fraction
 
@@ -299,3 +303,73 @@ class TestSpecializations:
         )
         assert record.lhs is None
         assert "parameter the theorem does not have" in record.note
+
+
+# signed rationals with q <= 7; 0 and the negative integers make (a)_k
+# vanish from some k on, and as c they hit the lower-parameter checks
+rationals = st.one_of(
+    st.integers(-6, 0).map(F),
+    st.fractions(min_value=-6, max_value=6, max_denominator=7),
+)
+orders = st.one_of(st.just(0), st.integers(0, 30))
+shifts = st.integers(0, 12)
+
+REFERENCE_SUMS = {
+    IdentityId.THM_E: ref.lhs_thm_e,
+    IdentityId.PROP_A: ref.lhs_prop_a,
+    IdentityId.PROP_B: ref.lhs_prop_b,
+    IdentityId.PROP_C: ref.lhs_prop_c,
+    IdentityId.COR_1: ref.lhs_cor_1,
+    IdentityId.COR_2: ref.lhs_cor_2,
+    IdentityId.COR_3: ref.lhs_cor_3,
+    IdentityId.COR_4: ref.lhs_cor_4,
+}
+
+
+def agrees_with_reference(ident, p):
+    try:
+        validate(ident, p)
+    except DomainError:
+        assume(False)
+    value = lhs_value(ident, p)
+    assert type(value) is Fraction
+    assert value == REFERENCE_SUMS[ident](p)
+
+
+class TestSumsAgainstReference:
+    @settings(max_examples=300)
+    @given(
+        st.sampled_from(
+            [IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C]
+        ),
+        orders,
+        rationals,
+        rationals,
+    )
+    @example(IdentityId.PROP_A, 0, F(0), F(1, 2))
+    @example(IdentityId.PROP_A, 12, F(0), F(-5, 7))
+    @example(IdentityId.PROP_B, 6, F(-3), F(2, 3))
+    @example(IdentityId.PROP_C, 9, F(-2), F(-1, 6))
+    def test_propositions(self, ident, n, a, c):
+        agrees_with_reference(ident, IdentityParams(n=n, a=a, c=c))
+
+    @settings(max_examples=100)
+    @given(orders, shifts, shifts)
+    @example(0, 0, 0)
+    def test_thm_e(self, n, lam, mu):
+        agrees_with_reference(
+            IdentityId.THM_E, IdentityParams(n=n, lam=lam, mu=mu)
+        )
+
+    @settings(max_examples=200)
+    @given(
+        st.sampled_from(
+            [IdentityId.COR_1, IdentityId.COR_2, IdentityId.COR_3, IdentityId.COR_4]
+        ),
+        orders,
+        shifts,
+    )
+    @example(IdentityId.COR_1, 0, 0)
+    @example(IdentityId.COR_1, 3, 2)
+    def test_corollaries(self, ident, n, lam):
+        agrees_with_reference(ident, IdentityParams(n=n, lam=lam))
