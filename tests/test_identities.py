@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from catconv.exactnum import binomial, catalan
@@ -330,7 +330,7 @@ def agrees_with_reference(ident, p):
     try:
         validate(ident, p)
     except DomainError:
-        assume(False)
+        reject()
     value = lhs_value(ident, p)
     assert type(value) is Fraction
     assert value == REFERENCE_SUMS[ident](p)
