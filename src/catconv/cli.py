@@ -60,10 +60,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_n_range(text: str) -> tuple[int, int]:
+def _parse_nonnegative_range(text: str) -> tuple[int, int]:
+    # --n and the theorems' shifts: a negative point could only be skipped
     lo, hi = _parse_range(text)
     if lo < 0:
-        raise argparse.ArgumentTypeError(f"n must be nonnegative, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative lower end, got {text!r}"
+        )
     return lo, hi
 
 
@@ -140,9 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--identity", required=True,
         choices=[ident.value for ident in IdentityId],
     )
-    verify.add_argument("--n", type=_parse_n_range, default=(0, 24))
-    verify.add_argument("--lambda", dest="lam", type=_parse_range, default=None)
-    verify.add_argument("--mu", type=_parse_range, default=None)
+    verify.add_argument("--n", type=_parse_nonnegative_range, default=(0, 24))
+    verify.add_argument(
+        "--lambda", dest="lam", type=_parse_nonnegative_range, default=None
+    )
+    verify.add_argument("--mu", type=_parse_nonnegative_range, default=None)
     verify.add_argument(
         "--a", type=_parse_fraction_list, default=None,
         help="comma-separated rationals for the a grid",
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fourf3", parents=[common],
         help="terminating 4F3 evaluation and contiguous relation",
     )
-    fourf3.add_argument("--n", type=_parse_n_range, default=(0, 12))
+    fourf3.add_argument("--n", type=_parse_nonnegative_range, default=(0, 12))
     fourf3.add_argument(
         "--lambda", dest="lam", type=_parse_range, default=(1, 4)
     )
@@ -209,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     integral.add_argument(
         "--which", required=True, choices=numerics.INTEGRAL_FAMILIES
     )
-    integral.add_argument("--n", type=_parse_n_range, default=(0, 8))
+    integral.add_argument("--n", type=_parse_nonnegative_range, default=(0, 8))
     integral.add_argument(
-        "--lambda", dest="lam", type=_parse_range, default=(0, 3)
+        "--lambda", dest="lam", type=_parse_nonnegative_range, default=(0, 3)
     )
     integral.add_argument("--prec", type=int, default=40)
     integral.add_argument(

@@ -5,15 +5,26 @@ side, summed term by term with no reference to any closed form) with a
 closed-form evaluator (the right side, transcribed as stated).  Both are
 exact rationals, so verification is literal equality.
 
-The rational-valued sums run on integers.  Each summand is an integer
-numerator over an integer denominator: binomials come from ``math.comb``,
-and a rational parameter's rising factorials from an integer row with
-``(x)_k = row[k] / q**k`` over one shared ``q``, whose powers cancel in
-the balanced quotients of the propositions.  The summands are brought to
-the single lcm of their denominators by exact integer division and
-added with alternating signs, and one ``Fraction`` is built from the
-total.  Adding ``Fraction`` values instead pays a gcd on ever larger
-operands at every step; here the only gcds are the lcm's and the final
+The rational-valued sums run on integers: the summands are brought to
+one common denominator, added with alternating signs, and one
+``Fraction`` is built from the total.  Binomials come from
+``math.comb``, and a rational parameter's rising factorials from an
+integer row with ``(x)_k = row[k] / q**k`` over one shared ``q``, whose
+powers cancel in the balanced quotients of the propositions.  Where the
+sum is a binomial convolution ``sum (-1)^k C(n,k) x_k y_{n-k}``, the
+common denominator needs no lcm over the point's terms:
+
+- thm-e: ``x`` depends only on lam and ``y`` only on mu.  Each is an
+  integer row over the lcm of its own denominators, built once per
+  (parameter, n) and kept, like the Pascal row ``C(n, .)``, in a cache
+  of fixed size; a point multiplies the two row denominators.
+- prop-a/b/c: a rising row divides its last entry, so every term's
+  denominator divides the product of the two lower rows' entries at
+  index n, and each term reaches it by exact division.
+
+The corollaries bring their terms to the lcm of the denominators.
+Adding ``Fraction`` values instead pays a gcd on ever larger operands at
+every step; here the only gcd of a thm-e or proposition sum is the final
 reduction's.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
@@ -26,6 +37,7 @@ silently patched.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import os
 import time
@@ -302,42 +314,66 @@ def _central_row(n: int, lam: int) -> list[int]:
     return [math.comb(2 * j + 2 * lam, j + lam) for j in range(n + 1)]
 
 
+# The caches below hold a fixed number of rows whatever the grid, so
+# memory does not grow with the parameter range.  The grids loop over n
+# outermost, so a few Pascal rows suffice, and a thm-e grid row needs one
+# entry per distinct lam or mu: up to 32 of them stay cached.
+@functools.lru_cache(maxsize=8)
+def _pascal_row(n: int) -> tuple[int, ...]:
+    return tuple(math.comb(n, k) for k in range(n + 1))
+
+
+@functools.lru_cache(maxsize=32)
+def _thm_e_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
+    # binomial(2k + 2lam, k + lam) / binomial(k + 2lam, lam) for
+    # k = 0 .. n, as (den, numerators) over the lcm of the row
+    dens = [math.comb(k + 2 * lam, lam) for k in range(n + 1)]
+    den = math.lcm(*dens)
+    central = _central_row(n, lam)
+    return den, tuple(c * (den // d) for c, d in zip(central, dens))
+
+
+def _convolution(x: Sequence[int], y: Sequence[int], den: int) -> Fraction:
+    # sum_k (-1)^k binomial(n, k) x[k] y[n - k] / den, n = len(x) - 1
+    n = len(x) - 1
+    total = 0
+    for k, b in enumerate(_pascal_row(n)):
+        term = b * x[k] * y[n - k]
+        total += -term if k % 2 else term
+    return Fraction(total, den)
+
+
 def _lhs_thm_e(p: IdentityParams) -> Fraction:
-    n, lam, mu = p.n, p.lam, p.mu
-    cl, cm = _central_row(n, lam), _central_row(n, mu)
-    return _alternating_sum(
-        [math.comb(n, k) * cl[k] * cm[n - k] for k in range(n + 1)],
-        [
-            math.comb(k + 2 * lam, lam) * math.comb(n - k + 2 * mu, mu)
-            for k in range(n + 1)
-        ],
-    )
+    den_lam, x = _thm_e_row(p.lam, p.n)
+    den_mu, y = _thm_e_row(p.mu, p.n)
+    return _convolution(x, y, den_lam * den_mu)
+
+
+def _over_top(upper: list[int], lower: list[int]) -> list[int]:
+    # upper[k] * lower[-1] / lower[k]: a rising row divides its last
+    # entry, so every quotient is exact; lower[-1] is nonzero wherever
+    # validate admits the point
+    top = lower[-1]
+    return [u * (top // d) for u, d in zip(upper, lower)]
 
 
 def _lhs_prop_a(p: IdentityParams) -> Fraction:
-    n = p.n
-    pa, pc = _rising_rows((p.a, p.c), n)
-    return _alternating_sum(
-        [math.comb(n, k) * pa[k] * pa[n - k] for k in range(n + 1)],
-        [pc[k] * pc[n - k] for k in range(n + 1)],
-    )
+    pa, pc = _rising_rows((p.a, p.c), p.n)
+    x = _over_top(pa, pc)
+    return _convolution(x, x, pc[-1] ** 2)
 
 
 def _lhs_prop_b(p: IdentityParams) -> Fraction:
-    n = p.n
-    pa, pc, p2a, p2c = _rising_rows((p.a, p.c, 2 * p.a, 2 * p.c), n)
-    return _alternating_sum(
-        [math.comb(n, k) * pa[k] * pc[n - k] for k in range(n + 1)],
-        [p2a[k] * p2c[n - k] for k in range(n + 1)],
+    pa, pc, p2a, p2c = _rising_rows((p.a, p.c, 2 * p.a, 2 * p.c), p.n)
+    return _convolution(
+        _over_top(pa, p2a), _over_top(pc, p2c), p2a[-1] * p2c[-1]
     )
 
 
 def _lhs_prop_c(p: IdentityParams) -> Fraction:
-    n = p.n
-    pa, pc, pcm = _rising_rows((p.a, p.c, p.c - 1), n)
-    return _alternating_sum(
-        [math.comb(n, k) * pa[k] * pa[n - k] for k in range(n + 1)],
-        [pc[k] * pcm[n - k] for k in range(n + 1)],
+    pa, pc, pcm = _rising_rows((p.a, p.c, p.c - 1), p.n)
+    return _convolution(
+        _over_top(pa, pc), _over_top(pa, pcm), pc[-1] * pcm[-1]
     )
 
 

@@ -18,6 +18,7 @@ iterations) as the stopping rule and ``max_terms`` as a hard cap.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -627,6 +628,17 @@ def jacobi_rule(
         raise ValueError("weight exponents must exceed -1")
     if m < 1:
         raise ValueError("node count must be positive")
+    return _jacobi_rule(alpha, beta, m, precision)
+
+
+# A rule is frozen with tuple nodes and weights, so callers may share it.
+# The integral grids ask for few distinct rules: m = n//2 + 2 repeats
+# across n, and thm-a's rule is thm-b's second axis.  The size is fixed
+# so that memory does not grow with the grid.
+@functools.lru_cache(maxsize=128)
+def _jacobi_rule(
+    alpha: Fraction, beta: Fraction, m: int, precision: int
+) -> QuadratureRule:
     diag, offdiag_sq = _jacobi_recurrence(alpha, beta, m)
     with mp.workdps(precision + 25):
         matrix = mp.zeros(m, m)

@@ -6,10 +6,12 @@ prints a single PASS/FAIL line.  The last test drives the installed
 console entry point end to end in quick mode.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 from catconv.suite import (
     FULL_SIZES,
@@ -128,6 +130,36 @@ def test_criterion_10_odd_index_vanishing():
     assert result.passed, failing_cases(result)
     assert result.reports[0].cases_run > 0
     assert not result.reports[0].failures
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_full_size_exact_verdicts_match_benchmark_reference():
+    # criteria 1-4 and 10 at full size are the benchmark's exact-full
+    # workload; their digests pin every case count, witness and flag, so
+    # each fast path in the identity sums is checked at full size here
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    criteria = [
+        fn(FULL_SIZES).as_dict(include_timing=False)
+        for fn in (
+            criterion_theorems,
+            criterion_mikic,
+            criterion_props,
+            criterion_cors,
+            criterion_parity,
+        )
+    ]
+    digests = {
+        number: entry["digest"]
+        for number, entry in workloads.summarize(criteria).items()
+    }
+    assert digests == reference["exact-full"]
 
 
 def test_criterion_11_quick_suite_end_to_end():

@@ -147,6 +147,48 @@ class TestNRangeOption:
         assert args.lam == (-3, 2)
 
 
+class TestLambdaMuRangeOption:
+    # the command and the option whose lower end must be nonnegative
+    OPTIONS = [
+        pytest.param(("verify", "--identity", "thm-a"), "--lambda",
+                     id="verify-lambda"),
+        pytest.param(("verify", "--identity", "thm-e"), "--mu",
+                     id="verify-mu"),
+        pytest.param(("integral", "--which", "thm-a"), "--lambda",
+                     id="integral-lambda"),
+    ]
+
+    @pytest.mark.parametrize("command, option", OPTIONS)
+    @pytest.mark.parametrize("value", ["-3..0", "-1", "-5..-2"])
+    def test_negative_lower_end_is_usage_error(self, command, option, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([*command, f"{option}={value}"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, option", OPTIONS)
+    def test_zero_lower_end_is_kept(self, command, option):
+        args = build_parser().parse_args([*command, option, "0..3"])
+        assert getattr(args, "lam" if option == "--lambda" else "mu") == (0, 3)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # these used to exit 0 after nine silent skips, and exit 2
+            # only after the first case had started
+            ["verify", "--identity", "thm-a", "--n", "0..2", "--lambda=-3..0"],
+            ["verify", "--identity", "thm-e", "--n", "0..2", "--lambda", "0",
+             "--mu=-1..1"],
+            ["integral", "--which", "thm-a", "--n", "0..1", "--lambda=-1..0"],
+        ],
+        ids=["verify-lambda", "verify-mu", "integral-lambda"],
+    )
+    def test_rejected_before_any_case(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+
 class TestDeterminism:
     ARGS = (
         "verify", "--identity", "thm-c",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from catconv.exactnum import binomial, catalan
+from catconv import identities
+from catconv.exactnum import binomial, catalan, pochhammer
 from catconv.identities import (
     ARITY,
     CHI_BEARING,
@@ -373,3 +374,59 @@ class TestSumsAgainstReference:
     @example(IdentityId.COR_1, 3, 2)
     def test_corollaries(self, ident, n, lam):
         agrees_with_reference(ident, IdentityParams(n=n, lam=lam))
+
+
+class TestRowCaches:
+    # thm-e reads its rows from bounded caches shared across points; a
+    # value must not depend on what was evaluated before it
+    def test_thm_e_in_any_call_order_and_after_eviction(self):
+        rows, pascal = identities._thm_e_row, identities._pascal_row
+        rows.cache_clear()
+        pascal.cache_clear()
+        # more distinct lam/mu values than the row cache holds, at
+        # descending and repeated n, so rows are evicted and rebuilt
+        span = rows.cache_info().maxsize + 8
+        points = [
+            (n, lam, (7 * lam + 3) % span)
+            for n in (20, 9, 20, 2, 0)
+            for lam in range(span)
+        ]
+        # more distinct n than the Pascal cache holds, descending
+        points += [
+            (n, n % 3, n % 5)
+            for n in range(pascal.cache_info().maxsize + 8, -1, -1)
+        ]
+        for n, lam, mu in points:
+            p = IdentityParams(n=n, lam=lam, mu=mu)
+            value = lhs_value(IdentityId.THM_E, p)
+            assert value == ref.lhs_thm_e(p), (n, lam, mu)
+        for cache in (rows, pascal):
+            info = cache.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize == info.maxsize
+
+
+class TestChainDenominatorEdges:
+    # the proposition sums divide every term into the lower rows' entries
+    # at index n; these points have a lower rising factorial that is
+    # nonzero through k = n and vanishes at k = n + 1
+    @pytest.mark.parametrize(
+        "ident, n, a, c, lower",
+        [
+            (IdentityId.PROP_A, 5, F(1, 2), F(-5), "c"),
+            (IdentityId.PROP_B, 6, F(-3), F(2, 3), "2a"),
+            (IdentityId.PROP_B, 6, F(5, 2), F(-3), "2c"),
+            (IdentityId.PROP_B, 7, F(-7, 2), F(-7, 2), "2a"),
+            # c = -n is prop-c's edge: validate asks (c-1)_k to be
+            # nonzero through k = n + 1, so c - 1 = -n is outside it
+            (IdentityId.PROP_C, 6, F(1, 3), F(-6), "c"),
+            (IdentityId.PROP_C, 3, F(-2), F(-3), "c"),
+        ],
+    )
+    def test_lower_row_vanishes_just_past_n(self, ident, n, a, c, lower):
+        x = {"c": c, "2a": 2 * a, "2c": 2 * c}[lower]
+        assert pochhammer(x, n) != 0 and pochhammer(x, n + 1) == 0
+        p = IdentityParams(n=n, a=a, c=c)
+        validate(ident, p)
+        assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p)
+        assert verify_case(ident, p).ok

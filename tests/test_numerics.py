@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from catconv import numerics
 from catconv.hyperseries import DegenerateLambda
 from catconv.numerics import (
     GammaQuotientSpec,
@@ -217,6 +218,15 @@ class TestJacobiRule:
         assert all(0 < node < 1 for node in rule.nodes)
         with mp.workdps(60):
             assert close(rule.mass(), mp.pi, "1e-37")
+
+    def test_equal_requests_share_one_rule(self):
+        # the rule is frozen, so equal requests may share it, however the
+        # exponents and the precision are spelled
+        first = jacobi_rule(1, F(1, 2), 3, precision=40)
+        assert jacobi_rule(F(1), F(1, 2), 3, 40) is first
+        assert first.alpha == 1 and type(first.alpha) is Fraction
+        assert jacobi_rule(1, F(1, 2), 3, precision=60) is not first
+        assert numerics._jacobi_rule.cache_info().maxsize is not None
 
 
 class TestIntegrals:
