@@ -16,7 +16,6 @@ from .exactnum import (
     chi,
     pochhammer,
     poch_quotient,
-    set_catalan_cache_cap,
 )
 from .hyperseries import (
     DEFAULT_ORDER,

@@ -8,8 +8,8 @@ odd-index cases.  Everything returns Python ``int`` or
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,7 +20,6 @@ __all__ = [
     "ZeroLowerPochhammer",
     "binomial",
     "catalan",
-    "set_catalan_cache_cap",
     "chi",
     "pochhammer",
     "poch_quotient",
@@ -67,38 +66,17 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-_catalan_lock = threading.Lock()
-_catalan_cache: dict[int, int] = {}
-_catalan_cache_cap = 512
-
-
-def set_catalan_cache_cap(cap: int) -> None:
-    """Resize the Catalan memo table; entries above the new cap are dropped."""
-    global _catalan_cache_cap
-    if cap < 0:
-        raise ValueError("cache cap must be nonnegative")
-    with _catalan_lock:
-        _catalan_cache_cap = cap
-        for key in [k for k in _catalan_cache if k > cap]:
-            del _catalan_cache[key]
-
-
+@functools.lru_cache(maxsize=512)
 def catalan(n: int) -> int:
     """Catalan number ``binomial(2n, n) // (n + 1)``.
 
-    Values with ``n`` up to the configured cap (default 512) are memoized
-    because grid sweeps reuse them heavily; larger arguments are computed
-    on the fly.  The division is exact.
+    The 512 most recently used values are memoized, because grid sweeps
+    reuse them heavily; the bound keeps the memo's size fixed.  The
+    division is exact.
     """
     if n < 0:
         raise ValueError(f"catalan requires n >= 0, got n={n}")
-    value = _catalan_cache.get(n)
-    if value is None:
-        value = math.comb(2 * n, n) // (n + 1)
-        if n <= _catalan_cache_cap:
-            with _catalan_lock:
-                _catalan_cache[n] = value
-    return value
+    return math.comb(2 * n, n) // (n + 1)
 
 
 def chi(condition: bool) -> int:

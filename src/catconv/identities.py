@@ -38,17 +38,21 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .exactnum import RationalLike, binomial, catalan, chi, pochhammer
 from .hyperseries import DEFAULT_RATIONAL_GRID
 from .report import CaseRecord, VerificationReport
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 __all__ = [
     "IdentityId",
@@ -61,6 +65,9 @@ __all__ = [
     "cor2_rhs_corrected",
     "verify_case",
     "verify_grid",
+    "case_points",
+    "capture_case",
+    "map_points",
     "usable_workers",
     "dictionary_check",
     "specialization_check",
@@ -167,15 +174,9 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
     for name in ARITY[ident]:
         if getattr(p, name) is None:
             raise DomainError(f"{ident.value} requires parameter {name}")
-    if "lam" in ARITY[ident] and ident not in (
-        IdentityId.PROP_A,
-        IdentityId.PROP_B,
-        IdentityId.PROP_C,
-    ):
-        if p.lam < 0:
-            raise DomainError("lam must be nonnegative")
-    if "mu" in ARITY[ident] and p.mu is not None and p.mu < 0:
-        raise DomainError("mu must be nonnegative")
+    for name in ("lam", "mu"):
+        if name in ARITY[ident] and getattr(p, name) < 0:
+            raise DomainError(f"{name} must be nonnegative")
     n = p.n
     if ident is IdentityId.THM_D:
         # the stated right side contains lam!/(n)_lam, undefined at n=0
@@ -720,61 +721,75 @@ def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
     return report
 
 
-def _case_points(
+def case_points(
     ident: IdentityId,
     n_range: tuple[int, int],
-    lam_range: tuple[int, int] | None,
-    mu_range: tuple[int, int] | None,
-    rational_grid: Sequence[RationalLike] | None,
+    lam_range: tuple[int, int] | None = None,
+    mu_range: tuple[int, int] | None = None,
+    rational_grid: Sequence[RationalLike] | None = None,
     a_grid: Sequence[RationalLike] | None = None,
     c_grid: Sequence[RationalLike] | None = None,
-) -> list[IdentityParams]:
+) -> Iterator[IdentityParams]:
+    """The points of :func:`verify_grid`, in its order, made lazily.
+
+    n is the outermost axis, then lam and mu, or a and c.  A missing
+    range raises at once, not on iteration.
+    """
     names = ARITY[ident]
-    n_lo, n_hi = n_range
-    points: list[IdentityParams] = []
-    if names == ("n",):
-        points = [IdentityParams(n=n) for n in range(n_lo, n_hi + 1)]
-    elif names == ("n", "lam"):
-        if lam_range is None:
-            raise ValueError(f"{ident.value} needs a lam range")
-        points = [
-            IdentityParams(n=n, lam=l)
-            for n in range(n_lo, n_hi + 1)
-            for l in range(lam_range[0], lam_range[1] + 1)
-        ]
-    elif names == ("n", "lam", "mu"):
-        if lam_range is None or mu_range is None:
-            raise ValueError(f"{ident.value} needs lam and mu ranges")
-        points = [
-            IdentityParams(n=n, lam=l, mu=m)
-            for n in range(n_lo, n_hi + 1)
-            for l in range(lam_range[0], lam_range[1] + 1)
-            for m in range(mu_range[0], mu_range[1] + 1)
-        ]
-    elif names == ("n", "a", "c"):
+    ns = range(n_range[0], n_range[1] + 1)
+    if "a" in names:
         base = tuple(Fraction(g) for g in (rational_grid or DEFAULT_RATIONAL_GRID))
         a_values = tuple(Fraction(g) for g in a_grid) if a_grid else base
         c_values = tuple(Fraction(g) for g in c_grid) if c_grid else base
-        points = [
+        return (
             IdentityParams(n=n, a=a, c=c)
-            for n in range(n_lo, n_hi + 1)
-            for a in a_values
-            for c in c_values
-        ]
-    return points
+            for n, a, c in itertools.product(ns, a_values, c_values)
+        )
+    if ("lam" in names and lam_range is None) or (
+        "mu" in names and mu_range is None
+    ):
+        needs = "lam and mu ranges" if "mu" in names else "a lam range"
+        raise ValueError(f"{ident.value} needs {needs}")
+    lams = range(lam_range[0], lam_range[1] + 1) if "lam" in names else (None,)
+    mus = range(mu_range[0], mu_range[1] + 1) if "mu" in names else (None,)
+    return (
+        IdentityParams(n=n, lam=lam, mu=mu)
+        for n, lam, mu in itertools.product(ns, lams, mus)
+    )
 
 
-def _grid_worker(args: tuple[IdentityId, IdentityParams]) -> tuple[str, CaseRecord | None]:
-    ident, p = args
+def capture_case(
+    ident: IdentityId,
+    p: IdentityParams,
+    check: Callable[[IdentityId, IdentityParams], VerificationReport],
+) -> VerificationReport:
+    """``check(ident, p)``'s report, with its exceptions captured.
+
+    A :class:`DomainError` counts as a skip.  An ``ArithmeticError``
+    becomes a failure record at ``p`` with both sides ``None`` and
+    ``"<Type>: <message>"`` as the note, so one bad point does not end
+    the run.
+    """
     try:
-        sub = verify_case(ident, p)
+        return check(ident, p)
     except DomainError:
-        return ("skip", None)
-    if sub.failures:
-        return ("fail", sub.failures[0])
-    if sub.flagged:
-        return ("flag", sub.flagged[0])
-    return ("pass", None)
+        report = VerificationReport(name=ident.value)
+        report.record_skip()
+    except ArithmeticError as exc:
+        report = VerificationReport(name=ident.value)
+        report.record_failure(
+            CaseRecord(
+                params=p.items_for(ident),
+                lhs=None,
+                rhs=None,
+                note=f"{type(exc).__name__}: {exc}",
+            )
+        )
+    return report
+
+
+def _grid_worker(ident: IdentityId, p: IdentityParams) -> VerificationReport:
+    return capture_case(ident, p, verify_case)
 
 
 def usable_workers(jobs: int) -> int:
@@ -788,6 +803,26 @@ def usable_workers(jobs: int) -> int:
     except AttributeError:
         cpus = os.cpu_count() or 1
     return max(1, min(jobs, cpus))
+
+
+def map_points(
+    worker: Callable[[T], R], items: Sequence[T], jobs: int = 1
+) -> Iterator[R]:
+    """Yield ``worker(item)`` for every item, in order.
+
+    With one usable worker, or at most 64 items, the items run lazily in
+    this process.  Otherwise they are mapped in chunks across one process
+    pool, and the results still come back in submission order.  Either
+    way each result can be merged and dropped before the next arrives.
+    """
+    jobs = usable_workers(jobs)
+    if jobs == 1 or len(items) <= 64:
+        yield from map(worker, items)
+        return
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        yield from pool.map(
+            worker, items, chunksize=max(1, len(items) // (jobs * 8))
+        )
 
 
 def verify_grid(
@@ -810,38 +845,14 @@ def verify_grid(
     identities.
     """
     start = time.perf_counter()
-    points = _case_points(
-        ident, n_range, lam_range, mu_range, rational_grid, a_grid, c_grid
+    points = list(
+        case_points(
+            ident, n_range, lam_range, mu_range, rational_grid, a_grid, c_grid
+        )
     )
     report = VerificationReport(name=ident.value)
-    jobs = usable_workers(jobs)
-    if jobs > 1 and len(points) > 64:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = pool.map(
-                _grid_worker,
-                [(ident, p) for p in points],
-                chunksize=max(1, len(points) // (jobs * 8)),
-            )
-            for status, record in results:
-                if status == "skip":
-                    report.record_skip()
-                elif status == "fail":
-                    report.record_failure(record)
-                elif status == "flag":
-                    report.record_flagged(record)
-                else:
-                    report.record_pass()
-    else:
-        for p in points:
-            status, record = _grid_worker((ident, p))
-            if status == "skip":
-                report.record_skip()
-            elif status == "fail":
-                report.record_failure(record)
-            elif status == "flag":
-                report.record_flagged(record)
-            else:
-                report.record_pass()
+    for sub in map_points(functools.partial(_grid_worker, ident), points, jobs):
+        report.merge(sub)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -908,34 +919,30 @@ def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
 class SpecializationRule:
     """How a two-parameter convolution theorem sits inside a proposition.
 
-    ``scale`` multiplies the proposition's sum to recover the theorem's sum
-    after substituting ``a_of``/``c_of``; the dictionary conversions above
-    supply the factor.
+    ``substitution`` is the (a, c) text, such as ``("1/2+lam", "1/2+mu")``,
+    that :func:`_parse_substitution` reads at each (lam, mu).  ``scale``
+    multiplies the proposition's sum to recover the theorem's sum after
+    substituting; the dictionary conversions above supply the factor.
     """
 
     theorem: IdentityId
     proposition: IdentityId
-    a_of: Callable[[int, int | None], Fraction]
-    c_of: Callable[[int, int | None], Fraction]
+    substitution: tuple[str, str]
     scale: Callable[[int, int, int | None], Fraction]
     lam_min: int = 0
 
-
-_HALF = Fraction(1, 2)
 
 VALIDATED_SPECIALIZATIONS: dict[IdentityId, SpecializationRule] = {
     IdentityId.THM_A: SpecializationRule(
         theorem=IdentityId.THM_A,
         proposition=IdentityId.PROP_A,
-        a_of=lambda lam, mu: _HALF + lam,
-        c_of=lambda lam, mu: Fraction(2 + lam),
+        substitution=("1/2+lam", "2+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
     ),
     IdentityId.THM_B: SpecializationRule(
         theorem=IdentityId.THM_B,
         proposition=IdentityId.PROP_C,
-        a_of=lambda lam, mu: _HALF + lam,
-        c_of=lambda lam, mu: Fraction(2 + lam),
+        substitution=("1/2+lam", "2+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n
         * catalan(lam)
         * binomial(2 * lam, lam),
@@ -943,15 +950,13 @@ VALIDATED_SPECIALIZATIONS: dict[IdentityId, SpecializationRule] = {
     IdentityId.THM_C: SpecializationRule(
         theorem=IdentityId.THM_C,
         proposition=IdentityId.PROP_A,
-        a_of=lambda lam, mu: _HALF + lam,
-        c_of=lambda lam, mu: Fraction(1 + lam),
+        substitution=("1/2+lam", "1+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n * binomial(2 * lam, lam) ** 2,
     ),
     IdentityId.THM_D: SpecializationRule(
         theorem=IdentityId.THM_D,
         proposition=IdentityId.PROP_C,
-        a_of=lambda lam, mu: _HALF + lam,
-        c_of=lambda lam, mu: Fraction(1 + lam),
+        substitution=("1/2+lam", "1+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n
         * binomial(2 * lam, lam) ** 2
         * lam,
@@ -960,8 +965,7 @@ VALIDATED_SPECIALIZATIONS: dict[IdentityId, SpecializationRule] = {
     IdentityId.THM_E: SpecializationRule(
         theorem=IdentityId.THM_E,
         proposition=IdentityId.PROP_B,
-        a_of=lambda lam, mu: _HALF + lam,
-        c_of=lambda lam, mu: _HALF + mu,
+        substitution=("1/2+lam", "1/2+mu"),
         scale=lambda n, lam, mu: Fraction(4) ** n,
     ),
 }
@@ -974,14 +978,6 @@ PRINTED_SPECIALIZATIONS: dict[IdentityId, tuple[str, str]] = {
     IdentityId.THM_C: ("1/2+lam", "1+lam"),
     IdentityId.THM_D: ("1/2+lam", "1+mu"),
     IdentityId.THM_E: ("1/2+lam", "2+mu"),
-}
-
-_VALIDATED_AS_TEXT: dict[IdentityId, tuple[str, str]] = {
-    IdentityId.THM_A: ("1/2+lam", "2+lam"),
-    IdentityId.THM_B: ("1/2+lam", "2+lam"),
-    IdentityId.THM_C: ("1/2+lam", "1+lam"),
-    IdentityId.THM_D: ("1/2+lam", "1+lam"),
-    IdentityId.THM_E: ("1/2+lam", "1/2+mu"),
 }
 
 
@@ -1000,15 +996,10 @@ def specialization_check(
     rule = VALIDATED_SPECIALIZATIONS[theorem]
     start = time.perf_counter()
     report = VerificationReport(name=f"{theorem.value}-specialization")
-    mus: Iterable[int | None]
-    if "mu" in ARITY[theorem]:
-        mus = range(mu_max + 1)
-    else:
-        mus = (None,)
+    mus = range(mu_max + 1) if "mu" in ARITY[theorem] else (None,)
     for lam in range(rule.lam_min, lam_max + 1):
         for mu in mus:
-            a = rule.a_of(lam, mu)
-            c = rule.c_of(lam, mu)
+            a, c = (_parse_substitution(t, lam, mu) for t in rule.substitution)
             for n in range(n_max + 1):
                 thm_p = IdentityParams(n=n, lam=lam, mu=mu)
                 prop_p = IdentityParams(n=n, a=a, c=c)
@@ -1053,7 +1044,7 @@ def specialization_findings() -> VerificationReport:
     report = VerificationReport(name="specialization-catalog")
     for theorem, rule in VALIDATED_SPECIALIZATIONS.items():
         printed = PRINTED_SPECIALIZATIONS[theorem]
-        validated = _VALIDATED_AS_TEXT[theorem]
+        validated = rule.substitution
         if printed == validated:
             report.record_pass()
             continue
@@ -1096,7 +1087,7 @@ def specialization_findings() -> VerificationReport:
     return report
 
 
-def _parse_substitution(text: str, lam: int, mu: int) -> Fraction:
+def _parse_substitution(text: str, lam: int, mu: int | None) -> Fraction:
     base, _, shift = text.partition("+")
     offset = lam if shift == "lam" else mu
     return Fraction(base) + offset
@@ -1113,8 +1104,7 @@ def _specialization_witness(
             for mu in range(0, 4) if "mu" in ARITY[theorem] else (0,):
                 mu_val = mu if "mu" in ARITY[theorem] else None
                 thm_p = IdentityParams(n=n, lam=lam, mu=mu_val)
-                a = _parse_substitution(printed[0], lam, mu)
-                c = _parse_substitution(printed[1], lam, mu)
+                a, c = (_parse_substitution(t, lam, mu) for t in printed)
                 prop_p = IdentityParams(n=n, a=a, c=c)
                 try:
                     validate(theorem, thm_p)

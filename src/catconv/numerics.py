@@ -19,19 +19,19 @@ iterations) as the stopping rule and ``max_terms`` as a hard cap.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .exactnum import RationalLike, binomial, catalan, chi, pochhammer
+from .exactnum import RationalLike
 from .hyperseries import (
     DegenerateLambda,
     pfq_unity_sum_exact,
     terminating_4f3_closed_form,
 )
+from .identities import IdentityId, IdentityParams, rhs_value
 from .report import CaseRecord, VerificationReport
 
 __all__ = [
@@ -679,30 +679,12 @@ def _jacobi_rule(
 
 
 def _integral_closed_form(which: str, n: int, lam: int) -> Fraction:
-    # the rational part of the closed form; the caller supplies pi^2
-    h = n // 2
+    # the closed form over pi^2: the theorem's right side over the
+    # weight's power of two
+    closed = rhs_value(IdentityId(which), IdentityParams(n=n, lam=lam))
     if which == "thm-a":
-        numerator = (
-            math.factorial(lam)
-            * chi(n % 2 == 0)
-            * binomial(2 * lam, lam)
-            * binomial(n, h)
-            * catalan(lam + h)
-        )
-        denominator = Fraction(4) ** (1 + n + 2 * lam) * pochhammer(
-            2 + n, lam
-        )
-    else:
-        numerator = (
-            math.factorial(lam)
-            * binomial(2 * lam, lam)
-            * binomial(n, h)
-            * binomial(n + 2 * lam, lam + h)
-        )
-        denominator = Fraction(2) ** (1 + 2 * n + 4 * lam) * pochhammer(
-            2 + n, lam
-        )
-    return numerator / denominator
+        return closed / 4 ** (1 + n + 2 * lam)
+    return closed / 2 ** (1 + 2 * n + 4 * lam)
 
 
 def integral_value(

@@ -10,8 +10,9 @@ CI budget.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+# identities.map_points builds every pool; the name stays bound here
+# because perfbench/tracer.py rebinds it with identities' own, or neither
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -23,9 +24,11 @@ from .identities import (
     IdentityId,
     IdentityParams,
     DomainError,
+    capture_case,
+    case_points,
     lhs_value,
+    map_points,
     rhs_value,
-    usable_workers,
     validate,
     verify_grid,
 )
@@ -185,27 +188,34 @@ def _finish(
     )
 
 
+def _suite_grid(
+    ident: IdentityId, sizes: SuiteSizes
+) -> tuple[tuple[int, int], tuple[int, int] | None, tuple[int, int] | None]:
+    """The ``(n, lam, mu)`` ranges the suite checks ``ident`` on."""
+    names = ARITY[ident]
+    if names == ("n",):
+        return (0, sizes.mikic_n), None, None
+    if "a" in names:
+        return (0, sizes.prop_n), None, None
+    if ident.name.startswith("COR"):
+        return (0, sizes.cor_n), (0, sizes.cor_lam), None
+    mu_range = (0, sizes.thm_mu) if "mu" in names else None
+    return (0, sizes.thm_n), (0, sizes.thm_lam), mu_range
+
+
 def criterion_theorems(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 1: the five convolution theorems, exact, full grid."""
     start = time.perf_counter()
-    reports = []
-    for ident in (
-        IdentityId.THM_A,
-        IdentityId.THM_B,
-        IdentityId.THM_C,
-        IdentityId.THM_D,
-        IdentityId.THM_E,
-    ):
-        mu_range = (0, sizes.thm_mu) if "mu" in ARITY[ident] else None
-        reports.append(
-            verify_grid(
-                ident,
-                (0, sizes.thm_n),
-                lam_range=(0, sizes.thm_lam),
-                mu_range=mu_range,
-                jobs=jobs,
-            )
+    reports = [
+        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
+        for ident in (
+            IdentityId.THM_A,
+            IdentityId.THM_B,
+            IdentityId.THM_C,
+            IdentityId.THM_D,
+            IdentityId.THM_E,
         )
+    ]
     return _finish(1, "alternating convolution theorems", reports, start)
 
 
@@ -252,17 +262,16 @@ def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     start = time.perf_counter()
     reports = []
     counts = []
-    grid = hyperseries.DEFAULT_RATIONAL_GRID
     for ident in (IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C):
-        reports.append(verify_grid(ident, (0, sizes.prop_n), jobs=jobs))
+        grid = _suite_grid(ident, sizes)
+        reports.append(verify_grid(ident, *grid, jobs=jobs))
         admissible = 0
-        for a in grid:
-            for c in grid:
-                try:
-                    validate(ident, IdentityParams(n=sizes.prop_n, a=a, c=c))
-                except DomainError:
-                    continue
-                admissible += 1
+        for p in case_points(ident, (sizes.prop_n, sizes.prop_n)):
+            try:
+                validate(ident, p)
+            except DomainError:
+                continue
+            admissible += 1
         counts.append((ident.value, admissible))
     passed = all(r.ok for r in reports) and all(
         count >= 40 for _, count in counts
@@ -283,21 +292,15 @@ def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 def criterion_cors(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 4: reciprocal corollaries; documented mismatches flag."""
     start = time.perf_counter()
-    reports = []
-    for ident in (
-        IdentityId.COR_1,
-        IdentityId.COR_2,
-        IdentityId.COR_3,
-        IdentityId.COR_4,
-    ):
-        reports.append(
-            verify_grid(
-                ident,
-                (0, sizes.cor_n),
-                lam_range=(0, sizes.cor_lam),
-                jobs=jobs,
-            )
+    reports = [
+        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
+        for ident in (
+            IdentityId.COR_1,
+            IdentityId.COR_2,
+            IdentityId.COR_3,
+            IdentityId.COR_4,
         )
+    ]
     flagged = sum(len(r.flagged) for r in reports)
     details = f"{flagged} flagged closed-form discrepancies"
     return _finish(
@@ -341,20 +344,9 @@ def f43_sweep(
     blocks = [(n, c, e, lams) for n in ns for c in cs for e in es]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
-    jobs = usable_workers(jobs)
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext()
-    with pool:
-        if jobs > 1:
-            results = pool.map(
-                _f43_worker,
-                blocks,
-                chunksize=max(1, len(blocks) // (jobs * 8)),
-            )
-        else:
-            results = map(_f43_worker, blocks)
-        for first, second in results:
-            evaluation.merge(first)
-            contiguous.merge(second)
+    for first, second in map_points(_f43_worker, blocks, jobs):
+        evaluation.merge(first)
+        contiguous.merge(second)
     return [evaluation, contiguous]
 
 
@@ -422,97 +414,41 @@ def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     )
 
 
-def _parity_worker(
-    args: tuple[IdentityId, IdentityParams]
-) -> tuple[str, CaseRecord | None]:
-    ident, p = args
-    try:
-        value = lhs_value(ident, p)
-    except DomainError:
-        return ("skip", None)
+def _parity_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
+    report = VerificationReport(name=ident.value)
+    value = lhs_value(ident, p)
     if value == 0:
-        return ("pass", None)
-    return (
-        "fail",
-        CaseRecord(params=p.items_for(ident), lhs=value, rhs=Fraction(0)),
-    )
+        report.record_pass()
+    else:
+        report.record_failure(
+            CaseRecord(params=p.items_for(ident), lhs=value, rhs=Fraction(0))
+        )
+    return report
 
 
-def _parity_points(
-    sizes: SuiteSizes,
-) -> list[tuple[IdentityId, IdentityParams]]:
-    grid = hyperseries.DEFAULT_RATIONAL_GRID
-    points: list[tuple[IdentityId, IdentityParams]] = []
-    for ident in CHI_BEARING:
-        names = ARITY[ident]
-        if ident is IdentityId.MIKIC1:
-            n_hi = sizes.mikic_n
-        elif names == ("n", "a", "c"):
-            n_hi = sizes.prop_n
-        elif ident in (IdentityId.COR_1, IdentityId.COR_3):
-            n_hi = sizes.cor_n
-        else:
-            n_hi = sizes.thm_n
-        odd = range(1, n_hi + 1, 2)
-        if names == ("n",):
-            points.extend((ident, IdentityParams(n=n)) for n in odd)
-        elif names == ("n", "lam"):
-            lam_hi = (
-                sizes.cor_lam
-                if ident in (IdentityId.COR_1, IdentityId.COR_3)
-                else sizes.thm_lam
-            )
-            points.extend(
-                (ident, IdentityParams(n=n, lam=lam))
-                for n in odd
-                for lam in range(lam_hi + 1)
-            )
-        elif names == ("n", "lam", "mu"):
-            points.extend(
-                (ident, IdentityParams(n=n, lam=lam, mu=mu))
-                for n in odd
-                for lam in range(sizes.thm_lam + 1)
-                for mu in range(sizes.thm_mu + 1)
-            )
-        else:
-            points.extend(
-                (ident, IdentityParams(n=n, a=a, c=c))
-                for n in odd
-                for a in grid
-                for c in grid
-            )
-    return points
+def _parity_worker(
+    point: tuple[IdentityId, IdentityParams]
+) -> VerificationReport:
+    return capture_case(*point, _parity_case)
 
 
 def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
-    """Criterion 10: every chi-bearing sum vanishes exactly at odd index."""
+    """Criterion 10: every chi-bearing sum vanishes exactly at odd index.
+
+    The points are each chi-bearing identity's suite grid at odd n.
+    """
     start = time.perf_counter()
-    points = _parity_points(sizes)
+    points = []
+    for ident in CHI_BEARING:
+        (_, n_hi), lam_range, mu_range = _suite_grid(ident, sizes)
+        points.extend(
+            (ident, p)
+            for n in range(1, n_hi + 1, 2)
+            for p in case_points(ident, (n, n), lam_range, mu_range)
+        )
     report = VerificationReport(name="odd-index-vanishing")
-    jobs = usable_workers(jobs)
-    if jobs > 1 and len(points) > 64:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = pool.map(
-                _parity_worker,
-                points,
-                chunksize=max(1, len(points) // (jobs * 8)),
-            )
-            for status, record in outcomes:
-                if status == "skip":
-                    report.record_skip()
-                elif status == "fail":
-                    report.record_failure(record)
-                else:
-                    report.record_pass()
-    else:
-        for point in points:
-            status, record = _parity_worker(point)
-            if status == "skip":
-                report.record_skip()
-            elif status == "fail":
-                report.record_failure(record)
-            else:
-                report.record_pass()
+    for sub in map_points(_parity_worker, points, jobs):
+        report.merge(sub)
     return _finish(10, "odd-index vanishing", [report], start)
 
 

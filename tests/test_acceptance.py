@@ -8,6 +8,7 @@ console entry point end to end in quick mode.
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 import time
@@ -135,15 +136,20 @@ def test_criterion_10_odd_index_vanishing():
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_full_size_exact_verdicts_match_benchmark_reference():
     # criteria 1-4 and 10 at full size are the benchmark's exact-full
     # workload; their digests pin every case count, witness and flag, so
     # each fast path in the identity sums is checked at full size here
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py"
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_perfbench("workloads")
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     criteria = [
         fn(FULL_SIZES).as_dict(include_timing=False)
@@ -160,6 +166,25 @@ def test_full_size_exact_verdicts_match_benchmark_reference():
         for number, entry in workloads.summarize(criteria).items()
     }
     assert digests == reference["exact-full"]
+
+
+def test_tracer_finds_every_target_and_covers_the_per_layer_metrics():
+    # the benchmark's tracer rebinds catconv's module attributes and
+    # silently drops every metric of a target it cannot find
+    tracer_module = load_perfbench("tracer")
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert tracer.missing == []
+    finally:
+        tracer.uninstall()
+    names = set(tracer.metrics()) | set(tracer_module.kernel_timings())
+    # the names run.py derives itself from the child processes' records
+    run_source = (PERFBENCH / "run.py").read_text()
+    names |= set(re.findall(r'metrics\["([\w.]+)"\] =', run_source))
+    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    wanted = {entry["name"] for entry in benchmark["per_layer"]}
+    assert wanted - names == set()
 
 
 def test_criterion_11_quick_suite_end_to_end():

@@ -14,7 +14,6 @@ from catconv.exactnum import (
     chi,
     poch_quotient,
     pochhammer,
-    set_catalan_cache_cap,
 )
 
 import reference_kernels as ref
@@ -77,17 +76,13 @@ class TestCatalan:
         with pytest.raises(ValueError):
             catalan(-1)
 
-    def test_cache_cap_does_not_change_values(self):
-        reference = [catalan(n) for n in range(40)]
-        set_catalan_cache_cap(4)
-        try:
-            assert [catalan(n) for n in range(40)] == reference
-        finally:
-            set_catalan_cache_cap(512)
-        assert [catalan(n) for n in range(40)] == reference
-
     def test_values_beyond_cache_cap(self):
         assert catalan(600) * 601 == binomial(1200, 600)
+
+    def test_memo_stays_bounded(self):
+        for n in range(1200):
+            assert catalan(n) * (n + 1) == math.comb(2 * n, n)
+        assert catalan.cache_info().currsize <= 512
 
 
 def test_chi_indicator():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from catconv import identities
+from catconv import identities, suite
 from catconv.exactnum import binomial, catalan, pochhammer
 from catconv.identities import (
     ARITY,
@@ -16,9 +16,11 @@ from catconv.identities import (
     IdentityId,
     IdentityParams,
     VALIDATED_SPECIALIZATIONS,
+    case_points,
     cor2_rhs_corrected,
     dictionary_check,
     lhs_value,
+    map_points,
     rhs_value,
     specialization_check,
     specialization_findings,
@@ -143,6 +145,81 @@ class TestGrids:
         report = verify_grid(IdentityId.THM_D, (0, 5), (0, 2))
         assert report.ok
         assert report.skipped == 2
+
+
+def raising_at(table, ident, n, monkeypatch, error=ZeroDivisionError):
+    # make one entry of an identity table raise at every point with index n
+    original = table[ident]
+
+    def entry(p):
+        if p.n == n:
+            raise error("division by zero")
+        return original(p)
+
+    monkeypatch.setitem(table, ident, entry)
+
+
+class TestCaseCapture:
+    """An ArithmeticError at one point is a failure record, not an abort."""
+
+    def test_grid_records_the_error_and_runs_on(self, monkeypatch):
+        raising_at(identities._RHS, IdentityId.THM_D, 3, monkeypatch)
+        report = verify_grid(IdentityId.THM_D, (0, 5), (0, 2))
+        # thm-d's two n = 0 skips are still skips
+        assert report.skipped == 2
+        assert report.cases_run == 6 * 3 - 2
+        assert [dict(r.params) for r in report.failures] == [
+            {"n": 3, "lam": lam} for lam in range(3)
+        ]
+        for record in report.failures:
+            assert (record.lhs, record.rhs) == (None, None)
+            assert record.note == "ZeroDivisionError: division by zero"
+
+    def test_parity_records_the_error_and_runs_on(self, monkeypatch):
+        sizes = suite.SuiteSizes(
+            thm_n=5, thm_lam=1, thm_mu=1, mikic_n=5, prop_n=3, cor_n=5,
+            cor_lam=1,
+        )
+        clean = suite.criterion_parity(sizes).reports[0]
+        assert clean.ok and clean.skipped == 0
+        raising_at(identities._LHS, IdentityId.THM_A, 3, monkeypatch)
+        # a DomainError stays a skip: thm-c at n = 5, lam = 0 and 1
+        raising_at(identities._LHS, IdentityId.THM_C, 5, monkeypatch,
+                   error=DomainError)
+        report = suite.criterion_parity(sizes).reports[0]
+        assert (report.cases_run, report.skipped) == (clean.cases_run - 2, 2)
+        assert [dict(r.params) for r in report.failures] == [
+            {"n": 3, "lam": 0}, {"n": 3, "lam": 1}
+        ]
+        assert report.failures[0].note == "ZeroDivisionError: division by zero"
+        assert report.failures[0].lhs is None
+
+
+class TestMapPoints:
+    def test_serial_run_is_lazy(self):
+        seen = []
+
+        def worker(item):
+            seen.append(item)
+            return -item
+
+        results = map_points(worker, list(range(200)), jobs=1)
+        assert seen == []
+        assert next(results) == 0
+        assert seen == [0]
+        assert list(results) == [-i for i in range(1, 200)]
+
+    def test_pool_keeps_submission_order(self):
+        items = list(range(-100, 0))
+        assert list(map_points(abs, items, jobs=2)) == [-i for i in items]
+
+    def test_case_points_order_and_missing_range(self):
+        points = list(case_points(IdentityId.THM_E, (0, 1), (0, 1), (2, 3)))
+        assert [(p.n, p.lam, p.mu) for p in points] == [
+            (n, lam, mu) for n in (0, 1) for lam in (0, 1) for mu in (2, 3)
+        ]
+        with pytest.raises(ValueError, match="needs lam and mu ranges"):
+            case_points(IdentityId.THM_E, (0, 1), (0, 1))
 
 
 class TestStructuralInvariants:
