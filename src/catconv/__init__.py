@@ -13,7 +13,6 @@ from .exactnum import (
     ZeroLowerPochhammer,
     binomial,
     catalan,
-    chi,
     pochhammer,
     poch_quotient,
 )

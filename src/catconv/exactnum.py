@@ -1,8 +1,7 @@
 """Exact integer and rational building blocks.
 
 Binomial coefficients, Catalan numbers, rising factorials (Pochhammer
-symbols) and their quotients, plus the 0/1 indicator used to kill
-odd-index cases.  Everything returns Python ``int`` or
+symbols) and their quotients.  Everything returns Python ``int`` or
 ``fractions.Fraction``; nothing here rounds.
 """
 
@@ -20,7 +19,6 @@ __all__ = [
     "ZeroLowerPochhammer",
     "binomial",
     "catalan",
-    "chi",
     "pochhammer",
     "poch_quotient",
 ]
@@ -77,11 +75,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError(f"catalan requires n >= 0, got n={n}")
     return math.comb(2 * n, n) // (n + 1)
-
-
-def chi(condition: bool) -> int:
-    """Indicator: 1 when the condition holds, 0 otherwise."""
-    return 1 if condition else 0
 
 
 def _rising_numerator(x: Fraction, n: int) -> int:

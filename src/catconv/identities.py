@@ -2,8 +2,16 @@
 
 Each catalog entry pairs an independent brute-force summation (the left
 side, summed term by term with no reference to any closed form) with a
-closed-form evaluator (the right side, transcribed as stated).  Both are
-exact rationals, so verification is literal equality.
+closed form (the right side, transcribed as stated).  Both are exact
+rationals, so verification is literal equality.
+
+Every closed form is a hypergeometric term, written as data: per parity
+of n, a table of factorials, binomials, Catalan numbers, Pochhammer
+symbols and linear factors whose arguments are affine in n, h = n // 2
+and the identity's parameters (``CLOSED_FORMS``).  One evaluator turns a
+table into an integer numerator and denominator and builds one
+``Fraction``.  The sums share nothing with it beyond ``math.comb`` and
+``catalan``.
 
 The rational-valued sums run on integers: the summands are brought to
 one common denominator, added with alternating signs, and one
@@ -29,9 +37,10 @@ reduction's.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
-recorded as flagged discrepancies (with both exact values) and the
-corrected denominator variant is validated alongside.  Nothing is
-silently patched.
+recorded as flagged discrepancies (with both exact values).  Its
+corrected table (``CORRECTED_FORMS``) differs from the printed one in a
+single factor, the central binomial of the denominator, and is
+validated alongside.  Nothing is silently patched.
 """
 
 from __future__ import annotations
@@ -41,13 +50,14 @@ import functools
 import itertools
 import math
 import os
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .exactnum import RationalLike, binomial, catalan, chi, pochhammer
+from .exactnum import RationalLike, binomial, catalan, pochhammer
 from .hyperseries import DEFAULT_RATIONAL_GRID
 from .report import CaseRecord, VerificationReport
 
@@ -62,7 +72,7 @@ __all__ = [
     "validate",
     "lhs_value",
     "rhs_value",
-    "cor2_rhs_corrected",
+    "closed_form",
     "verify_case",
     "verify_grid",
     "case_points",
@@ -74,6 +84,8 @@ __all__ = [
     "specialization_findings",
     "VALIDATED_SPECIALIZATIONS",
     "PRINTED_SPECIALIZATIONS",
+    "CLOSED_FORMS",
+    "CORRECTED_FORMS",
     "CHI_BEARING",
     "INTEGER_VALUED",
 ]
@@ -117,19 +129,6 @@ ARITY: dict[IdentityId, tuple[str, ...]] = {
     IdentityId.COR_3: ("n", "lam"),
     IdentityId.COR_4: ("n", "lam"),
 }
-
-# identities whose right side carries the even-index indicator; their sums
-# vanish identically for odd n
-CHI_BEARING = (
-    IdentityId.MIKIC1,
-    IdentityId.THM_A,
-    IdentityId.THM_C,
-    IdentityId.THM_E,
-    IdentityId.PROP_A,
-    IdentityId.PROP_B,
-    IdentityId.COR_1,
-    IdentityId.COR_3,
-)
 
 # sums that take integer values on their whole valid domain
 INTEGER_VALUED = (
@@ -422,211 +421,209 @@ def _lhs_cor_4(p: IdentityParams) -> Fraction:
     )
 
 
-# --- right sides: closed forms as catalogued ---------------------------
+# --- right sides: closed forms as factor tables ------------------------
+#
+# Every right side is a hypergeometric term in n.  Per parity of n it is
+# a product of factors written "kind(args)", with "/" putting a factor in
+# the denominator and "^e" raising it to a power:
+#
+#   fact(x) = x!   binom(x,y)   catalan(x)   poch(x,k) = (x)_k   lin(x) = x
+#
+# Each argument is affine with integer coefficients in n, h = n // 2 and
+# the identity's parameters; a and c appear only in poch's x and in lin.
+# An odd table of None is the even-index indicator: the right side is 0
+# at odd n.
 
-def _rhs_recurrence(p: IdentityParams) -> Fraction:
-    return Fraction(catalan(p.n + 1))
+_VARS = ("n", "h", "lam", "mu", "a", "c")
+_FACTOR = re.compile(
+    r"(/?)(fact|binom|catalan|poch|lin)\(([^()]*)\)(?:\^(\d+))?"
+)
+_TERM = re.compile(r"([+-])(\d*)(n|h|lam|mu|a|c)?")
+
+Affine = tuple[tuple[int, int], ...]
+Factor = tuple[str, tuple[Affine, ...], int]
+Table = tuple[Factor, ...]
 
 
-_rhs_touchard = _rhs_recurrence
+def _affine(text: str) -> Affine:
+    # "1+2lam-n" -> ((0, 1), (3, 2), (1, -1)): (index, coefficient) pairs
+    # over the values (1, n, h, lam, mu, a, c), index 0 the constant
+    terms = []
+    signed = text if text.startswith(("+", "-")) else "+" + text
+    for term in re.split(r"(?=[+-])", signed)[1:]:
+        match = _TERM.fullmatch(term)
+        if not match or not (match[2] or match[3]):
+            raise ValueError(f"not an affine argument: {text!r}")
+        sign, digits, name = match.groups()
+        coef = -int(digits or 1) if sign == "-" else int(digits or 1)
+        terms.append((_VARS.index(name) + 1 if name else 0, coef))
+    return tuple(terms)
 
 
-def _rhs_mikic1(p: IdentityParams) -> Fraction:
+def _factor(token: str) -> Factor:
+    match = _FACTOR.fullmatch(token)
+    if match is None:
+        raise ValueError(f"not a factor: {token!r}")
+    over, kind, args, power = match.groups()
+    exp = -int(power or 1) if over else int(power or 1)
+    return kind, tuple(_affine(arg) for arg in args.split(",")), exp
+
+
+def _tables(texts):
+    # (even, odd) factor strings -> (even, odd) factor tuples
+    return tuple(
+        None if text is None else tuple(_factor(t) for t in text.split())
+        for text in texts
+    )
+
+
+_THM_D = (
+    "fact(lam) binom(n,h) binom(2lam,lam) binom(2lam+n,lam+h) /poch(n,lam)"
+    " /lin(2) /lin(lam+n)"
+)
+_PROP_C = (
+    "fact(n) /poch(c-1,n+1) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h) /lin(2)"
+)
+_COR_2 = (
+    "lin(1+n+2lam) catalan(lam) binom(1+2lam,lam) binom(n,h)"
+    " /binom(lam+n+1,n) /binom(2lam+2n,lam+n) /binom(1+2lam+n,lam+h)"
+)
+_COR_4 = (
+    "lin(1+2lam) binom(2lam,lam)^2 binom(n,h)"
+    " /binom(lam+n,n) /binom(2lam+2n,lam+n) /binom(2lam+n,lam+h)"
+)
+
+# the closed forms as catalogued: (even n, odd n)
+_PRINTED: dict[IdentityId, tuple[str, str | None]] = {
+    IdentityId.RECURRENCE: ("catalan(n+1)",) * 2,
+    IdentityId.TOUCHARD: ("catalan(n+1)",) * 2,
+    IdentityId.MIKIC1: ("lin(2) binom(n,h)^2 /lin(n+2)", None),
+    IdentityId.MIKIC2: ("binom(n,h)^2",) * 2,
+    IdentityId.THM_A: (
+        "fact(lam) binom(2lam,lam) binom(n,h) catalan(lam+h) /poch(2+n,lam)",
+        None,
+    ),
+    IdentityId.THM_B: (
+        "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
+        " /poch(2+n,lam)",
+    ) * 2,
+    IdentityId.THM_C: (
+        "fact(lam) binom(2lam,lam) binom(n,h) binom(2lam+n,lam+h)"
+        " /poch(1+n,lam)",
+        None,
+    ),
+    IdentityId.THM_D: (
+        _THM_D + " lin(n) lin(2lam+n)",
+        _THM_D + " lin(n+1) lin(2lam+n+1)",
+    ),
+    IdentityId.THM_E: (
+        "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
+        None,
+    ),
+    IdentityId.PROP_A: (
+        "fact(n) /poch(c,n) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h)",
+        None,
+    ),
+    IdentityId.PROP_B: (
+        "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
+        " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
+        None,
+    ),
+    IdentityId.PROP_C: (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
+    IdentityId.COR_1: (
+        "lin(3) catalan(lam) binom(2lam,lam) binom(n,h)"
+        " /catalan(lam+h) /binom(lam+n,lam) /binom(2lam+2n,lam+n)",
+        None,
+    ),
+    IdentityId.COR_2: (
+        _COR_2 + " lin(n) /lin(1-n)",
+        _COR_2 + " lin(1+n) /lin(2-n)",
+    ),
+    IdentityId.COR_3: (
+        "binom(2lam,lam)^2 binom(n,h)"
+        " /binom(lam+n,n) /binom(2lam+2n,lam+n) /binom(2lam+n,lam+h)",
+        None,
+    ),
+    IdentityId.COR_4: (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)"),
+}
+
+CLOSED_FORMS: dict[IdentityId, tuple[Table, Table | None]] = {
+    ident: _tables(texts) for ident, texts in _PRINTED.items()
+}
+
+# closed forms with a documented mismatch against the oracle, mapped to
+# their corrected tables: cor-2 agrees with its sum everywhere once the
+# central binomial's row index is raised by one
+CORRECTED_FORMS = {
+    IdentityId.COR_2: _tables(
+        text.replace("/binom(2lam+2n,", "/binom(1+2lam+2n,")
+        for text in _PRINTED[IdentityId.COR_2]
+    ),
+}
+
+# identities whose right side carries the even-index indicator; their sums
+# vanish identically for odd n
+CHI_BEARING = tuple(
+    ident for ident in IdentityId if CLOSED_FORMS[ident][1] is None
+)
+
+
+def _at(arg: Affine, values: tuple) -> int:
+    total = 0
+    for index, coef in arg:
+        total += coef * values[index]
+    return total
+
+
+def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
+    # One integer numerator and denominator, and one Fraction at the end.
+    # Rational a and c are scaled by the lcm q of their denominators, so
+    # lin(x) is (q x) / q and poch(x, k) is q**k (x)_k / q**k.
     n = p.n
-    h = n // 2
-    return Fraction(2 * chi(n % 2 == 0) * binomial(n, h) ** 2, n + 2)
-
-
-def _rhs_mikic2(p: IdentityParams) -> Fraction:
-    h = p.n // 2
-    return Fraction(binomial(p.n, h) ** 2)
-
-
-def _rhs_thm_a(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = (
-        math.factorial(lam)
-        * chi(n % 2 == 0)
-        * binomial(2 * lam, lam)
-        * binomial(n, h)
-        * catalan(lam + h)
-    )
-    return num / pochhammer(2 + n, lam)
-
-
-def _rhs_thm_b(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = (
-        math.factorial(lam)
-        * binomial(2 * lam, lam)
-        * binomial(n, h)
-        * binomial(n + 2 * lam, lam + h)
-    )
-    return num / pochhammer(2 + n, lam)
-
-
-def _rhs_thm_c(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = (
-        math.factorial(lam)
-        * chi(n % 2 == 0)
-        * binomial(2 * lam, lam)
-        * binomial(n, h)
-        * binomial(2 * lam + n, lam + h)
-    )
-    return num / pochhammer(1 + n, lam)
-
-
-def _rhs_thm_d(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    if n == 0 and lam == 0:
-        # both case branches carry a factor n; the sum is 0 by inspection
-        return Fraction(0)
-    h = n // 2
-    base = (
-        math.factorial(lam)
-        * binomial(n, h)
-        * binomial(2 * lam, lam)
-        * binomial(2 * lam + n, lam + h)
-        / pochhammer(n, lam)
-    )
-    if n % 2 == 0:
-        branch = Fraction(n * (2 * lam + n), 2 * (lam + n))
-    else:
-        branch = Fraction((n + 1) * (2 * lam + n + 1), 2 * (lam + n))
-    return base * branch
-
-
-def _rhs_thm_e(p: IdentityParams) -> Fraction:
-    n, lam, mu = p.n, p.lam, p.mu
-    if n % 2:
-        return Fraction(0)
-    h = n // 2
-    return Fraction(
-        binomial(n, h) * binomial(n + lam + mu, h),
-        binomial(lam + h, lam) * binomial(mu + h, mu),
-    )
-
-
-def _rhs_prop_a(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    if n % 2:
-        return Fraction(0)
-    h = n // 2
-    return (
-        math.factorial(n)
-        / pochhammer(c, n)
-        * pochhammer(a, h)
-        * pochhammer(c - a, h)
-        / (math.factorial(h) * pochhammer(c, h))
-    )
-
-
-def _rhs_prop_b(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    if n % 2:
-        return Fraction(0)
-    h = n // 2
-    first = (
-        math.factorial(n)
-        * pochhammer(a + c, n)
-        / (pochhammer(2 * a, n) * pochhammer(2 * c, n))
-    )
-    second = (
-        pochhammer(a, h)
-        * pochhammer(c, h)
-        / (math.factorial(h) * pochhammer(a + c, h))
-    )
-    return first * second
-
-
-def _rhs_prop_c(p: IdentityParams) -> Fraction:
-    n, a, c = p.n, p.a, p.c
-    h = n // 2
-    base = (
-        math.factorial(n)
-        / pochhammer(c - 1, n + 1)
-        * pochhammer(a, h)
-        * pochhammer(c - a, h)
-        / (math.factorial(h) * pochhammer(c, h))
-    )
-    if n % 2 == 0:
-        branch = c + Fraction(n - 2, 2)
-    else:
-        branch = a + Fraction(n - 1, 2)
-    return base * branch
-
-
-def _rhs_cor_1(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = 3 * catalan(lam) * binomial(2 * lam, lam) * binomial(n, h) * chi(n % 2 == 0)
-    den = (
-        catalan(lam + h)
-        * binomial(lam + n, lam)
-        * binomial(2 * lam + 2 * n, lam + n)
-    )
+    ints = (1, n, n // 2, p.lam, p.mu)
+    q, scaled = 1, ints
+    if p.a is not None:
+        a, c = p.a, p.c
+        q = math.lcm(a.denominator, c.denominator)
+        scaled = (
+            q, n * q, n // 2 * q, None, None,
+            a.numerator * (q // a.denominator),
+            c.numerator * (q // c.denominator),
+        )
+    num = den = 1
+    for kind, args, exp in factors:
+        scale = 1
+        if kind == "poch":
+            x, k = _at(args[0], scaled), _at(args[1], ints)
+            value, scale = math.prod(range(x, x + k * q, q)), q**k
+        elif kind == "lin":
+            value, scale = _at(args[0], scaled), q
+        elif kind == "binom":
+            value = math.comb(_at(args[0], ints), _at(args[1], ints))
+        elif kind == "fact":
+            value = math.factorial(_at(args[0], ints))
+        else:
+            value = catalan(_at(args[0], ints))
+        if exp < 0:
+            value, scale, exp = scale, value, -exp
+        num *= value**exp
+        den *= scale**exp
     return Fraction(num, den)
 
 
-def _cor_2_shell(p: IdentityParams, central: int) -> Fraction:
-    # everything in the cor-2 right side except the contested binomial,
-    # which the caller supplies
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = (
-        (1 + n + 2 * lam)
-        * catalan(lam)
-        * binomial(1 + 2 * lam, lam)
-        * binomial(n, h)
-    )
-    den = binomial(lam + n + 1, n) * central * binomial(1 + 2 * lam + n, lam + h)
-    if n % 2 == 0:
-        branch = Fraction(n, 1 - n)
-    else:
-        branch = Fraction(1 + n, 2 - n)
-    return Fraction(num, den) * branch
+def closed_form(
+    ident: IdentityId, p: IdentityParams, forms=CLOSED_FORMS
+) -> Fraction:
+    """``ident``'s right side at ``p``, from its factor table in ``forms``.
 
-
-def _rhs_cor_2(p: IdentityParams) -> Fraction:
-    return _cor_2_shell(p, binomial(2 * p.lam + 2 * p.n, p.lam + p.n))
-
-
-def cor2_rhs_corrected(p: IdentityParams) -> Fraction:
-    """The cor-2 closed form with the corrected central binomial.
-
-    Replacing ``binomial(2lam+2n, lam+n)`` by ``binomial(1+2lam+2n, lam+n)``
-    in the denominator makes the closed form agree with the brute-force
-    sum everywhere; the two differ by the factor (1+2lam+2n)/(1+lam+n).
+    Exact.  ``p`` is not validated; :func:`rhs_value` does that.
     """
-    return _cor_2_shell(p, binomial(1 + 2 * p.lam + 2 * p.n, p.lam + p.n))
-
-
-def _rhs_cor_3(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = binomial(2 * lam, lam) ** 2 * binomial(n, h) * chi(n % 2 == 0)
-    den = (
-        binomial(lam + n, n)
-        * binomial(2 * lam + 2 * n, lam + n)
-        * binomial(2 * lam + n, lam + h)
-    )
-    return Fraction(num, den)
-
-
-def _rhs_cor_4(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    h = n // 2
-    num = (1 + 2 * lam) * binomial(2 * lam, lam) ** 2 * binomial(n, h)
-    den = (
-        binomial(lam + n, n)
-        * binomial(2 * lam + 2 * n, lam + n)
-        * binomial(2 * lam + n, lam + h)
-    )
-    return Fraction(num, den) * (n if n % 2 == 0 else n + 1)
+    if ident is IdentityId.THM_D and p.n == p.lam == 0:
+        # both case branches carry n / (lam + n), which is 0/0 here; the
+        # sum is 0 by inspection
+        return Fraction(0)
+    factors = forms[ident][p.n % 2]
+    return Fraction(0) if factors is None else _evaluate(factors, p)
 
 
 _LHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
@@ -649,30 +646,7 @@ _LHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
 }
 
 _RHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
-    IdentityId.RECURRENCE: _rhs_recurrence,
-    IdentityId.TOUCHARD: _rhs_touchard,
-    IdentityId.MIKIC1: _rhs_mikic1,
-    IdentityId.MIKIC2: _rhs_mikic2,
-    IdentityId.THM_A: _rhs_thm_a,
-    IdentityId.THM_B: _rhs_thm_b,
-    IdentityId.THM_C: _rhs_thm_c,
-    IdentityId.THM_D: _rhs_thm_d,
-    IdentityId.THM_E: _rhs_thm_e,
-    IdentityId.PROP_A: _rhs_prop_a,
-    IdentityId.PROP_B: _rhs_prop_b,
-    IdentityId.PROP_C: _rhs_prop_c,
-    IdentityId.COR_1: _rhs_cor_1,
-    IdentityId.COR_2: _rhs_cor_2,
-    IdentityId.COR_3: _rhs_cor_3,
-    IdentityId.COR_4: _rhs_cor_4,
-}
-
-# closed forms with a documented mismatch against the oracle, mapped to
-# the evaluator for the corrected variant
-PRINTED_FORM_DISCREPANCIES: dict[
-    IdentityId, Callable[[IdentityParams], Fraction]
-] = {
-    IdentityId.COR_2: cor2_rhs_corrected,
+    ident: functools.partial(closed_form, ident) for ident in IdentityId
 }
 
 
@@ -703,8 +677,9 @@ def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
         report.record_pass()
         return report
     params = p.items_for(ident)
-    corrected = PRINTED_FORM_DISCREPANCIES.get(ident)
-    if corrected is not None and lhs == corrected(p):
+    if ident in CORRECTED_FORMS and lhs == closed_form(
+        ident, p, CORRECTED_FORMS
+    ):
         report.record_flagged(
             CaseRecord(
                 params=params,
@@ -762,13 +737,14 @@ def capture_case(
     ident: IdentityId,
     p: IdentityParams,
     check: Callable[[IdentityId, IdentityParams], VerificationReport],
+    prefix: tuple[tuple[str, object], ...] = (),
 ) -> VerificationReport:
     """``check(ident, p)``'s report, with its exceptions captured.
 
     A :class:`DomainError` counts as a skip.  An ``ArithmeticError``
-    becomes a failure record at ``p`` with both sides ``None`` and
-    ``"<Type>: <message>"`` as the note, so one bad point does not end
-    the run.
+    becomes a failure record at ``prefix`` plus ``p``'s parameters, with
+    both sides ``None`` and ``"<Type>: <message>"`` as the note, so one
+    bad point does not end the run.
     """
     try:
         return check(ident, p)
@@ -779,7 +755,7 @@ def capture_case(
         report = VerificationReport(name=ident.value)
         report.record_failure(
             CaseRecord(
-                params=p.items_for(ident),
+                params=prefix + p.items_for(ident),
                 lhs=None,
                 rhs=None,
                 note=f"{type(exc).__name__}: {exc}",

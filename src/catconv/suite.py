@@ -414,14 +414,16 @@ def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     )
 
 
+# criterion 10 mixes identities in one report, so its records name theirs
 def _parity_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
     report = VerificationReport(name=ident.value)
     value = lhs_value(ident, p)
     if value == 0:
         report.record_pass()
     else:
+        params = (("identity", ident.value),) + p.items_for(ident)
         report.record_failure(
-            CaseRecord(params=p.items_for(ident), lhs=value, rhs=Fraction(0))
+            CaseRecord(params=params, lhs=value, rhs=Fraction(0))
         )
     return report
 
@@ -429,7 +431,8 @@ def _parity_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
 def _parity_worker(
     point: tuple[IdentityId, IdentityParams]
 ) -> VerificationReport:
-    return capture_case(*point, _parity_case)
+    ident, p = point
+    return capture_case(ident, p, _parity_case, (("identity", ident.value),))
 
 
 def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:

@@ -2,15 +2,19 @@
 
 These are the term-by-term ``fractions.Fraction`` loops that
 ``catconv.hyperseries``, ``catconv.exactnum`` and the brute-force sums of
-``catconv.identities`` used before they moved to integer rows.  They are
-kept only as oracles for the differential tests: every operation reduces
-by a gcd, which makes them slow but easy to read.
+``catconv.identities`` used before they moved to integer rows, and the
+hand-written closed forms that the identities' factor tables replaced.
+They are kept only as oracles for the differential tests: every
+operation reduces by a gcd, which makes them slow but easy to read.
 """
 
+import math
 from fractions import Fraction
 
+from catconv import exactnum
 from catconv.exactnum import ZeroLowerPochhammer, binomial, catalan
 from catconv.hyperseries import ARG_MINUS, ARG_SQUARED, TruncatedSeries
+from catconv.identities import IdentityId
 
 
 def pfq_truncate(spec, order):
@@ -247,3 +251,237 @@ def lhs_cor_4(p):
         )
         total += -term if k % 2 else term
     return total
+
+
+# --- identities: closed forms -------------------------------------------
+#
+# The hand-written right sides that the factor tables of
+# ``catconv.identities`` replaced, each building its value from
+# ``Fraction``s in its own way.  They call ``exactnum.pochhammer``, as
+# they did, not the slower loop above, which the factor tables do not use
+# either.
+
+def chi(condition):
+    return 1 if condition else 0
+
+
+def rhs_recurrence(p):
+    return Fraction(catalan(p.n + 1))
+
+
+def rhs_mikic1(p):
+    n = p.n
+    h = n // 2
+    return Fraction(2 * chi(n % 2 == 0) * binomial(n, h) ** 2, n + 2)
+
+
+def rhs_mikic2(p):
+    h = p.n // 2
+    return Fraction(binomial(p.n, h) ** 2)
+
+
+def rhs_thm_a(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = (
+        math.factorial(lam)
+        * chi(n % 2 == 0)
+        * binomial(2 * lam, lam)
+        * binomial(n, h)
+        * catalan(lam + h)
+    )
+    return num / exactnum.pochhammer(2 + n, lam)
+
+
+def rhs_thm_b(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = (
+        math.factorial(lam)
+        * binomial(2 * lam, lam)
+        * binomial(n, h)
+        * binomial(n + 2 * lam, lam + h)
+    )
+    return num / exactnum.pochhammer(2 + n, lam)
+
+
+def rhs_thm_c(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = (
+        math.factorial(lam)
+        * chi(n % 2 == 0)
+        * binomial(2 * lam, lam)
+        * binomial(n, h)
+        * binomial(2 * lam + n, lam + h)
+    )
+    return num / exactnum.pochhammer(1 + n, lam)
+
+
+def rhs_thm_d(p):
+    n, lam = p.n, p.lam
+    if n == 0 and lam == 0:
+        # both case branches carry a factor n; the sum is 0 by inspection
+        return Fraction(0)
+    h = n // 2
+    base = (
+        math.factorial(lam)
+        * binomial(n, h)
+        * binomial(2 * lam, lam)
+        * binomial(2 * lam + n, lam + h)
+        / exactnum.pochhammer(n, lam)
+    )
+    if n % 2 == 0:
+        branch = Fraction(n * (2 * lam + n), 2 * (lam + n))
+    else:
+        branch = Fraction((n + 1) * (2 * lam + n + 1), 2 * (lam + n))
+    return base * branch
+
+
+def rhs_thm_e(p):
+    n, lam, mu = p.n, p.lam, p.mu
+    if n % 2:
+        return Fraction(0)
+    h = n // 2
+    return Fraction(
+        binomial(n, h) * binomial(n + lam + mu, h),
+        binomial(lam + h, lam) * binomial(mu + h, mu),
+    )
+
+
+def rhs_prop_a(p):
+    n, a, c = p.n, p.a, p.c
+    if n % 2:
+        return Fraction(0)
+    h = n // 2
+    return (
+        math.factorial(n)
+        / exactnum.pochhammer(c, n)
+        * exactnum.pochhammer(a, h)
+        * exactnum.pochhammer(c - a, h)
+        / (math.factorial(h) * exactnum.pochhammer(c, h))
+    )
+
+
+def rhs_prop_b(p):
+    n, a, c = p.n, p.a, p.c
+    if n % 2:
+        return Fraction(0)
+    h = n // 2
+    first = (
+        math.factorial(n)
+        * exactnum.pochhammer(a + c, n)
+        / (exactnum.pochhammer(2 * a, n) * exactnum.pochhammer(2 * c, n))
+    )
+    second = (
+        exactnum.pochhammer(a, h)
+        * exactnum.pochhammer(c, h)
+        / (math.factorial(h) * exactnum.pochhammer(a + c, h))
+    )
+    return first * second
+
+
+def rhs_prop_c(p):
+    n, a, c = p.n, p.a, p.c
+    h = n // 2
+    base = (
+        math.factorial(n)
+        / exactnum.pochhammer(c - 1, n + 1)
+        * exactnum.pochhammer(a, h)
+        * exactnum.pochhammer(c - a, h)
+        / (math.factorial(h) * exactnum.pochhammer(c, h))
+    )
+    if n % 2 == 0:
+        branch = c + Fraction(n - 2, 2)
+    else:
+        branch = a + Fraction(n - 1, 2)
+    return base * branch
+
+
+def rhs_cor_1(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = 3 * catalan(lam) * binomial(2 * lam, lam) * binomial(n, h) * chi(n % 2 == 0)
+    den = (
+        catalan(lam + h)
+        * binomial(lam + n, lam)
+        * binomial(2 * lam + 2 * n, lam + n)
+    )
+    return Fraction(num, den)
+
+
+def _cor_2_shell(p, central):
+    # everything in the cor-2 right side except the contested binomial,
+    # which the caller supplies
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = (
+        (1 + n + 2 * lam)
+        * catalan(lam)
+        * binomial(1 + 2 * lam, lam)
+        * binomial(n, h)
+    )
+    den = binomial(lam + n + 1, n) * central * binomial(1 + 2 * lam + n, lam + h)
+    if n % 2 == 0:
+        branch = Fraction(n, 1 - n)
+    else:
+        branch = Fraction(1 + n, 2 - n)
+    return Fraction(num, den) * branch
+
+
+def rhs_cor_2(p):
+    return _cor_2_shell(p, binomial(2 * p.lam + 2 * p.n, p.lam + p.n))
+
+
+def rhs_cor_2_corrected(p):
+    """The cor-2 closed form with the corrected central binomial.
+
+    Replacing ``binomial(2lam+2n, lam+n)`` by ``binomial(1+2lam+2n, lam+n)``
+    in the denominator makes the closed form agree with the brute-force
+    sum everywhere; the two differ by the factor (1+2lam+2n)/(1+lam+n).
+    """
+    return _cor_2_shell(p, binomial(1 + 2 * p.lam + 2 * p.n, p.lam + p.n))
+
+
+def rhs_cor_3(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = binomial(2 * lam, lam) ** 2 * binomial(n, h) * chi(n % 2 == 0)
+    den = (
+        binomial(lam + n, n)
+        * binomial(2 * lam + 2 * n, lam + n)
+        * binomial(2 * lam + n, lam + h)
+    )
+    return Fraction(num, den)
+
+
+def rhs_cor_4(p):
+    n, lam = p.n, p.lam
+    h = n // 2
+    num = (1 + 2 * lam) * binomial(2 * lam, lam) ** 2 * binomial(n, h)
+    den = (
+        binomial(lam + n, n)
+        * binomial(2 * lam + 2 * n, lam + n)
+        * binomial(2 * lam + n, lam + h)
+    )
+    return Fraction(num, den) * (n if n % 2 == 0 else n + 1)
+
+
+RHS = {
+    IdentityId.RECURRENCE: rhs_recurrence,
+    IdentityId.TOUCHARD: rhs_recurrence,
+    IdentityId.MIKIC1: rhs_mikic1,
+    IdentityId.MIKIC2: rhs_mikic2,
+    IdentityId.THM_A: rhs_thm_a,
+    IdentityId.THM_B: rhs_thm_b,
+    IdentityId.THM_C: rhs_thm_c,
+    IdentityId.THM_D: rhs_thm_d,
+    IdentityId.THM_E: rhs_thm_e,
+    IdentityId.PROP_A: rhs_prop_a,
+    IdentityId.PROP_B: rhs_prop_b,
+    IdentityId.PROP_C: rhs_prop_c,
+    IdentityId.COR_1: rhs_cor_1,
+    IdentityId.COR_2: rhs_cor_2,
+    IdentityId.COR_3: rhs_cor_3,
+    IdentityId.COR_4: rhs_cor_4,
+}

@@ -7,16 +7,30 @@ console entry point end to end in quick mode.
 """
 
 import importlib.util
+import itertools
 import json
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import reference_kernels as ref
+
+from catconv.identities import (
+    ARITY,
+    CORRECTED_FORMS,
+    DomainError,
+    IdentityId,
+    case_points,
+    closed_form,
+    validate,
+)
 from catconv.suite import (
     FULL_SIZES,
     SuiteSizes,
+    _suite_grid,
     criterion_cors,
     criterion_f43,
     criterion_gamma,
@@ -166,6 +180,38 @@ def test_full_size_exact_verdicts_match_benchmark_reference():
         for number, entry in workloads.summarize(criteria).items()
     }
     assert digests == reference["exact-full"]
+
+
+def test_closed_forms_match_the_hand_written_reference():
+    # every closed form from its factor tables, cor-2's corrected one
+    # included, against the hand-written Fraction version it replaced: at
+    # every admissible full-size suite point, and for the propositions
+    # also on the benchmark's wider class of rational grid values
+    prop_class = load_perfbench("workloads").PROP_CLASS
+    checked = 0
+    for ident in IdentityId:
+        points = case_points(ident, *_suite_grid(ident, FULL_SIZES))
+        if "a" in ARITY[ident]:
+            points = itertools.chain(
+                points,
+                case_points(
+                    ident, (0, FULL_SIZES.prop_n), rational_grid=prop_class
+                ),
+            )
+        for p in points:
+            try:
+                validate(ident, p)
+            except DomainError:
+                continue
+            value = closed_form(ident, p)
+            assert type(value) is Fraction
+            assert value == ref.RHS[ident](p), (ident, p)
+            checked += 1
+            if ident in CORRECTED_FORMS:
+                corrected = closed_form(ident, p, CORRECTED_FORMS)
+                assert corrected == ref.rhs_cor_2_corrected(p), p
+                checked += 1
+    assert checked == 40432
 
 
 def test_tracer_finds_every_target_and_covers_the_per_layer_metrics():

@@ -11,7 +11,6 @@ from catconv.exactnum import (
     ZeroLowerPochhammer,
     binomial,
     catalan,
-    chi,
     poch_quotient,
     pochhammer,
 )
@@ -83,13 +82,6 @@ class TestCatalan:
         for n in range(1200):
             assert catalan(n) * (n + 1) == math.comb(2 * n, n)
         assert catalan.cache_info().currsize <= 512
-
-
-def test_chi_indicator():
-    assert chi(True) == 1
-    assert chi(False) == 0
-    assert chi(3 % 2 == 0) == 0
-    assert chi(4 % 2 == 0) == 1
 
 
 class TestPochhammer:

@@ -11,13 +11,15 @@ from catconv.exactnum import binomial, catalan, pochhammer
 from catconv.identities import (
     ARITY,
     CHI_BEARING,
+    CLOSED_FORMS,
+    CORRECTED_FORMS,
     INTEGER_VALUED,
     DomainError,
     IdentityId,
     IdentityParams,
     VALIDATED_SPECIALIZATIONS,
     case_points,
-    cor2_rhs_corrected,
+    closed_form,
     dictionary_check,
     lhs_value,
     map_points,
@@ -186,13 +188,24 @@ class TestCaseCapture:
         # a DomainError stays a skip: thm-c at n = 5, lam = 0 and 1
         raising_at(identities._LHS, IdentityId.THM_C, 5, monkeypatch,
                    error=DomainError)
+        # and a plain mismatch: cor-3's sum made nonzero at n = 1, lam = 0
+        cor_3 = identities._LHS[IdentityId.COR_3]
+        monkeypatch.setitem(
+            identities._LHS, IdentityId.COR_3,
+            lambda p: F(1) if (p.n, p.lam) == (1, 0) else cor_3(p),
+        )
         report = suite.criterion_parity(sizes).reports[0]
         assert (report.cases_run, report.skipped) == (clean.cases_run - 2, 2)
-        assert [dict(r.params) for r in report.failures] == [
-            {"n": 3, "lam": 0}, {"n": 3, "lam": 1}
+        # one report holds every identity, so each record names its own,
+        # first
+        assert [r.params for r in report.failures] == [
+            (("identity", "thm-a"), ("n", 3), ("lam", 0)),
+            (("identity", "thm-a"), ("n", 3), ("lam", 1)),
+            (("identity", "cor-3"), ("n", 1), ("lam", 0)),
         ]
         assert report.failures[0].note == "ZeroDivisionError: raised at n=3"
         assert report.failures[0].lhs is None
+        assert (report.failures[2].lhs, report.failures[2].rhs) == (1, 0)
 
 
 class TestMapPoints:
@@ -264,6 +277,110 @@ class TestStructuralInvariants:
 
     def test_arity_covers_every_identity(self):
         assert set(ARITY) == set(IdentityId)
+        assert list(CLOSED_FORMS) == list(IdentityId)
+
+
+def swap_factor(monkeypatch, ident, old, new):
+    # replace one factor of an identity's closed form at even n
+    even, odd = CLOSED_FORMS[ident]
+    even = list(even)
+    even[even.index(identities._factor(old))] = identities._factor(new)
+    monkeypatch.setitem(CLOSED_FORMS, ident, (tuple(even), odd))
+
+
+class TestSeededFaults:
+    """One wrong factor in a table gives an exact failure witness."""
+
+    @pytest.mark.parametrize(
+        "ident, old, new, witness, lhs, rhs",
+        [
+            (IdentityId.THM_A, "/poch(2+n,lam)", "/poch(1+n,lam)",
+             {"n": 0, "lam": 1}, F(1), F(2)),
+            (IdentityId.THM_E, "/binom(mu+h,mu)", "/binom(mu+h+1,mu)",
+             {"n": 0, "lam": 0, "mu": 1}, F(1), F(1, 2)),
+            (IdentityId.PROP_C, "lin(2c+n-2)", "lin(2c+n)",
+             {"n": 0, "a": F(1, 2), "c": F(1, 2)}, F(1), F(-1)),
+        ],
+    )
+    def test_wrong_factor_fails_at_its_first_point(
+        self, monkeypatch, ident, old, new, witness, lhs, rhs
+    ):
+        swap_factor(monkeypatch, ident, old, new)
+        grid = suite._suite_grid(ident, suite.QUICK_SIZES)
+        first = verify_grid(ident, *grid).failures[0]
+        assert dict(first.params) == witness
+        assert (first.lhs, first.rhs) == (lhs, rhs)
+
+    def test_zero_denominator_is_a_captured_failure(self, monkeypatch):
+        # binom(mu+h, lam) is 0 once lam > mu + h
+        swap_factor(
+            monkeypatch, IdentityId.THM_E, "/binom(mu+h,mu)", "/binom(mu+h,lam)"
+        )
+        grid = suite._suite_grid(IdentityId.THM_E, suite.QUICK_SIZES)
+        report = verify_grid(IdentityId.THM_E, *grid)
+        # the error is one record, and the grid runs on past it
+        assert report.cases_run == 25 * 7 * 7
+        first = report.failures[0]
+        assert dict(first.params) == {"n": 0, "lam": 1, "mu": 0}
+        assert (first.lhs, first.rhs) == (None, None)
+        assert first.note.startswith("ZeroDivisionError: ")
+
+
+class TestFactorTables:
+    # kinds whose arguments are integers, by position; poch's first and
+    # lin's only argument may be rational
+    INTEGER_ARGS = {
+        "fact": (0,), "binom": (0, 1), "catalan": (0,), "poch": (1,), "lin": (),
+    }
+
+    def tables(self):
+        for forms in (CLOSED_FORMS, CORRECTED_FORMS):
+            for ident, pair in forms.items():
+                for table in pair:
+                    if table is not None:
+                        yield ident, table
+
+    def test_tables_name_only_the_identity_parameters(self):
+        # a table that names mu where it means lam, or a where it means
+        # c in an integer slot, reads a parameter the point does not carry
+        for ident, table in self.tables():
+            allowed = {"n", "h"} | set(ARITY[ident])
+            for kind, args, exp in table:
+                assert len(args) == (2 if kind in ("binom", "poch") else 1)
+                assert exp != 0
+                for position, arg in enumerate(args):
+                    names = {
+                        identities._VARS[index - 1]
+                        for index, coef in arg
+                        if index and coef
+                    }
+                    assert names <= allowed, (ident, kind, names)
+                    if position in self.INTEGER_ARGS[kind]:
+                        assert not names & {"a", "c"}, (ident, kind)
+
+    def test_corrected_cor_2_differs_in_one_factor(self):
+        central = identities._factor("/binom(2lam+2n,lam+n)")
+        raised = identities._factor("/binom(1+2lam+2n,lam+n)")
+        assert list(CORRECTED_FORMS) == [IdentityId.COR_2]
+        for printed, corrected in zip(
+            CLOSED_FORMS[IdentityId.COR_2], CORRECTED_FORMS[IdentityId.COR_2]
+        ):
+            assert len(printed) == len(corrected)
+            assert [
+                (x, y) for x, y in zip(printed, corrected) if x != y
+            ] == [(central, raised)]
+
+    @pytest.mark.parametrize(
+        "text", ["binom(2*lam,lam)", "binom(2lam,nu)", "gamma(n)", "lin()",
+                 "lin(n+)", "lin(2n3)"],
+    )
+    def test_malformed_factor_text_is_rejected(self, text):
+        with pytest.raises(ValueError):
+            identities._factor(text)
+
+
+def corrected_cor_2(p):
+    return closed_form(IdentityId.COR_2, p, CORRECTED_FORMS)
 
 
 class TestCor2Discrepancy:
@@ -289,15 +406,15 @@ class TestCor2Discrepancy:
         for n in range(25):
             for lam in range(6):
                 p = IdentityParams(n=n, lam=lam)
-                assert lhs_value(IdentityId.COR_2, p) == cor2_rhs_corrected(p)
+                assert lhs_value(IdentityId.COR_2, p) == corrected_cor_2(p)
 
     def test_corrected_and_printed_differ_by_single_binomial(self):
-        # The two shells differ only in the central binomial's row index.
+        # The two tables differ only in the central binomial's row index.
         for n in (1, 2, 5, 8):
             for lam in (0, 1, 3):
                 p = IdentityParams(n=n, lam=lam)
                 printed = rhs_value(IdentityId.COR_2, p)
-                corrected = cor2_rhs_corrected(p)
+                corrected = corrected_cor_2(p)
                 if printed == 0:
                     assert corrected == 0
                     continue
