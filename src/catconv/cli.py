@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -278,49 +279,32 @@ def _cmd_gamma(args) -> tuple[list[VerificationReport], dict[str, Any]]:
     return [numerics.gamma_selftest(args.prec)], {}
 
 
-_NUMERIC_TABLES = {
-    "dixon": (suite.DIXON_TRIPLES, suite.DIXON_TERMINATING),
-    "dminus": (suite.DMINUS_TRIPLES, suite.DMINUS_TERMINATING),
-    "linear4f3": (suite.LINEAR4F3_TRIPLES, suite.LINEAR4F3_TERMINATING),
-}
-
-
 def _cmd_numeric(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    family = args.family
-    if args.a is None:
-        convergent, terminating = _NUMERIC_TABLES[family]
-        merged = VerificationReport(name=family)
-        for point in convergent + terminating:
-            merged.merge(_run_numeric(family, point, args))
-        return [merged], {}
-    if args.c is None or args.e is None:
-        raise ValueError("a single point needs --a, --c, and --e")
-    point: tuple = (args.a, args.c, args.e)
-    if family == "linear4f3":
-        if args.lam is None:
-            raise ValueError("linear4f3 needs --lambda")
-        point = point + (args.lam,)
-    return [_run_numeric(family, point, args)], {}
-
-
-def _run_numeric(family: str, point: tuple, args) -> VerificationReport:
-    if family == "dixon":
-        return numerics.dixon_check(*point, args.prec, args.max_terms)
-    if family == "dminus":
-        return numerics.dminus_check(*point, args.prec, args.max_terms)
-    return numerics.linear4f3_check(*point, args.prec, args.max_terms)
+    points = None
+    if args.a is not None:
+        if args.c is None or args.e is None:
+            raise ValueError("a single point needs --a, --c, and --e")
+        point: tuple = (args.a, args.c, args.e)
+        if args.family == "linear4f3":
+            if args.lam is None:
+                raise ValueError("linear4f3 needs --lambda")
+            point = point + (args.lam,)
+        points = [point]
+    report = suite.numeric_sweep(
+        args.family, args.prec, args.max_terms, points
+    )
+    return [report], {}
 
 
 def _cmd_integral(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    merged = VerificationReport(name=f"integral-{args.which}")
-    for n in range(args.n[0], args.n[1] + 1):
-        for lam in range(args.lam[0], args.lam[1] + 1):
-            merged.merge(
-                numerics.integral_check(
-                    args.which, n, lam, precision=args.prec, m=args.nodes
-                )
-            )
-    return [merged], {}
+    report = suite.integral_sweep(
+        args.which,
+        range(args.n[0], args.n[1] + 1),
+        range(args.lam[0], args.lam[1] + 1),
+        args.prec,
+        args.nodes,
+    )
+    return [report], {}
 
 
 def _cmd_all(args) -> tuple[list[VerificationReport], dict[str, Any]]:
@@ -406,8 +390,15 @@ def _emit(
         rendered = _render_text(args, payload, extra, include_timing)
     print(rendered)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(rendered + "\n")
+        try:
+            _write_atomically(args.out, rendered + "\n")
+        except OSError as exc:
+            print(
+                f"catconv: OSError: cannot write {args.out}: "
+                f"{exc.strerror or exc}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
 
     if error is not None:
         return EXIT_USAGE if error["exit"] == "usage" else EXIT_NUMERIC
@@ -418,6 +409,18 @@ def _emit(
     if strict and payload["flagged"]:
         return EXIT_MISMATCH
     return EXIT_PASS
+
+
+def _write_atomically(path: str, text: str) -> None:
+    # through a sibling file, so a failed write leaves no truncated file
+    partial = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
 
 
 def _render_text(args, payload, extra, include_timing: bool) -> str:

@@ -14,11 +14,21 @@ plain partial-sum tail bound would need astronomically many terms at 40
 digits.  They are summed with Levin u-acceleration instead, with the
 transform's own error estimate (cross-checked between consecutive
 iterations) as the stopping rule and ``max_terms`` as a hard cap.
+
+Every series check runs one path (``_series_check``).  The exact term
+ratio built from the series' upper and lower parameters drives one
+floating partial-sum recurrence.  Levin consumes it for nonterminating
+instances.  A terminating instance sums the same recurrence to its last
+term and compares it with the exact rational value, so that cross-check
+tests the arithmetic Levin runs on.  The three public checks supply only
+their parameters, convergence margin and Gamma closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -28,6 +38,7 @@ from mpmath import mp
 from .exactnum import RationalLike
 from .hyperseries import (
     DegenerateLambda,
+    _undefined_at,
     pfq_unity_sum_exact,
     terminating_4f3_closed_form,
 )
@@ -60,6 +71,8 @@ _GUARD = 15
 
 NUMERIC_FAMILIES = ("dixon", "dminus", "linear4f3")
 INTEGRAL_FAMILIES = ("thm-a", "thm-b")
+_INTEGRAL_N_CAP = 12
+_INTEGRAL_LAM_CAP = 6
 
 
 class PoleError(ValueError):
@@ -243,7 +256,7 @@ def gamma_selftest(precision: int = 40) -> VerificationReport:
 
 
 def _record_residual(
-    report, params, lhs, rhs, residual, threshold, precision
+    report, params, lhs, rhs, residual, threshold, precision, what="residual"
 ) -> None:
     if residual <= threshold:
         report.record_pass()
@@ -253,9 +266,39 @@ def _record_residual(
                 params=params,
                 lhs=mp.nstr(lhs, precision),
                 rhs=mp.nstr(rhs, precision),
-                note=f"residual {mp.nstr(residual, 5)} exceeds {mp.nstr(threshold, 3)}",
+                note=f"{what} {mp.nstr(residual, 5)} exceeds {mp.nstr(threshold, 3)}",
             )
         )
+
+
+def _term_ratio(
+    uppers: Sequence[Fraction], lowers: Sequence[Fraction]
+) -> Callable[[int], Fraction]:
+    """The exact term quotient t_{k+1}/t_k of the pFq at unit argument."""
+
+    def ratio(k: int) -> Fraction:
+        num = math.prod(u + k for u in uppers)
+        if num == 0:
+            return Fraction(0)
+        den = (k + 1) * math.prod(l + k for l in lowers)
+        if den == 0:
+            raise PoleError(f"lower parameter pole at term {k}")
+        return num / den
+
+    return ratio
+
+
+def _partial_sums(ratio: Callable[[int], Fraction]):
+    # t_0 = 1 and t_{k+1} = ratio(k) t_k in the ambient context; a zero
+    # term is summed and then ends the series, before any later ratio
+    term = mp.mpf(1)
+    total = mp.mpf(0)
+    for k in itertools.count():
+        total += term
+        yield total
+        if term == 0:
+            return
+        term = term * _to_mpf(ratio(k))
 
 
 def _levin_unity_sum(
@@ -275,11 +318,8 @@ def _levin_unity_sum(
     with mp.workdps(2 * precision + _GUARD):
         transform = mp.levin(method="levin", variant="u")
         partial_sums = []
-        term = mp.mpf(1)
-        total = mp.mpf(0)
         previous = None
-        for k in range(max_terms):
-            total += term
+        for k, total in zip(range(max_terms), _partial_sums(ratio)):
             partial_sums.append(total)
             value, err = transform.update_psum(partial_sums)
             if (
@@ -290,68 +330,65 @@ def _levin_unity_sum(
             ):
                 return +value
             previous = value
-            step = ratio(k)
-            term = term * _to_mpf(step)
         raise TailBoundExceeded(
             f"no convergence to {mp.nstr(target, 3)} within {max_terms} terms"
         )
 
 
-def _finite_sum_mpf(
-    uppers: Sequence[Fraction],
-    lowers: Sequence[Fraction],
-    last_index: int,
-):
-    # floating replica of pfq_unity_sum_exact, in the ambient context
-    term = mp.mpf(1)
-    total = mp.mpf(0)
-    for k in range(last_index + 1):
-        total += term
-        if k == last_index:
-            break
-        num = Fraction(1)
-        for u in uppers:
-            num *= u + k
-        if num == 0:
-            break
-        den = Fraction(k + 1)
-        for l in lowers:
-            den *= l + k
-        if den == 0:
-            raise PoleError(f"lower parameter pole at term {k}")
-        term = term * _to_mpf(num / den)
-    return total
-
-
-def _check_lower_parameters(lowers: Sequence[Fraction]) -> None:
-    for l in lowers:
-        if _is_nonpositive_integer(l):
-            raise PoleError(
-                f"lower parameter {l} makes the series undefined"
-            )
-
-
-def _series_report(
+def _series_check(
     name: str,
     params: tuple,
-    value,
-    closed,
-    tolerance,
+    uppers: list[Fraction],
+    lowers: list[Fraction],
+    margin: tuple[str, Fraction],
+    closed_form: Callable[[], object],
     precision: int,
+    max_terms: int,
+    exact: Callable[[int], Fraction | None] | None = None,
 ) -> VerificationReport:
+    """One series at unit argument against its closed form.
+
+    The series terminates when its first upper parameter is -n, n >= 0.
+    Its floating sum must then match ``exact(n)``, by default the exact
+    rational sum, to 10^-(precision-5), and is skipped where ``exact``
+    returns None.  Otherwise the lower parameters must avoid the poles,
+    ``margin`` must be at least 1/2, and the Levin sum must match
+    ``closed_form()`` to 10^-(precision/2).
+    """
+    params += (("precision", precision),)
     report = VerificationReport(name=name)
-    scale = abs(closed) if closed != 0 else mp.mpf(1)
-    residual = abs(value - closed) / scale
-    if residual <= tolerance:
-        report.record_pass()
+    ratio = _term_ratio(uppers, lowers)
+    if _is_nonpositive_integer(uppers[0]):
+        n = -int(uppers[0])
+        if exact is None:
+            reference = pfq_unity_sum_exact(uppers, lowers, n)
+        else:
+            reference = exact(n)
+        if reference is None:
+            report.record_skip()
+            return report
+        params += (("terminating", True),)
+        closed_form = functools.partial(_to_mpf, reference)
+        digits = precision - 5
+        with mp.workdps(precision + _GUARD):
+            *_, value = itertools.islice(_partial_sums(ratio), n + 1)
     else:
-        report.record_failure(
-            CaseRecord(
-                params=params,
-                lhs=mp.nstr(value, precision),
-                rhs=mp.nstr(closed, precision),
-                note=f"relative error {mp.nstr(residual, 5)} exceeds {mp.nstr(tolerance, 3)}",
-            )
+        for l in lowers:
+            if _is_nonpositive_integer(l):
+                raise PoleError(
+                    f"lower parameter {l} makes the series undefined"
+                )
+        text, bound = margin
+        if bound < Fraction(1, 2):
+            raise NonConvergent(f"margin {text} = {bound} is below 1/2")
+        digits = precision // 2
+        value = _levin_unity_sum(ratio, precision, max_terms)
+    with mp.workdps(precision + _GUARD):
+        closed = closed_form()
+        residual = abs(value - closed) / (abs(closed) or mp.mpf(1))
+        _record_residual(
+            report, params, value, closed, residual,
+            mp.mpf(10) ** -digits, precision, "relative error",
         )
     return report
 
@@ -372,42 +409,22 @@ def dixon_check(
     """
     _require_precision(precision)
     a, c, e = map(_as_fraction, (a, c, e))
-    params = (("a", a), ("c", c), ("e", e), ("precision", precision))
-    lowers = [1 + a - c, 1 + a - e]
-    if _is_nonpositive_integer(a):
-        n = -int(a)
-        exact = pfq_unity_sum_exact([a, c, e], lowers, n)
-        with mp.workdps(precision + _GUARD):
-            value = _finite_sum_mpf([a, c, e], lowers, n)
-            closed = _to_mpf(exact)
-            tol = mp.mpf(10) ** -(precision - 5)
-            return _series_report(
-                "dixon", params + (("terminating", True),),
-                value, closed, tol, precision,
-            )
-    _check_lower_parameters(lowers)
-    margin = 1 + a / 2 - c - e
-    if margin < Fraction(1, 2):
-        raise NonConvergent(
-            f"margin 1 + a/2 - c - e = {margin} is below 1/2"
+
+    def closed_form():
+        return gamma_quotient(
+            GammaQuotientSpec(
+                (1 + a / 2, 1 + a - c, 1 + a - e, 1 + a / 2 - c - e),
+                (1 + a, 1 + a / 2 - c, 1 + a / 2 - e, 1 + a - c - e),
+            ),
+            precision,
         )
 
-    def ratio(k: int) -> Fraction:
-        return ((a + k) * (c + k) * (e + k)) / (
-            (lowers[0] + k) * (lowers[1] + k) * (1 + k)
-        )
-
-    value = _levin_unity_sum(ratio, precision, max_terms)
-    closed = gamma_quotient(
-        GammaQuotientSpec(
-            (1 + a / 2, 1 + a - c, 1 + a - e, 1 + a / 2 - c - e),
-            (1 + a, 1 + a / 2 - c, 1 + a / 2 - e, 1 + a - c - e),
-        ),
-        precision,
+    return _series_check(
+        "dixon", (("a", a), ("c", c), ("e", e)),
+        [a, c, e], [1 + a - c, 1 + a - e],
+        ("1 + a/2 - c - e", 1 + a / 2 - c - e),
+        closed_form, precision, max_terms,
     )
-    with mp.workdps(precision + _GUARD):
-        tol = mp.mpf(10) ** -(precision // 2)
-        return _series_report("dixon", params, value, closed, tol, precision)
 
 
 def dminus_check(
@@ -426,68 +443,36 @@ def dminus_check(
     """
     _require_precision(precision)
     a, c, e = map(_as_fraction, (a, c, e))
-    params = (("a", a), ("c", c), ("e", e), ("precision", precision))
-    uppers = [1 + a, c, e]
-    lowers = [1 + a - c, 1 + a - e]
-    if _is_nonpositive_integer(1 + a):
-        n = -int(1 + a)
-        exact = pfq_unity_sum_exact(uppers, lowers, n)
-        with mp.workdps(precision + _GUARD):
-            value = _finite_sum_mpf(uppers, lowers, n)
-            closed = _to_mpf(exact)
-            tol = mp.mpf(10) ** -(precision - 5)
-            return _series_report(
-                "dminus", params + (("terminating", True),),
-                value, closed, tol, precision,
-            )
-    _check_lower_parameters(lowers)
-    margin = a / 2 - c - e
-    if margin < Fraction(1, 2):
-        raise NonConvergent(f"margin a/2 - c - e = {margin} is below 1/2")
+    half = Fraction(1, 2)
 
-    def ratio(k: int) -> Fraction:
-        return ((1 + a + k) * (c + k) * (e + k)) / (
-            (lowers[0] + k) * (lowers[1] + k) * (1 + k)
+    def closed_form():
+        prefactor = mp.power(2, _to_mpf(2 * a - 2 * c - 2 * e - 1)) / mp.pi
+        front = gamma_quotient(
+            GammaQuotientSpec(
+                (1 + a - c, 1 + a - e), (1 + a - 2 * c, 1 + a - 2 * e)
+            ),
+            precision,
         )
 
-    value = _levin_unity_sum(ratio, precision, max_terms)
-    half = Fraction(1, 2)
-    with mp.workdps(precision + _GUARD):
-        prefactor = mp.power(2, _to_mpf(2 * a - 2 * c - 2 * e - 1)) / mp.pi
-    front = gamma_quotient(
-        GammaQuotientSpec(
-            (1 + a - c, 1 + a - e), (1 + a - 2 * c, 1 + a - 2 * e)
-        ),
-        precision,
+        def bracket(lo, hi):
+            return gamma_quotient(
+                GammaQuotientSpec(
+                    (lo, hi - c, hi - e, lo - c - e), (1 + a, 1 + a - c - e)
+                ),
+                precision,
+            )
+
+        first, second = (1 + a) * half, (2 + a) * half
+        return prefactor * front * (
+            bracket(first, second) + bracket(second, first)
+        )
+
+    return _series_check(
+        "dminus", (("a", a), ("c", c), ("e", e)),
+        [1 + a, c, e], [1 + a - c, 1 + a - e],
+        ("a/2 - c - e", a / 2 - c - e),
+        closed_form, precision, max_terms,
     )
-    bracket_first = gamma_quotient(
-        GammaQuotientSpec(
-            (
-                (1 + a) * half,
-                (2 + a) * half - c,
-                (2 + a) * half - e,
-                (1 + a) * half - c - e,
-            ),
-            (1 + a, 1 + a - c - e),
-        ),
-        precision,
-    )
-    bracket_second = gamma_quotient(
-        GammaQuotientSpec(
-            (
-                (2 + a) * half,
-                (1 + a) * half - c,
-                (1 + a) * half - e,
-                (2 + a) * half - c - e,
-            ),
-            (1 + a, 1 + a - c - e),
-        ),
-        precision,
-    )
-    with mp.workdps(precision + _GUARD):
-        closed = prefactor * front * (bracket_first + bracket_second)
-        tol = mp.mpf(10) ** -(precision // 2)
-        return _series_report("dminus", params, value, closed, tol, precision)
 
 
 def linear4f3_check(
@@ -501,70 +486,53 @@ def linear4f3_check(
     """4F3 with the (1+lam, lam) linear column against its closed form.
 
     The closed form is a Gamma quotient times a lam-weighted two-term
-    Gamma bracket.  Terminating instances (a a nonpositive integer) are
-    cross-checked against the exact half-order evaluation; nonterminating
-    ones need margin a/2 - c - e >= 1/2 and lam off the nonpositive
-    integers.
+    Gamma bracket.  Terminating instances (a = -n, n >= 0) are
+    cross-checked against the exact half-order evaluation, and skipped
+    where the 4F3 is undefined (c or e an integer in [1-n, 0], lam one
+    in [1-n, -1]); nonterminating ones need margin a/2 - c - e >= 1/2
+    and lam off the nonpositive integers.
     """
     _require_precision(precision)
     a, c, e, lam = map(_as_fraction, (a, c, e, lam))
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    params = (
-        ("a", a), ("c", c), ("e", e), ("lam", lam), ("precision", precision)
-    )
-    uppers = [a, c, e, 1 + lam]
-    lowers = [1 + a - c, 1 + a - e, lam]
-    if _is_nonpositive_integer(a):
-        n = -int(a)
-        exact = terminating_4f3_closed_form(n, c, e, lam)
-        with mp.workdps(precision + _GUARD):
-            value = _finite_sum_mpf(uppers, lowers, n)
-            closed = _to_mpf(exact)
-            tol = mp.mpf(10) ** -(precision - 5)
-            return _series_report(
-                "linear4f3", params + (("terminating", True),),
-                value, closed, tol, precision,
-            )
-    _check_lower_parameters(lowers)
-    margin = a / 2 - c - e
-    if margin < Fraction(1, 2):
-        raise NonConvergent(f"margin a/2 - c - e = {margin} is below 1/2")
-
-    def ratio(k: int) -> Fraction:
-        return ((a + k) * (c + k) * (e + k) * (1 + lam + k)) / (
-            (lowers[0] + k) * (lowers[1] + k) * (lam + k) * (1 + k)
-        )
-
-    value = _levin_unity_sum(ratio, precision, max_terms)
     half = Fraction(1, 2)
-    front = gamma_quotient(
-        GammaQuotientSpec((1 + a - c, 1 + a - e), (a, 1 + a - c - e)),
-        precision,
-    )
-    bracket_first = gamma_quotient(
-        GammaQuotientSpec(
-            ((1 + a) * half, (1 + a) * half - c - e),
-            ((1 + a) * half - c, (1 + a) * half - e),
-        ),
-        precision,
-    )
-    bracket_second = gamma_quotient(
-        GammaQuotientSpec(
-            (a * half, (2 + a) * half - c - e),
-            ((2 + a) * half - c, (2 + a) * half - e),
-        ),
-        precision,
-    )
-    with mp.workdps(precision + _GUARD):
-        closed = front * (
+
+    def exact(n: int) -> Fraction | None:
+        if any(_undefined_at(x, n) for x in (c, e, lam)):
+            return None
+        return terminating_4f3_closed_form(n, c, e, lam)
+
+    def closed_form():
+        front = gamma_quotient(
+            GammaQuotientSpec((1 + a - c, 1 + a - e), (a, 1 + a - c - e)),
+            precision,
+        )
+        bracket_first = gamma_quotient(
+            GammaQuotientSpec(
+                ((1 + a) * half, (1 + a) * half - c - e),
+                ((1 + a) * half - c, (1 + a) * half - e),
+            ),
+            precision,
+        )
+        bracket_second = gamma_quotient(
+            GammaQuotientSpec(
+                (a * half, (2 + a) * half - c - e),
+                ((2 + a) * half - c, (2 + a) * half - e),
+            ),
+            precision,
+        )
+        return front * (
             bracket_first / (2 * _to_mpf(lam))
             + _to_mpf((2 * lam - a) / (4 * lam)) * bracket_second
         )
-        tol = mp.mpf(10) ** -(precision // 2)
-        return _series_report(
-            "linear4f3", params, value, closed, tol, precision
-        )
+
+    return _series_check(
+        "linear4f3", (("a", a), ("c", c), ("e", e), ("lam", lam)),
+        [a, c, e, 1 + lam], [1 + a - c, 1 + a - e, lam],
+        ("a/2 - c - e", a / 2 - c - e),
+        closed_form, precision, max_terms, exact,
+    )
 
 
 # --- Gauss-Jacobi quadrature on (0, 1) ---------------------------------
@@ -735,18 +703,18 @@ def integral_check(
     lam: int,
     precision: int = 40,
     m: int | None = None,
-    n_cap: int = 12,
-    lam_cap: int = 6,
 ) -> VerificationReport:
     """Compare the double integral against its closed form.
 
     Nonzero closed forms must match to relative 10^-(precision-8); cases
     whose closed form is exactly zero (odd n under the symmetric weight)
     must come out below 10^-(precision-8) of the rule's total mass.
+    Cases beyond n = 12 or lam = 6 are rejected.
     """
-    if n > n_cap or lam > lam_cap:
+    if n > _INTEGRAL_N_CAP or lam > _INTEGRAL_LAM_CAP:
         raise ValueError(
-            f"configured caps are n <= {n_cap}, lam <= {lam_cap}"
+            f"configured caps are n <= {_INTEGRAL_N_CAP}, "
+            f"lam <= {_INTEGRAL_LAM_CAP}"
         )
     quadrature, closed, mass = integral_value(which, n, lam, precision, m)
     report = VerificationReport(name=f"integral-{which}")

@@ -42,6 +42,8 @@ __all__ = [
     "SuiteResult",
     "CRITERIA",
     "f43_sweep",
+    "numeric_sweep",
+    "integral_sweep",
     "run_all",
     "DIXON_TRIPLES",
     "DIXON_TERMINATING",
@@ -372,46 +374,64 @@ def criterion_gamma(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     return _finish(7, "gamma self-test", reports, start)
 
 
+_NUMERIC_POINTS = {
+    "dixon": DIXON_TRIPLES + DIXON_TERMINATING,
+    "dminus": DMINUS_TRIPLES + DMINUS_TERMINATING,
+    "linear4f3": LINEAR4F3_TRIPLES + LINEAR4F3_TERMINATING,
+}
+
+
+def numeric_sweep(
+    family: str,
+    precision: int = 40,
+    max_terms: int = 100000,
+    points: Iterable[tuple] | None = None,
+) -> VerificationReport:
+    """One family's series checks, by default over its table of points."""
+    # looked up at call time, so a rebound numerics.<family>_check runs
+    check = getattr(numerics, f"{family}_check")
+    report = VerificationReport(name=family)
+    for point in _NUMERIC_POINTS[family] if points is None else points:
+        report.merge(check(*point, precision, max_terms))
+    return report
+
+
 def criterion_numeric(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 8: nonterminating series against Gamma closed forms."""
     start = time.perf_counter()
-    precision = sizes.precision
-    reports: list[VerificationReport] = []
-    for a, c, e in DIXON_TRIPLES + DIXON_TERMINATING:
-        reports.append(numerics.dixon_check(a, c, e, precision))
-    for a, c, e in DMINUS_TRIPLES + DMINUS_TERMINATING:
-        reports.append(numerics.dminus_check(a, c, e, precision))
-    for a, c, e, lam in LINEAR4F3_TRIPLES + LINEAR4F3_TERMINATING:
-        reports.append(numerics.linear4f3_check(a, c, e, lam, precision))
-    merged: dict[str, VerificationReport] = {}
-    for sub in reports:
-        merged.setdefault(
-            sub.name, VerificationReport(name=sub.name)
-        ).merge(sub)
+    reports = [
+        numeric_sweep(family, sizes.precision)
+        for family in numerics.NUMERIC_FAMILIES
+    ]
     return _finish(
-        8,
-        "nonterminating series vs gamma closed forms",
-        list(merged.values()),
-        start,
+        8, "nonterminating series vs gamma closed forms", reports, start
     )
+
+
+def integral_sweep(
+    which: str,
+    ns: Iterable[int],
+    lams: Sequence[int],
+    precision: int = 40,
+    m: int | None = None,
+) -> VerificationReport:
+    """One double-integral family's checks over the (n, lam) grid."""
+    report = VerificationReport(name=f"integral-{which}")
+    for n in ns:
+        for lam in lams:
+            report.merge(numerics.integral_check(which, n, lam, precision, m))
+    return report
 
 
 def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 9: double-integral representations by exact-weight rules."""
     start = time.perf_counter()
-    merged: dict[str, VerificationReport] = {}
-    for which in numerics.INTEGRAL_FAMILIES:
-        for n in range(sizes.int_n + 1):
-            for lam in range(sizes.int_lam + 1):
-                sub = numerics.integral_check(
-                    which, n, lam, precision=sizes.precision
-                )
-                merged.setdefault(
-                    sub.name, VerificationReport(name=sub.name)
-                ).merge(sub)
-    return _finish(
-        9, "double-integral representations", list(merged.values()), start
-    )
+    ns, lams = range(sizes.int_n + 1), range(sizes.int_lam + 1)
+    reports = [
+        integral_sweep(which, ns, lams, sizes.precision)
+        for which in numerics.INTEGRAL_FAMILIES
+    ]
+    return _finish(9, "double-integral representations", reports, start)
 
 
 # criterion 10 mixes identities in one report, so its records name theirs

@@ -250,3 +250,12 @@ def test_criterion_11_quick_suite_end_to_end():
     assert payload["ok"] is True
     assert len(payload["criteria"]) == 10
     assert all(c["passed"] for c in payload["criteria"])
+    # the quick suite is the benchmark's suite-quick workload: its digests
+    # pin every case count, skip and witness of criteria 1-10
+    workloads = load_perfbench("workloads")
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    digests = {
+        number: entry["digest"]
+        for number, entry in workloads.summarize(payload["criteria"]).items()
+    }
+    assert digests == reference["suite-quick"]

@@ -359,6 +359,31 @@ class TestOtherCommands:
         assert code == EXIT_NUMERIC
         assert payload["error"]["type"] == "PoleError"
 
+    def test_numeric_zero_term_ends_the_sum(self, capsys):
+        # c = -1 zeroes the second term, so the lower pole of 1 + a - c
+        # at k = 4 is never reached
+        code, payload = run_json(
+            capsys,
+            "numeric", "--family", "dixon",
+            "--a=-6", "--c=-1", "--e", "1/5",
+            "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (1, 0)
+
+    def test_numeric_linear4f3_skips_an_undefined_point(self, capsys):
+        # 1 + a - c = -4 vanishes within the seven terms: the 4F3 is
+        # undefined there, as in fourf3, not a mismatch
+        code, payload = run_json(
+            capsys,
+            "numeric", "--family", "linear4f3",
+            "--a=-6", "--c=-1", "--e", "1/5", "--lambda", "2",
+            "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (0, 1)
+        assert payload["failures"] == []
+
     def test_numeric_incomplete_point(self, capsys):
         code, payload = run_json(
             capsys,
@@ -386,6 +411,44 @@ class TestOtherCommands:
         )
         assert code == EXIT_PASS
         assert target.read_text() == out
+
+    def test_unwritable_out_is_a_configuration_error(self, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "catconv",
+                "verify", "--identity", "touchard", "--n", "0..8",
+                "--no-timing", "--out", str(target),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.splitlines() == [
+            f"catconv: OSError: cannot write {target}: "
+            "No such file or directory"
+        ]
+        assert not target.parent.exists()
+
+    def test_failed_out_write_keeps_the_old_file(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "report.json"
+        target.write_text("previous\n")
+
+        def broken_replace(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("catconv.cli.os.replace", broken_replace)
+        code, _ = run_cli(
+            capsys,
+            "verify", "--identity", "touchard", "--n", "0..8",
+            "--no-timing", "--out", str(target),
+        )
+        assert code == EXIT_USAGE
+        assert target.read_text() == "previous\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_text_format_report_line(self, capsys):
         code, out = run_cli(

@@ -166,6 +166,50 @@ class TestSeriesChecks:
         assert report.ok
 
 
+class TestSharedRecurrence:
+    # one term ratio feeds both the terminating cross-check and Levin
+    @staticmethod
+    def perturb_step(monkeypatch, step):
+        original = numerics._term_ratio
+
+        def perturbed(uppers, lowers):
+            ratio = original(uppers, lowers)
+
+            def step_ratio(k):
+                scale = F(1000001, 1000000) if k == step else 1
+                return ratio(k) * scale
+
+            return step_ratio
+
+        monkeypatch.setattr(numerics, "_term_ratio", perturbed)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(-6, F(1, 3), F(1, 5)), (F(1, 2), F(1, 4), F(1, 4))],
+        ids=["terminating", "nonterminating"],
+    )
+    def test_one_perturbed_step_fails_the_check(self, monkeypatch, point):
+        assert dixon_check(*point, precision=40).ok
+        self.perturb_step(monkeypatch, 2)
+        report = dixon_check(*point, precision=40)
+        assert len(report.failures) == 1, report.failures
+
+    def test_zero_term_ends_the_sum_before_a_lower_pole(self, monkeypatch):
+        # c = -1 zeroes t_2; the pole of 1 + a - c = -4 at k = 4 is never
+        # reached, so only the first two ratios are taken
+        calls = []
+        original = numerics._term_ratio
+
+        def recording(uppers, lowers):
+            ratio = original(uppers, lowers)
+            return lambda k: calls.append(k) or ratio(k)
+
+        monkeypatch.setattr(numerics, "_term_ratio", recording)
+        report = dixon_check(-6, -1, F(1, 5), precision=40)
+        assert report.ok and report.cases_run == 1
+        assert calls == [0, 1]
+
+
 class TestJacobiRule:
     def test_legendre_two_point_nodes(self):
         rule = jacobi_rule(0, 0, 2, precision=40)
