@@ -9,22 +9,32 @@ checks.
 The kernels work on integers, not on ``Fraction`` terms.  All parameters
 of one series are scaled to a single common denominator (one lcm), so the
 ratio of term k+1 to term k becomes an integer row ``(num, den)``.  A
-terminating sum folds its rows by backward Horner, an expansion carries
-its running term as an unreduced integer pair, and a Cauchy product
-convolves each factor's coefficients over that factor's common
-denominator.  Reduction happens once, where a value leaves the kernel as a
-``Fraction``.  A ``Fraction`` per term would pay a gcd on every product
-and sum; those gcds, not the big-integer products themselves, were most
-of the cost, and an unreduced pair only grows by the few bits of one row
-per step.
+series is a list of integer numerators over one denominator, built from
+the prefix products of its rows and divided by their one common gcd.  A
+Cauchy product convolves the numerators and multiplies the two
+denominators; a difference cross-scales.  A terminating sum folds its
+rows by backward Horner into an unreduced pair ``p/q``.  Two values are
+compared by cross-multiplying their pairs, so the product formulae and
+the 4F3 block compare integers.
+
+A ``Fraction`` is made only at the edges: from the parameters a public
+function receives, from a value a public function returns
+(``pfq_truncate``, ``series_mul``, ``series_sub``,
+``pfq_unity_sum_exact``, which are views over the same kernels), for the
+closed form's Pochhammer factor once per 4F3 block, and for the two sides
+of a failure record.  A ``Fraction`` per term would pay a gcd on every
+product and sum; those gcds, not the big-integer products themselves,
+were most of the cost.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable, Sequence
 
 from .exactnum import RationalLike, ZeroLowerPochhammer, poch_quotient
@@ -136,20 +146,19 @@ class TruncatedSeries:
         return self.coeffs[k]
 
 
-def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """One lcm of the denominators, and every value scaled by it to an int."""
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
+def _pairs(values: Iterable[Fraction]) -> list[tuple[int, int]]:
+    return [(v.numerator, v.denominator) for v in values]
 
 
 def _ratio_rows(
-    uppers: Sequence[Fraction],
-    lowers: Sequence[Fraction],
+    uppers: Sequence[tuple[int, int]],
+    lowers: Sequence[tuple[int, int]],
     steps: int,
 ) -> list[tuple[int, int]]:
     """Integer term-ratio rows of a hypergeometric series.
 
-    Row k is ``(num, den)`` with ``term(k+1) = term(k) * num / den``, for
+    Parameters are reduced ``(numerator, denominator)`` pairs.  Row k is
+    ``(num, den)`` with ``term(k+1) = term(k) * num / den``, for
     k = 0 .. steps-1.  The rows stop before the first k at which an upper
     parameter plus k is zero: that term and every later one vanish.  Uppers
     are checked before lowers, so termination wins; a lower parameter
@@ -157,19 +166,20 @@ def _ratio_rows(
     ``ZeroLowerPochhammer(l, k)``.
     """
     stop = steps
-    for u in uppers:
-        if u.denominator == 1 and 0 <= -u.numerator < stop:
-            stop = -u.numerator
+    for num, den in uppers:
+        if den == 1 and 0 <= -num < stop:
+            stop = -num
     hits = [
-        (-l.numerator, i)
-        for i, l in enumerate(lowers)
-        if l.denominator == 1 and 0 <= -l.numerator < stop
+        (-num, i)
+        for i, (num, den) in enumerate(lowers)
+        if den == 1 and 0 <= -num < stop
     ]
     if hits:
         k, i = min(hits)
-        raise ZeroLowerPochhammer(lowers[i], k)
-    scale, scaled = _common_denominator([*uppers, *lowers])
-    ups, lows = scaled[: len(uppers)], scaled[len(uppers) :]
+        raise ZeroLowerPochhammer(Fraction(*lowers[i]), k)
+    scale = math.lcm(*(den for _, den in uppers), *(den for _, den in lowers))
+    ups = [num * (scale // den) for num, den in uppers]
+    lows = [num * (scale // den) for num, den in lowers]
     # u + k = (U + k*scale) / scale: every upper leaves a 1/scale in the
     # row and every lower a scale, so only their surplus remains
     surplus = len(lows) - len(ups)
@@ -188,6 +198,57 @@ def _ratio_rows(
     return rows
 
 
+# a series: integer numerators over one common denominator
+_Series = tuple[list[int], int]
+
+
+def _expand(spec: SeriesSpec, order: int) -> _Series:
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    pref_coeff, pref_power = spec.prefactor
+    stride = 2 if spec.argument == ARG_SQUARED else 1
+    nums = [0] * (order + 1)
+    last = (order - pref_power) // stride
+    if last < 0:
+        return nums, 1
+    rows = _ratio_rows(_pairs(spec.uppers), _pairs(spec.lowers), last + 1)
+    rows = rows[:last]
+    sign = -1 if spec.argument == ARG_MINUS else 1
+    quarter = 4 if spec.argument == ARG_SQUARED else 1
+    # over the product of every row's den, term k is heads[k] * tails[k]
+    first = pref_coeff.numerator
+    heads = accumulate((sign * num for num, _ in rows), mul, initial=first)
+    dens = (quarter * den for _, den in reversed(rows))
+    tails = list(accumulate(dens, mul, initial=1))[::-1]
+    for k, (head, tail) in enumerate(zip(heads, tails)):
+        nums[pref_power + stride * k] = head * tail
+    den = pref_coeff.denominator * tails[0]
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def _mul(a: _Series, b: _Series) -> _Series:
+    (x, x_den), (y, y_den) = a, b
+    size = min(len(x), len(y))
+    nums = [sum(map(mul, x[: n + 1], y[n::-1])) for n in range(size)]
+    return nums, x_den * y_den
+
+
+def _sub(a: _Series, b: _Series) -> _Series:
+    (x, x_den), (y, y_den) = a, b
+    return [u * y_den - v * x_den for u, v in zip(x, y)], x_den * y_den
+
+
+def _over_lcm(series: TruncatedSeries) -> _Series:
+    scale = math.lcm(*(v.denominator for v in series.coeffs))
+    return [v.numerator * (scale // v.denominator) for v in series.coeffs], scale
+
+
+def _view(series: _Series) -> TruncatedSeries:
+    nums, den = series
+    return TruncatedSeries(len(nums) - 1, tuple(Fraction(x, den) for x in nums))
+
+
 def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     """Expand a hypergeometric series spec to exact coefficients.
 
@@ -198,39 +259,12 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     first raises :class:`ZeroLowerPochhammer`, also at the step past the
     last stored term.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    pref_coeff, pref_power = spec.prefactor
-    stride = 2 if spec.argument == ARG_SQUARED else 1
-    coeffs = [Fraction(0)] * (order + 1)
-    last = (order - pref_power) // stride
-    if last < 0:
-        return TruncatedSeries(order, tuple(coeffs))
-    rows = _ratio_rows(spec.uppers, spec.lowers, last + 1)
-    sign = -1 if spec.argument == ARG_MINUS else 1
-    quarter = 4 if spec.argument == ARG_SQUARED else 1
-    num, den = pref_coeff.numerator, pref_coeff.denominator
-    coeffs[pref_power] = pref_coeff
-    for k, (row_num, row_den) in enumerate(rows[:last], start=1):
-        num *= sign * row_num
-        den *= quarter * row_den
-        coeffs[pref_power + stride * k] = Fraction(num, den)
-    return TruncatedSeries(order, tuple(coeffs))
+    return _view(_expand(spec, order))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the smaller order."""
-    order = min(a.order, b.order)
-    a_scale, left = _common_denominator(a.coeffs[: order + 1])
-    b_scale, right = _common_denominator(b.coeffs[: order + 1])
-    scale = a_scale * b_scale
-    return TruncatedSeries(
-        order,
-        tuple(
-            Fraction(sum(left[i] * right[n - i] for i in range(n + 1)), scale)
-            for n in range(order + 1)
-        ),
-    )
+    return _view(_mul(_over_lcm(a), _over_lcm(b)))
 
 
 def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -241,10 +275,7 @@ def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    order = min(a.order, b.order)
-    return TruncatedSeries(
-        order, tuple(a.coeffs[i] - b.coeffs[i] for i in range(order + 1))
-    )
+    return _view(_sub(_over_lcm(a), _over_lcm(b)))
 
 
 def _product_sides(
@@ -253,23 +284,23 @@ def _product_sides(
     c: Fraction,
     lam: Fraction | None,
     order: int,
-) -> tuple[TruncatedSeries, TruncatedSeries]:
+) -> tuple[_Series, _Series]:
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
-        lhs = series_mul(
-            pfq_truncate(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            pfq_truncate(SeriesSpec((a,), (c,), ARG_MINUS), order),
+        lhs = _mul(
+            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
+            _expand(SeriesSpec((a,), (c,), ARG_MINUS), order),
         )
-        rhs = pfq_truncate(
+        rhs = _expand(
             SeriesSpec((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED), order
         )
         return lhs, rhs
     if formula == BAILEY_WATSON:
-        lhs = series_mul(
-            pfq_truncate(SeriesSpec((a,), (2 * a,), ARG_PLUS), order),
-            pfq_truncate(SeriesSpec((c,), (2 * c,), ARG_MINUS), order),
+        lhs = _mul(
+            _expand(SeriesSpec((a,), (2 * a,), ARG_PLUS), order),
+            _expand(SeriesSpec((c,), (2 * c,), ARG_MINUS), order),
         )
-        rhs = pfq_truncate(
+        rhs = _expand(
             SeriesSpec(
                 ((a + c) / 2, (a + c + 1) / 2),
                 (a + c, a + half, c + half),
@@ -279,9 +310,9 @@ def _product_sides(
         )
         return lhs, rhs
     if formula == CLAUSEN:
-        f = pfq_truncate(SeriesSpec((a, c), (a + c + half,), ARG_PLUS), order)
-        lhs = series_mul(f, f)
-        rhs = pfq_truncate(
+        f = _expand(SeriesSpec((a, c), (a + c + half,), ARG_PLUS), order)
+        lhs = _mul(f, f)
+        rhs = _expand(
             SeriesSpec(
                 (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c), ARG_PLUS
             ),
@@ -291,17 +322,17 @@ def _product_sides(
     if formula == LEMMA_LINEAR:
         if lam is None or lam == 0:
             raise DegenerateLambda("linear-factor parameter must be nonzero")
-        lhs = series_mul(
-            pfq_truncate(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            pfq_truncate(SeriesSpec((1 + lam, a), (lam, c), ARG_MINUS), order),
+        lhs = _mul(
+            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
+            _expand(SeriesSpec((1 + lam, a), (lam, c), ARG_MINUS), order),
         )
-        even_part = pfq_truncate(
+        even_part = _expand(
             SeriesSpec(
                 (1 + lam, a, c - a), (lam, c, c / 2, (1 + c) / 2), ARG_SQUARED
             ),
             order,
         )
-        odd_part = pfq_truncate(
+        odd_part = _expand(
             SeriesSpec(
                 (1 + a, c - a),
                 (c, (1 + c) / 2, (2 + c) / 2),
@@ -310,22 +341,22 @@ def _product_sides(
             ),
             order,
         )
-        return lhs, series_sub(even_part, odd_part)
+        return lhs, _sub(even_part, odd_part)
     if formula == VARIANT_LINEAR:
         # The lemma specialized at lam = c - 1; the factor with lowered
         # parameter takes the negated argument so odd coefficients agree.
         lam = c - 1
         if lam == 0:
             raise DegenerateLambda("variant requires c != 1")
-        lhs = series_mul(
-            pfq_truncate(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            pfq_truncate(SeriesSpec((a,), (c - 1,), ARG_MINUS), order),
+        lhs = _mul(
+            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
+            _expand(SeriesSpec((a,), (c - 1,), ARG_MINUS), order),
         )
-        even_part = pfq_truncate(
+        even_part = _expand(
             SeriesSpec((a, c - a), (c - 1, c / 2, (1 + c) / 2), ARG_SQUARED),
             order,
         )
-        odd_part = pfq_truncate(
+        odd_part = _expand(
             SeriesSpec(
                 (1 + a, c - a),
                 (c, (1 + c) / 2, (2 + c) / 2),
@@ -334,7 +365,7 @@ def _product_sides(
             ),
             order,
         )
-        return lhs, series_sub(even_part, odd_part)
+        return lhs, _sub(even_part, odd_part)
     raise ValueError(f"unknown product formula {formula!r}")
 
 
@@ -356,15 +387,15 @@ def check_product_formula(
     a = Fraction(a)
     c = Fraction(c)
     lam_f = None if lam is None else Fraction(lam)
-    lhs, rhs = _product_sides(formula, a, c, lam_f, order)
+    (lhs, lhs_den), (rhs, rhs_den) = _product_sides(formula, a, c, lam_f, order)
     params: list[tuple[str, object]] = [("formula", formula), ("a", a), ("c", c)]
     if formula == LEMMA_LINEAR:
         params.append(("lam", lam_f))
     params.append(("order", order))
     report = VerificationReport(name=formula)
     mismatch = None
-    for i in range(min(lhs.order, rhs.order) + 1):
-        if lhs.coeffs[i] != rhs.coeffs[i]:
+    for i, (x, y) in enumerate(zip(lhs, rhs)):
+        if x * rhs_den != y * lhs_den:
             mismatch = i
             break
     if mismatch is None:
@@ -373,8 +404,8 @@ def check_product_formula(
         report.record_failure(
             CaseRecord(
                 params=tuple(params) + (("coeff_index", mismatch),),
-                lhs=lhs.coeffs[mismatch],
-                rhs=rhs.coeffs[mismatch],
+                lhs=Fraction(lhs[mismatch], lhs_den),
+                rhs=Fraction(rhs[mismatch], rhs_den),
             )
         )
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -414,6 +445,22 @@ def check_product_grid(
     return report
 
 
+def _unity_sum(
+    uppers: Sequence[tuple[int, int]],
+    lowers: Sequence[tuple[int, int]],
+    last_index: int,
+) -> tuple[int, int]:
+    # backward Horner: 1 + r0 (1 + r1 (... (1 + r_{m-1}))), kept as an
+    # unreduced pair p/q
+    if last_index < 0:
+        return 0, 1
+    p = q = 1
+    for num, den in reversed(_ratio_rows(uppers, lowers, last_index)):
+        q *= den
+        p = p * num + q
+    return p, q
+
+
 def pfq_unity_sum_exact(
     uppers: Sequence[RationalLike],
     lowers: Sequence[RationalLike],
@@ -425,17 +472,8 @@ def pfq_unity_sum_exact(
     ``last_index`` reaches the cutoff, making the partial sum the full
     value.  Termination by a zero numerator factor short-circuits.
     """
-    if last_index < 0:
-        return Fraction(0)
-    rows = _ratio_rows(
-        [Fraction(u) for u in uppers], [Fraction(l) for l in lowers], last_index
-    )
-    # backward Horner: 1 + r0 (1 + r1 (... (1 + r_{m-1}))), kept as p/q
-    p = q = 1
-    for num, den in reversed(rows):
-        q *= den
-        p = p * num + q
-    return Fraction(p, q)
+    ups, lows = (_pairs(map(Fraction, xs)) for xs in (uppers, lowers))
+    return Fraction(*_unity_sum(ups, lows, last_index))
 
 
 def _f43_factor(n: int, c: Fraction, e: Fraction) -> Fraction:
@@ -445,27 +483,17 @@ def _f43_factor(n: int, c: Fraction, e: Fraction) -> Fraction:
     )
 
 
-def _f43_tail(n: int, lam: Fraction) -> Fraction:
-    # the parity-dependent linear factor in lam
+def _f43_tail(n: int, lam: Fraction) -> tuple[int, int]:
+    # the parity-dependent linear factor in lam, as an integer pair
     if n % 2 == 0:
-        return (2 * lam + n) / (2 * lam)
-    return Fraction(-(1 + n)) / (2 * lam)
-
-
-def _contiguous_combination(
-    n: int, lam: Fraction, plain: Fraction, raised: Fraction | None
-) -> Fraction:
-    # (lam - a)/lam * plain + a/lam * raised at a = -n; at n = 0 the
-    # raised series does not terminate, but its coefficient a/lam vanishes
-    if n == 0:
-        return plain
-    return (lam + n) / lam * plain - n / lam * raised
+        return 2 * lam.numerator + n * lam.denominator, 2 * lam.numerator
+    return -(1 + n) * lam.denominator, 2 * lam.numerator
 
 
 def _undefined_at(x: Fraction, n: int) -> bool:
     # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
     # lower parameter of the 4F3 within its n + 1 terms
-    return x.denominator == 1 and 1 - n <= x <= 0
+    return x.denominator == 1 and 1 - n <= x.numerator <= 0
 
 
 def terminating_4f3_closed_form(
@@ -486,7 +514,7 @@ def terminating_4f3_closed_form(
     lam = Fraction(lam)
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    return _f43_factor(n, c, e) * _f43_tail(n, lam)
+    return _f43_factor(n, c, e) * Fraction(*_f43_tail(n, lam))
 
 
 def _single_point(
@@ -570,26 +598,35 @@ def terminating_4f3_block(
     contiguous = VerificationReport(name="contiguous-relation")
     block_skipped = _undefined_at(c, n) or _undefined_at(e, n)
     if not block_skipped:
-        a = Fraction(-n)
-        lowers = [1 - c - n, 1 - e - n]
-        plain = pfq_unity_sum_exact([a, c, e], lowers, n)
-        raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1) if n else None
+        uppers = _pairs([Fraction(-n), c, e])
+        lowers = _pairs([1 - c - n, 1 - e - n])
+        p, q = _unity_sum(uppers, lowers, n)
+        # at n = 0 the raised 3F2 does not terminate, but its weight n/lam
+        # in the contiguous side vanishes
+        raised = [(1 - n, 1)] + uppers[1:]
+        r, s = _unity_sum(raised, lowers, n - 1) if n else (0, 1)
+        ps, rq, qs = p * s, r * q, q * s
         factor = _f43_factor(n, c, e)
     for lam in lams:
         if block_skipped or lam == 0 or _undefined_at(lam, n):
             evaluation.record_skip()
             contiguous.record_skip()
             continue
-        four = pfq_unity_sum_exact([a, c, e, 1 + lam], lowers + [lam], n)
+        ln, ld = lam.numerator, lam.denominator
+        four, four_den = _unity_sum(
+            uppers + [(ln + ld, ld)], lowers + [(ln, ld)], n
+        )
+        tail, tail_den = _f43_tail(n, lam)
         params = (("n", n), ("c", c), ("e", e), ("lam", lam))
-        for report, rhs in (
-            (evaluation, factor * _f43_tail(n, lam)),
-            (contiguous, _contiguous_combination(n, lam, plain, raised)),
+        # factor * tail, and (lam - a)/lam P/Q + a/lam R/S at a = -n as
+        # ((lam+n) P S - n R Q) / (lam Q S), each against the 4F3 sum
+        for report, num, den in (
+            (evaluation, factor.numerator * tail, factor.denominator * tail_den),
+            (contiguous, (ln + n * ld) * ps - n * ld * rq, ln * qs),
         ):
-            if four == rhs:
+            if four * den == num * four_den:
                 report.record_pass()
             else:
-                report.record_failure(
-                    CaseRecord(params=params, lhs=four, rhs=rhs)
-                )
+                lhs, rhs = Fraction(four, four_den), Fraction(num, den)
+                report.record_failure(CaseRecord(params=params, lhs=lhs, rhs=rhs))
     return evaluation, contiguous

@@ -348,22 +348,26 @@ def _series_check(
 ) -> VerificationReport:
     """One series at unit argument against its closed form.
 
-    The series terminates when its first upper parameter is -n, n >= 0.
-    Its floating sum must then match ``exact(n)``, by default the exact
-    rational sum, to 10^-(precision-5), and is skipped where ``exact``
-    returns None.  Otherwise the lower parameters must avoid the poles,
-    ``margin`` must be at least 1/2, and the Levin sum must match
-    ``closed_form()`` to 10^-(precision/2).
+    The series terminates when any upper parameter is a nonpositive
+    integer; its last term is n, the smallest of their negatives.  Its
+    floating sum, run to the first zero term, must then match the exact
+    rational sum over terms 0 .. n to 10^-(precision-5).  Where ``exact``
+    is given and the first upper parameter is -m, m >= 0, ``exact(m)``
+    replaces that sum, and the point is skipped where it returns None.
+    Otherwise the lower parameters must avoid the poles, ``margin`` must
+    be at least 1/2, and the Levin sum must match ``closed_form()`` to
+    10^-(precision/2).
     """
     params += (("precision", precision),)
     report = VerificationReport(name=name)
     ratio = _term_ratio(uppers, lowers)
-    if _is_nonpositive_integer(uppers[0]):
-        n = -int(uppers[0])
-        if exact is None:
-            reference = pfq_unity_sum_exact(uppers, lowers, n)
+    ends = [-u.numerator for u in uppers if _is_nonpositive_integer(u)]
+    if ends:
+        n = min(ends)
+        if exact is not None and _is_nonpositive_integer(uppers[0]):
+            reference = exact(-uppers[0].numerator)
         else:
-            reference = exact(n)
+            reference = pfq_unity_sum_exact(uppers, lowers, n)
         if reference is None:
             report.record_skip()
             return report
@@ -371,7 +375,7 @@ def _series_check(
         closed_form = functools.partial(_to_mpf, reference)
         digits = precision - 5
         with mp.workdps(precision + _GUARD):
-            *_, value = itertools.islice(_partial_sums(ratio), n + 1)
+            *_, value = _partial_sums(ratio)
     else:
         for l in lowers:
             if _is_nonpositive_integer(l):

@@ -2,8 +2,10 @@
 
 These are the term-by-term ``fractions.Fraction`` loops that
 ``catconv.hyperseries``, ``catconv.exactnum`` and the brute-force sums of
-``catconv.identities`` used before they moved to integer rows, and the
-hand-written closed forms that the identities' factor tables replaced.
+``catconv.identities`` used before they moved to integer rows, the
+``Fraction`` comparisons of the 4F3 block before it compared integer
+pairs, and the hand-written closed forms that the identities' factor
+tables replaced.
 They are kept only as oracles for the differential tests: every
 operation reduces by a gcd, which makes them slow but easy to read.
 """
@@ -15,6 +17,7 @@ from catconv import exactnum
 from catconv.exactnum import ZeroLowerPochhammer, binomial, catalan
 from catconv.hyperseries import ARG_MINUS, ARG_SQUARED, TruncatedSeries
 from catconv.identities import IdentityId
+from catconv.report import CaseRecord, VerificationReport
 
 
 def pfq_truncate(spec, order):
@@ -99,6 +102,49 @@ def pfq_unity_sum_exact(uppers, lowers, last_index):
             denominator *= factor
         term = term * numerator / denominator
     return total
+
+
+def _undefined_at(x, n):
+    return x.denominator == 1 and 1 - n <= x <= 0
+
+
+def terminating_4f3_block(n, c, e, lams):
+    # both reports of one (n, c, e) block, every side a Fraction: the
+    # closed form factor * tail and the contiguous combination
+    # (lam - a)/lam * plain + a/lam * raised at a = -n
+    c = Fraction(c)
+    e = Fraction(e)
+    lams = [Fraction(lam) for lam in lams]
+    evaluation = VerificationReport(name="terminating-4f3")
+    contiguous = VerificationReport(name="contiguous-relation")
+    block_skipped = _undefined_at(c, n) or _undefined_at(e, n)
+    if not block_skipped:
+        a = Fraction(-n)
+        lowers = [1 - c - n, 1 - e - n]
+        plain = pfq_unity_sum_exact([a, c, e], lowers, n)
+        raised = pfq_unity_sum_exact([1 + a, c, e], lowers, n - 1) if n else None
+        factor = poch_quotient([a, 1 - c - e - n], lowers, n // 2)
+    for lam in lams:
+        if block_skipped or lam == 0 or _undefined_at(lam, n):
+            evaluation.record_skip()
+            contiguous.record_skip()
+            continue
+        four = pfq_unity_sum_exact([a, c, e, 1 + lam], lowers + [lam], n)
+        if n % 2 == 0:
+            tail = (2 * lam + n) / (2 * lam)
+        else:
+            tail = Fraction(-(1 + n)) / (2 * lam)
+        if n == 0:
+            combination = plain
+        else:
+            combination = (lam + n) / lam * plain - n / lam * raised
+        params = (("n", n), ("c", c), ("e", e), ("lam", lam))
+        for report, rhs in ((evaluation, factor * tail), (contiguous, combination)):
+            if four == rhs:
+                report.record_pass()
+            else:
+                report.record_failure(CaseRecord(params=params, lhs=four, rhs=rhs))
+    return evaluation, contiguous
 
 
 # --- exactnum -----------------------------------------------------------

@@ -92,10 +92,30 @@ def test_criterion_04_corollaries_exact_or_flagged():
             assert case.rhs is not None
 
 
+def full_size_digest(result):
+    # the benchmark's verdict digest of one criterion: every case count,
+    # skip, witness and flag
+    summary = load_perfbench("workloads").summarize(
+        [result.as_dict(include_timing=False)]
+    )
+    return summary[str(result.number)]["digest"]
+
+
 def test_criterion_05_product_formulae_order_48():
     result = report(criterion_products(FULL_SIZES))
     assert result.passed, failing_cases(result)
-    assert len(result.reports) == 5
+    # an 8 x 8 (a, c) grid, times 8 lam for the lemma; the variant skips
+    # its eight c = 1 points
+    assert [(r.name, r.cases_run, r.skipped) for r in result.reports] == [
+        ("bailey-dixon", 64, 0),
+        ("bailey-watson", 64, 0),
+        ("clausen", 64, 0),
+        ("lemma-linear", 512, 0),
+        ("variant-linear", 56, 8),
+    ]
+    assert full_size_digest(result) == (
+        "ed1ee5707cdaf4d17a8ee327baa50a954b66ab6700b6a39d6888f7b1048dd0d0"
+    )
 
 
 def test_criterion_06_terminating_4f3_and_contiguous():
@@ -106,6 +126,9 @@ def test_criterion_06_terminating_4f3_and_contiguous():
         ("terminating-4f3", 20992, 0),
         ("contiguous-relation", 20992, 0),
     ]
+    assert full_size_digest(result) == (
+        "c5c43aba9385007bd8da249303e42ebe47037c725ecac59d41ceea6e0c0d3d7c"
+    )
 
 
 def test_criterion_06_same_reports_in_the_pool():

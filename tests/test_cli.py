@@ -371,6 +371,24 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         assert (payload["cases_run"], payload["skipped"]) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["--family", "dixon", "--a", "5/2", "--c=-1", "--e", "1/4"],
+            ["--family", "dminus", "--a", "5/2", "--c=-1", "--e", "1/4"],
+            ["--family", "linear4f3", "--a", "5/2", "--c=-1", "--e", "1/4",
+             "--lambda", "2"],
+            ["--family", "dixon", "--a", "5/2", "--c", "1/3", "--e=-2"],
+        ],
+        ids=["dixon", "dminus", "linear4f3", "dixon-e"],
+    )
+    def test_numeric_terminates_on_any_upper(self, capsys, point):
+        # c = -1 or e = -2 makes the series finite with a non-integer a: a
+        # verdict, not a configuration error from the Levin transform
+        code, payload = run_json(capsys, "numeric", *point, "--format", "json")
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (1, 0)
+
     def test_numeric_linear4f3_skips_an_undefined_point(self, capsys):
         # 1 + a - c = -4 vanishes within the seven terms: the 4F3 is
         # undefined there, as in fourf3, not a mismatch

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from catconv import hyperseries
 from catconv.exactnum import ZeroLowerPochhammer
 from catconv.hyperseries import (
     ARG_MINUS,
@@ -32,7 +33,7 @@ from catconv.hyperseries import (
     terminating_4f3_check,
     terminating_4f3_closed_form,
 )
-from catconv.hyperseries import _product_sides
+from catconv.hyperseries import _product_sides, _view
 
 import reference_kernels as ref
 
@@ -173,14 +174,19 @@ class TestProductFormulae:
         assert check_product_formula(BAILEY_DIXON, 1, 2, order=16).ok
 
     def test_clausen_square_constant_term(self):
-        lhs, _ = _product_sides(CLAUSEN, F(1, 2), F(1, 2), None, 12)
+        sides = _product_sides(CLAUSEN, F(1, 2), F(1, 2), None, 12)
+        lhs, _ = map(_view, sides)
         assert lhs.coefficient(0) == 1
 
     def test_lemma_specializes_to_variant(self):
         for a in (F(1, 2), F(1), F(5, 3)):
             for c in (F(2), F(5, 2), F(7, 3)):
-                lemma_l, lemma_r = _product_sides(LEMMA_LINEAR, a, c, c - 1, 20)
-                var_l, var_r = _product_sides(VARIANT_LINEAR, a, c, None, 20)
+                lemma_l, lemma_r = map(
+                    _view, _product_sides(LEMMA_LINEAR, a, c, c - 1, 20)
+                )
+                var_l, var_r = map(
+                    _view, _product_sides(VARIANT_LINEAR, a, c, None, 20)
+                )
                 assert lemma_l.coeffs == var_l.coeffs
                 assert lemma_r.coeffs == var_r.coeffs
 
@@ -212,6 +218,56 @@ class TestProductFormulae:
                 assert all(
                     product.coefficient(k) == 0 for k in range(1, 18, 2)
                 ), (a, c)
+
+
+def reference_sides(formula, specs, order):
+    # a formula's two sides from its specs in the order _product_sides
+    # builds them: two factors (one, squared, for Clausen), then the right
+    # series or its even and odd parts
+    series = [ref.pfq_truncate(spec, order) for spec in specs]
+    if formula == CLAUSEN:
+        series.insert(0, series[0])
+    lhs = ref.series_mul(series[0], series[1]).coeffs
+    if len(series) == 3:
+        return lhs, series[2].coeffs
+    even, odd = series[2].coeffs, series[3].coeffs
+    return lhs, tuple(x - y for x, y in zip(even, odd))
+
+
+class TestProductFormulaFaults:
+    @pytest.mark.parametrize(
+        "formula, point, index",
+        [
+            (BAILEY_DIXON, (F(1, 2), F(3, 2), None), 0),
+            (BAILEY_WATSON, (F(1), F(2), None), 2),
+            (CLAUSEN, (F(1), F(1, 3), None), 0),
+            (LEMMA_LINEAR, (F(2, 3), F(5, 2), F(2)), 1),
+            (VARIANT_LINEAR, (F(3, 2), F(5, 2), None), 3),
+        ],
+    )
+    def test_a_perturbed_side_is_recorded_at_its_first_mismatch(
+        self, monkeypatch, formula, point, index
+    ):
+        # shift the first upper parameter of one series by 1/7; the record
+        # must name the first differing coefficient and carry both values
+        # as the Fraction-per-term reference computes them
+        order = 16
+        made = []
+
+        def spec(uppers, lowers, argument=ARG_PLUS, prefactor=(F(1), 0)):
+            if len(made) == index:
+                uppers = (uppers[0] + F(1, 7),) + tuple(uppers[1:])
+            made.append(SeriesSpec(uppers, lowers, argument, prefactor))
+            return made[-1]
+
+        monkeypatch.setattr(hyperseries, "SeriesSpec", spec)
+        report = check_product_formula(formula, *point, order=order)
+        lhs, rhs = reference_sides(formula, made, order)
+        first = next(i for i in range(order + 1) if lhs[i] != rhs[i])
+        [case] = report.failures
+        assert dict(case.params)["coeff_index"] == first
+        assert (case.lhs, case.rhs) == (lhs[first], rhs[first])
+        assert type(case.lhs) is type(case.rhs) is Fraction
 
 
 class TestTerminating4F3:
@@ -326,7 +382,7 @@ class TestTerminating4F3Block:
         # a wrong closed-form tail must surface as a failure of the
         # evaluation check only, with the shared 4F3 sum as its lhs
         monkeypatch.setattr(
-            "catconv.hyperseries._f43_tail", lambda n, lam: F(n + 1)
+            "catconv.hyperseries._f43_tail", lambda n, lam: (n + 1, 1)
         )
         c, e = F(1, 3), F(1, 5)
         evaluation, contiguous = terminating_4f3_block(3, c, e, [2])
@@ -337,6 +393,31 @@ class TestTerminating4F3Block:
             [F(-3), c, e, F(3)], [1 - c - 3, 1 - e - 3, F(2)], 3
         )
         assert case.rhs == terminating_4f3_closed_form(3, c, e, 2)
+
+    def test_records_contiguous_mismatch_alone(self, monkeypatch):
+        # a wrong raised 3F2 must fail the contiguous check only, with the
+        # 4F3 sum and the combination as its two Fractions
+        original = hyperseries._unity_sum
+
+        def unity_sum(uppers, lowers, last_index):
+            p, q = original(uppers, lowers, last_index)
+            # the raised 3F2 is the only sum whose first upper is 1 - n
+            return (p + q, q) if uppers[0] == (-2, 1) else (p, q)
+
+        monkeypatch.setattr(hyperseries, "_unity_sum", unity_sum)
+        c, e, lam = F(1, 3), F(1, 5), F(2)
+        evaluation, contiguous = terminating_4f3_block(3, c, e, [lam])
+        assert evaluation.ok and evaluation.cases_run == 1
+        [case] = contiguous.failures
+        lowers = [1 - c - 3, 1 - e - 3]
+        plain = ref.pfq_unity_sum_exact([F(-3), c, e], lowers, 3)
+        raised = ref.pfq_unity_sum_exact([F(-2), c, e], lowers, 2) + 1
+        assert dict(case.params) == {"n": 3, "c": c, "e": e, "lam": lam}
+        assert case.lhs == ref.pfq_unity_sum_exact(
+            [F(-3), c, e, 1 + lam], lowers + [lam], 3
+        )
+        assert case.rhs == (lam + 3) / lam * plain - 3 / lam * raised
+        assert type(case.lhs) is type(case.rhs) is Fraction
 
     def test_undefined_parameters_are_skipped(self):
         # c = -1 lies in [1-n, 0]: its upper and the lower 1-c-n both hit
@@ -358,6 +439,13 @@ class TestTerminating4F3Block:
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 # nonpositive integers make uppers terminate and lowers hit zero
 parameters = st.one_of(st.integers(-6, 0).map(F), rationals)
+
+
+# integers down to -10 reach every undefined c, e and lam at n <= 10
+block_parameters = st.one_of(
+    st.integers(-10, 3).map(F),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
 
 
 def outcome(fn, *args):
@@ -404,6 +492,20 @@ class TestKernelsAgainstReference:
     )
     def test_series_mul(self, a, b):
         assert series_mul(a, b) == ref.series_mul(a, b)
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(0, 10),
+        block_parameters,
+        block_parameters,
+        st.lists(block_parameters, min_size=1, max_size=4),
+    )
+    def test_4f3_block(self, n, c, e, lams):
+        fast = terminating_4f3_block(n, c, e, lams)
+        slow = ref.terminating_4f3_block(n, c, e, lams)
+        assert [r.as_dict(include_timing=False) for r in fast] == [
+            r.as_dict(include_timing=False) for r in slow
+        ]
 
     def test_series_mul_of_expansions_at_order_48(self):
         a = pfq_truncate(SeriesSpec((F(2, 3), F(1, 2)), (F(5, 3),)), 48)

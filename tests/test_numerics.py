@@ -157,6 +157,22 @@ class TestSeriesChecks:
         report = linear4f3_check(a, F(1, 3), F(1, 5), lam, precision=40)
         assert report.ok, report.failures
 
+    @pytest.mark.parametrize(
+        "check, point",
+        [
+            (dixon_check, (F(5, 2), -1, F(1, 4))),
+            (dminus_check, (F(5, 2), -1, F(1, 4))),
+            (linear4f3_check, (F(5, 2), -1, F(1, 4), 2)),
+            (dixon_check, (F(5, 2), F(1, 3), -2)),
+        ],
+        ids=["dixon", "dminus", "linear4f3", "dixon-e"],
+    )
+    def test_a_later_upper_terminates_the_series(self, check, point):
+        # c = -1 or e = -2 ends the sum although a is not an integer; the
+        # finite sum is checked exactly instead of being handed to Levin
+        report = check(*point, precision=40)
+        assert report.ok and report.cases_run == 1, report.failures
+
     def test_linear4f3_zero_lambda_rejected(self):
         with pytest.raises(DegenerateLambda):
             linear4f3_check(4, F(1, 2), F(1, 2), 0, precision=40)
@@ -193,6 +209,15 @@ class TestSharedRecurrence:
         self.perturb_step(monkeypatch, 2)
         report = dixon_check(*point, precision=40)
         assert len(report.failures) == 1, report.failures
+
+    def test_termination_by_a_later_upper_is_checked(self, monkeypatch):
+        # the exact sum 1 + ace/((1+a-c)(1+a-e)) = 112/117 over the actual
+        # parameters is the reference, so a wrong first ratio fails
+        point = (F(5, 2), -1, F(1, 4))
+        self.perturb_step(monkeypatch, 0)
+        [case] = dixon_check(*point, precision=40).failures
+        assert dict(case.params)["terminating"] is True
+        assert close(case.rhs, F(112, 117), 1e-35)
 
     def test_zero_term_ends_the_sum_before_a_lower_pole(self, monkeypatch):
         # c = -1 zeroes t_2; the pole of 1 + a - c = -4 at k = 4 is never
