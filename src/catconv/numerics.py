@@ -345,28 +345,38 @@ def _series_check(
     precision: int,
     max_terms: int,
     exact: Callable[[int], Fraction | None] | None = None,
+    enders: int | None = None,
 ) -> VerificationReport:
     """One series at unit argument against its closed form.
 
-    The series terminates when any upper parameter is a nonpositive
-    integer; its last term is n, the smallest of their negatives.  Its
-    floating sum, run to the first zero term, must then match the exact
-    rational sum over terms 0 .. n to 10^-(precision-5).  Where ``exact``
-    is given and the first upper parameter is -m, m >= 0, ``exact(m)``
-    replaces that sum, and the point is skipped where it returns None.
-    Otherwise the lower parameters must avoid the poles, ``margin`` must
-    be at least 1/2, and the Levin sum must match ``closed_form()`` to
-    10^-(precision/2).
+    The series terminates when one of the first ``enders`` upper
+    parameters (all of them by default) is a nonpositive integer; its last
+    term is n, the smallest of their negatives.  Its floating sum, run to
+    the first zero term, must then match the exact rational sum over terms
+    0 .. n to 10^-(precision-5).  Where ``exact`` is given and the first
+    upper parameter is -m, m >= 0, ``exact(m)`` replaces that sum, and the
+    point is skipped where it returns None.  Where a later upper ends the
+    series, a lower parameter in [1-n, 0] is a pole.  Otherwise the lower
+    parameters must avoid the poles, ``margin`` must be at least 1/2, and
+    the Levin sum must match ``closed_form()`` to 10^-(precision/2).
     """
     params += (("precision", precision),)
     report = VerificationReport(name=name)
     ratio = _term_ratio(uppers, lowers)
-    ends = [-u.numerator for u in uppers if _is_nonpositive_integer(u)]
+    ends = [
+        -u.numerator for u in uppers[:enders] if _is_nonpositive_integer(u)
+    ]
     if ends:
         n = min(ends)
-        if exact is not None and _is_nonpositive_integer(uppers[0]):
+        first_ends = _is_nonpositive_integer(uppers[0])
+        if first_ends and exact is not None:
             reference = exact(-uppers[0].numerator)
         else:
+            for l in lowers:
+                if not first_ends and _undefined_at(l, n):
+                    raise PoleError(
+                        f"lower parameter {l} makes the series undefined"
+                    )
             reference = pfq_unity_sum_exact(uppers, lowers, n)
         if reference is None:
             report.record_skip()
@@ -535,7 +545,7 @@ def linear4f3_check(
         "linear4f3", (("a", a), ("c", c), ("e", e), ("lam", lam)),
         [a, c, e, 1 + lam], [1 + a - c, 1 + a - e, lam],
         ("a/2 - c - e", a / 2 - c - e),
-        closed_form, precision, max_terms, exact,
+        closed_form, precision, max_terms, exact, enders=3,
     )
 
 

@@ -389,6 +389,20 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         assert (payload["cases_run"], payload["skipped"]) == (1, 0)
 
+    @pytest.mark.parametrize("lam", ["-1", "-3"])
+    def test_numeric_linear4f3_column_is_a_pole(self, capsys, lam):
+        # 1 + lam is an upper parameter but does not end the series; the
+        # lower lam is a pole, as for a nonterminating point
+        code, payload = run_json(
+            capsys,
+            "numeric", "--family", "linear4f3",
+            "--a", "5/2", "--c", "1/3", "--e", "1/4", f"--lambda={lam}",
+            "--format", "json",
+        )
+        assert code == EXIT_NUMERIC
+        assert payload["error"]["type"] == "PoleError"
+        assert payload["cases_run"] == 0
+
     def test_numeric_linear4f3_skips_an_undefined_point(self, capsys):
         # 1 + a - c = -4 vanishes within the seven terms: the 4F3 is
         # undefined there, as in fourf3, not a mismatch

@@ -173,6 +173,22 @@ class TestSeriesChecks:
         report = check(*point, precision=40)
         assert report.ok and report.cases_run == 1, report.failures
 
+    @pytest.mark.parametrize(
+        "c, lam", [(F(1, 3), -1), (F(1, 3), -3), (-3, -1), (-3, -2)],
+    )
+    def test_linear4f3_column_does_not_end_the_series(self, c, lam):
+        # 1 + lam zeroes an upper, but the column's factor (lam + k)/lam
+        # does not end the series: lam is a pole, within c's terms if any
+        with pytest.raises(PoleError):
+            linear4f3_check(F(5, 2), c, F(1, 4), lam, precision=40)
+
+    @pytest.mark.parametrize("c, lam", [(-1, -1), (-2, -2), (-2, -5)])
+    def test_linear4f3_lower_zero_after_the_last_term(self, c, lam):
+        # c = -n ends the series at k = n; lam <= -n zeroes (lam)_k only
+        # from k = n + 1 on, past the last term
+        report = linear4f3_check(F(5, 2), c, F(1, 4), lam, precision=40)
+        assert report.ok and report.cases_run == 1, report.failures
+
     def test_linear4f3_zero_lambda_rejected(self):
         with pytest.raises(DegenerateLambda):
             linear4f3_check(4, F(1, 2), F(1, 2), 0, precision=40)
