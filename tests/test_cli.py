@@ -401,7 +401,6 @@ class TestOtherCommands:
         )
         assert code == EXIT_NUMERIC
         assert payload["error"]["type"] == "PoleError"
-        assert payload["cases_run"] == 0
 
     def test_numeric_linear4f3_skips_an_undefined_point(self, capsys):
         # 1 + a - c = -4 vanishes within the seven terms: the 4F3 is

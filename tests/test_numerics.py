@@ -164,12 +164,17 @@ class TestSeriesChecks:
             (dminus_check, (F(5, 2), -1, F(1, 4))),
             (linear4f3_check, (F(5, 2), -1, F(1, 4), 2)),
             (dixon_check, (F(5, 2), F(1, 3), -2)),
+            (linear4f3_check, (F(5, 2), -1, F(1, 4), -1)),
+            (linear4f3_check, (F(5, 2), -2, F(1, 4), -2)),
+            (linear4f3_check, (F(5, 2), -2, F(1, 4), -5)),
         ],
-        ids=["dixon", "dminus", "linear4f3", "dixon-e"],
+        ids=["dixon", "dminus", "linear4f3", "dixon-e",
+             "lam-1", "lam-2", "lam-5"],
     )
     def test_a_later_upper_terminates_the_series(self, check, point):
         # c = -1 or e = -2 ends the sum although a is not an integer; the
-        # finite sum is checked exactly instead of being handed to Levin
+        # finite sum is checked exactly instead of being handed to Levin.
+        # lam <= c = -n zeroes (lam)_k only past the last term, k = n
         report = check(*point, precision=40)
         assert report.ok and report.cases_run == 1, report.failures
 
@@ -181,13 +186,6 @@ class TestSeriesChecks:
         # does not end the series: lam is a pole, within c's terms if any
         with pytest.raises(PoleError):
             linear4f3_check(F(5, 2), c, F(1, 4), lam, precision=40)
-
-    @pytest.mark.parametrize("c, lam", [(-1, -1), (-2, -2), (-2, -5)])
-    def test_linear4f3_lower_zero_after_the_last_term(self, c, lam):
-        # c = -n ends the series at k = n; lam <= -n zeroes (lam)_k only
-        # from k = n + 1 on, past the last term
-        report = linear4f3_check(F(5, 2), c, F(1, 4), lam, precision=40)
-        assert report.ok and report.cases_run == 1, report.failures
 
     def test_linear4f3_zero_lambda_rejected(self):
         with pytest.raises(DegenerateLambda):
