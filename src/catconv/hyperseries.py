@@ -57,7 +57,6 @@ __all__ = [
     "TruncatedSeries",
     "pfq_truncate",
     "series_mul",
-    "series_add",
     "series_sub",
     "check_product_formula",
     "check_product_grid",
@@ -265,13 +264,6 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the smaller order."""
     return _view(_mul(_over_lcm(a), _over_lcm(b)))
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    order = min(a.order, b.order)
-    return TruncatedSeries(
-        order, tuple(a.coeffs[i] + b.coeffs[i] for i in range(order + 1))
-    )
 
 
 def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:

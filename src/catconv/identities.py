@@ -5,17 +5,21 @@ side, summed term by term with no reference to any closed form) with a
 closed form (the right side, transcribed as stated).  Both are exact
 rationals, so verification is literal equality.
 
-Every closed form is a hypergeometric term, written as data: per parity
-of n, a table of factorials, binomials, Catalan numbers, Pochhammer
-symbols and linear factors whose arguments are affine in n, h = n // 2
-and the identity's parameters (``CLOSED_FORMS``).  One evaluator turns a
-table into an integer numerator and denominator and builds one
-``Fraction``.  The sums share nothing with it beyond ``math.comb`` and
-``catalan``.
+Everything the catalogue states about an identity is one
+:class:`Identity` record in ``IDENTITIES``: its parameters, its domain
+guards, its suite grid family and its closed form.  Every closed form
+is a hypergeometric term, written as data: per parity of n, a table of
+factorials, binomials, Catalan numbers, Pochhammer symbols and linear
+factors whose arguments are affine in n, h = n // 2 and the identity's
+parameters.  One evaluator turns a table into an integer numerator and
+denominator and builds one ``Fraction``.  The sums share nothing with it
+beyond ``math.comb`` and ``catalan``.
 
-The rational-valued sums run on integers: the summands are brought to
-one common denominator, added with alternating signs, and one
-``Fraction`` is built from the total.  Binomials come from
+The sums run on integers.  The integer-valued ones (thm-a..d and
+mikic-1/2) convolve a Catalan row ``catalan(j + lam)`` and a central
+row ``C(2j + 2lam, j + lam)``.  The rational-valued ones bring their
+summands to one common denominator, add them with alternating signs,
+and build one ``Fraction`` from the total.  Binomials come from
 ``math.comb``, and a rational parameter's rising factorials from an
 integer row with ``(x)_k = row[k] / q**k`` over one shared ``q``, whose
 powers cancel in the balanced quotients of the propositions.  Where the
@@ -37,10 +41,10 @@ reduction's.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
-recorded as flagged discrepancies (with both exact values).  Its
-corrected table (``CORRECTED_FORMS``) differs from the printed one in a
-single factor, the central binomial of the denominator, and is
-validated alongside.  Nothing is silently patched.
+recorded as flagged discrepancies (with both exact values).  The
+corrected table in its record differs from the printed one in a single
+factor, the central binomial of the denominator, and is validated
+alongside.  Nothing is silently patched.
 """
 
 from __future__ import annotations
@@ -67,7 +71,8 @@ R = TypeVar("R")
 __all__ = [
     "IdentityId",
     "IdentityParams",
-    "ARITY",
+    "Identity",
+    "IDENTITIES",
     "DomainError",
     "validate",
     "lhs_value",
@@ -84,10 +89,7 @@ __all__ = [
     "specialization_findings",
     "VALIDATED_SPECIALIZATIONS",
     "PRINTED_SPECIALIZATIONS",
-    "CLOSED_FORMS",
-    "CORRECTED_FORMS",
     "CHI_BEARING",
-    "INTEGER_VALUED",
 ]
 
 
@@ -110,35 +112,6 @@ class IdentityId(enum.Enum):
     COR_4 = "cor-4"
 
 
-# parameter names each identity reads, in reporting order
-ARITY: dict[IdentityId, tuple[str, ...]] = {
-    IdentityId.RECURRENCE: ("n",),
-    IdentityId.TOUCHARD: ("n",),
-    IdentityId.MIKIC1: ("n",),
-    IdentityId.MIKIC2: ("n",),
-    IdentityId.THM_A: ("n", "lam"),
-    IdentityId.THM_B: ("n", "lam"),
-    IdentityId.THM_C: ("n", "lam"),
-    IdentityId.THM_D: ("n", "lam"),
-    IdentityId.THM_E: ("n", "lam", "mu"),
-    IdentityId.PROP_A: ("n", "a", "c"),
-    IdentityId.PROP_B: ("n", "a", "c"),
-    IdentityId.PROP_C: ("n", "a", "c"),
-    IdentityId.COR_1: ("n", "lam"),
-    IdentityId.COR_2: ("n", "lam"),
-    IdentityId.COR_3: ("n", "lam"),
-    IdentityId.COR_4: ("n", "lam"),
-}
-
-# sums that take integer values on their whole valid domain
-INTEGER_VALUED = (
-    IdentityId.THM_A,
-    IdentityId.THM_B,
-    IdentityId.THM_C,
-    IdentityId.THM_D,
-)
-
-
 class DomainError(ValueError):
     """A parameter combination the identity's statement does not cover."""
 
@@ -158,47 +131,35 @@ class IdentityParams:
             object.__setattr__(self, "c", Fraction(self.c))
 
     def items_for(self, ident: IdentityId) -> tuple[tuple[str, object], ...]:
-        return tuple((name, getattr(self, name)) for name in ARITY[ident])
+        return tuple((k, getattr(self, k)) for k in IDENTITIES[ident].params)
 
 
-def _nonpos_int_hit(x: Fraction, span: int) -> bool:
-    # does x + j == 0 for some 0 <= j < span?
-    return x.denominator == 1 and 0 >= x.numerator > -span
+def _nonpos_int_hit(top: int, q: int, span: int) -> bool:
+    # does x + j == 0 for some 0 <= j < span, with x = top / q?
+    return top % q == 0 and 0 >= top // q > -span
 
 
 def validate(ident: IdentityId, p: IdentityParams) -> None:
-    """Raise DomainError when the statement does not cover the parameters."""
+    """Raise DomainError when the statement does not cover the parameters.
+
+    The point must carry every parameter the identity reads, n, lam and
+    mu must be nonnegative, and every stated guard ``(x)_span != 0`` of
+    its :class:`Identity` record must hold.
+    """
+    record = IDENTITIES[ident]
     if p.n < 0:
         raise DomainError("n must be nonnegative")
-    for name in ARITY[ident]:
-        if getattr(p, name) is None:
+    for name in record.params:
+        value = getattr(p, name)
+        if value is None:
             raise DomainError(f"{ident.value} requires parameter {name}")
-    for name in ("lam", "mu"):
-        if name in ARITY[ident] and getattr(p, name) < 0:
+        if name in ("lam", "mu") and value < 0:
             raise DomainError(f"{name} must be nonnegative")
-    n = p.n
-    if ident is IdentityId.THM_D:
-        # the stated right side contains lam!/(n)_lam, undefined at n=0
-        # for positive lam; n=0 is covered only at lam=0
-        if n == 0 and p.lam > 0:
-            raise DomainError("thm-d right side is undefined at n=0 with lam>0")
-    if ident is IdentityId.PROP_A:
-        if _nonpos_int_hit(p.c, n):
-            raise DomainError("prop-a requires (c)_k nonzero through k=n")
-    if ident is IdentityId.PROP_B:
-        if _nonpos_int_hit(2 * p.a, n):
-            raise DomainError("prop-b requires (2a)_k nonzero through k=n")
-        if _nonpos_int_hit(2 * p.c, n):
-            raise DomainError("prop-b requires (2c)_k nonzero through k=n")
-        if _nonpos_int_hit(p.a + p.c, n // 2):
-            raise DomainError("prop-b requires (a+c)_h nonzero")
-    if ident is IdentityId.PROP_C:
-        if _nonpos_int_hit(p.c, n):
-            raise DomainError("prop-c requires (c)_k nonzero through k=n")
-        if _nonpos_int_hit(p.c - 1, n + 1):
-            raise DomainError("prop-c requires (c-1)_k nonzero through k=n+1")
-    # cor-2 case branches divide by 1-n (even) and 2-n (odd); the points
-    # where those vanish have the opposite parity, so no guard is needed
+    q, ints, scaled = _values(p)
+    for x, span in record.guards:
+        top = _at(_affine(x), scaled)
+        if _nonpos_int_hit(top, q, _at(_affine(span), ints)):
+            raise DomainError(f"{ident.value} requires ({x})_({span}) nonzero")
 
 
 # --- left sides: brute-force sums -------------------------------------
@@ -216,73 +177,6 @@ def _lhs_touchard(p: IdentityParams) -> Fraction:
     return Fraction(total)
 
 
-def _lhs_mikic1(p: IdentityParams) -> Fraction:
-    n = p.n
-    total = 0
-    for k in range(n + 1):
-        term = binomial(n, k) * catalan(k) * catalan(n - k)
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
-def _lhs_mikic2(p: IdentityParams) -> Fraction:
-    n = p.n
-    total = 0
-    for k in range(n + 1):
-        term = binomial(n, k) * binomial(2 * n - 2 * k, n - k) * catalan(k)
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
-def _lhs_thm_a(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    total = 0
-    for k in range(n + 1):
-        term = binomial(n, k) * catalan(k + lam) * catalan(n - k + lam)
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
-def _lhs_thm_b(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    total = 0
-    for k in range(n + 1):
-        term = (
-            binomial(n, k)
-            * binomial(2 * (n - k) + 2 * lam, n - k + lam)
-            * catalan(k + lam)
-        )
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
-def _lhs_thm_c(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    total = 0
-    for k in range(n + 1):
-        term = (
-            binomial(n, k)
-            * binomial(2 * k + 2 * lam, k + lam)
-            * binomial(2 * (n - k) + 2 * lam, n - k + lam)
-        )
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
-def _lhs_thm_d(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    total = 0
-    for k in range(n + 1):
-        term = (
-            binomial(n, k)
-            * binomial(2 * k + 2 * lam, k + lam)
-            * binomial(2 * (n - k) + 2 * lam, n - k + lam)
-            * (n - k + lam)
-        )
-        total += -term if k % 2 else term
-    return Fraction(total)
-
-
 def _rising_rows(params: Sequence[Fraction], n: int) -> list[list[int]]:
     # integer rows with (x)_k = row[k] / q**k for every x, over one shared
     # q = lcm of the denominators, so a balanced quotient loses its q's
@@ -297,16 +191,9 @@ def _rising_rows(params: Sequence[Fraction], n: int) -> list[list[int]]:
     return rows
 
 
-def _alternating_sum(
-    nums: Sequence[int], dens: Sequence[int], scale: int = 1
-) -> Fraction:
-    # scale * sum_k (-1)^k nums[k] / dens[k], over one lcm
-    lcm = math.lcm(*dens)
-    total = 0
-    for k, (num, den) in enumerate(zip(nums, dens)):
-        term = num * (lcm // den)
-        total += -term if k % 2 else term
-    return Fraction(scale * total, lcm)
+def _catalan_row(n: int, lam: int) -> list[int]:
+    # catalan(j + lam) for j = 0 .. n
+    return [catalan(j + lam) for j in range(n + 1)]
 
 
 def _central_row(n: int, lam: int) -> list[int]:
@@ -333,7 +220,9 @@ def _thm_e_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(c * (den // d) for c, d in zip(central, dens))
 
 
-def _convolution(x: Sequence[int], y: Sequence[int], den: int) -> Fraction:
+def _convolution(
+    x: Sequence[int], y: Sequence[int], den: int = 1
+) -> Fraction:
     # sum_k (-1)^k binomial(n, k) x[k] y[n - k] / den, n = len(x) - 1
     n = len(x) - 1
     total = 0
@@ -341,6 +230,45 @@ def _convolution(x: Sequence[int], y: Sequence[int], den: int) -> Fraction:
         term = b * x[k] * y[n - k]
         total += -term if k % 2 else term
     return Fraction(total, den)
+
+
+def _alternating_sum(dens: Sequence[int], scale: int) -> Fraction:
+    # scale * sum_k (-1)^k binomial(n, k) / dens[k], n = len(dens) - 1,
+    # over one lcm
+    lcm = math.lcm(*dens)
+    total = 0
+    for k, b in enumerate(_pascal_row(len(dens) - 1)):
+        term = b * (lcm // dens[k])
+        total += -term if k % 2 else term
+    return Fraction(scale * total, lcm)
+
+
+def _lhs_mikic1(p: IdentityParams) -> Fraction:
+    row = _catalan_row(p.n, 0)
+    return _convolution(row, row)
+
+
+def _lhs_mikic2(p: IdentityParams) -> Fraction:
+    return _convolution(_catalan_row(p.n, 0), _central_row(p.n, 0))
+
+
+def _lhs_thm_a(p: IdentityParams) -> Fraction:
+    row = _catalan_row(p.n, p.lam)
+    return _convolution(row, row)
+
+
+def _lhs_thm_b(p: IdentityParams) -> Fraction:
+    return _convolution(_catalan_row(p.n, p.lam), _central_row(p.n, p.lam))
+
+
+def _lhs_thm_c(p: IdentityParams) -> Fraction:
+    row = _central_row(p.n, p.lam)
+    return _convolution(row, row)
+
+
+def _lhs_thm_d(p: IdentityParams) -> Fraction:
+    row = _central_row(p.n, p.lam)
+    return _convolution(row, [(j + p.lam) * c for j, c in enumerate(row)])
 
 
 def _lhs_thm_e(p: IdentityParams) -> Fraction:
@@ -379,19 +307,19 @@ def _lhs_prop_c(p: IdentityParams) -> Fraction:
 
 def _lhs_cor_1(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
+    row = _catalan_row(n, lam)
     return _alternating_sum(
-        [math.comb(n, k) for k in range(n + 1)],
-        [catalan(k + lam) * catalan(n - k + lam) for k in range(n + 1)],
+        [row[k] * row[n - k] for k in range(n + 1)],
         (n - 1) * (n - 3) * catalan(lam) ** 2,
     )
 
 
 def _lhs_cor_2(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
+    row = _catalan_row(n, lam)
     return _alternating_sum(
-        [math.comb(n, k) for k in range(n + 1)],
         [
-            math.comb(1 + 2 * k + 2 * lam, k + lam) * catalan(n - k + lam)
+            math.comb(1 + 2 * k + 2 * lam, k + lam) * row[n - k]
             for k in range(n + 1)
         ],
         n * math.comb(1 + 2 * lam, lam) * catalan(lam),
@@ -402,7 +330,6 @@ def _lhs_cor_3(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     central = _central_row(n, lam)
     return _alternating_sum(
-        [math.comb(n, k) for k in range(n + 1)],
         [central[k] * central[n - k] for k in range(n + 1)],
         (1 - n) * math.comb(2 * lam, lam) ** 2,
     )
@@ -412,7 +339,6 @@ def _lhs_cor_4(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     central = _central_row(n, lam)
     return _alternating_sum(
-        [math.comb(n, k) for k in range(n + 1)],
         [
             (1 + 2 * k + 2 * lam) * central[k] * central[n - k]
             for k in range(n + 1)
@@ -421,7 +347,7 @@ def _lhs_cor_4(p: IdentityParams) -> Fraction:
     )
 
 
-# --- right sides: closed forms as factor tables ------------------------
+# --- the catalogue: one record per identity ----------------------------
 #
 # Every right side is a hypergeometric term in n.  Per parity of n it is
 # a product of factors written "kind(args)", with "/" putting a factor in
@@ -443,8 +369,12 @@ _TERM = re.compile(r"([+-])(\d*)(n|h|lam|mu|a|c)?")
 Affine = tuple[tuple[int, int], ...]
 Factor = tuple[str, tuple[Affine, ...], int]
 Table = tuple[Factor, ...]
+Texts = tuple[str, str | None]
 
 
+# The parsers below keep one entry per distinct text: the catalogue's,
+# and any variant a caller builds with dataclasses.replace.
+@functools.cache
 def _affine(text: str) -> Affine:
     # "1+2lam-n" -> ((0, 1), (3, 2), (1, -1)): (index, coefficient) pairs
     # over the values (1, n, h, lam, mu, a, c), index 0 the constant
@@ -469,7 +399,8 @@ def _factor(token: str) -> Factor:
     return kind, tuple(_affine(arg) for arg in args.split(",")), exp
 
 
-def _tables(texts):
+@functools.cache
+def _tables(texts: Texts) -> tuple[Table, Table | None]:
     # (even, odd) factor strings -> (even, odd) factor tuples
     return tuple(
         None if text is None else tuple(_factor(t) for t in text.split())
@@ -477,6 +408,27 @@ def _tables(texts):
     )
 
 
+@dataclass(frozen=True)
+class Identity:
+    """What the catalogue states about one identity, as data.
+
+    ``params`` are the parameters it reads, in reporting order, and
+    ``family`` the prefix of the ``suite.SuiteSizes`` fields bounding its
+    suite grid.  ``printed`` is the closed form as catalogued, an (even n,
+    odd n) pair of factor texts, and ``corrected`` the variant the oracle
+    matches where the printed one is known wrong.  A guard ``(x, span)``
+    of affine texts states ``(x)_span != 0``.  Guards are stated, not read
+    off the tables, so a wrong zero denominator fails, not skips.
+    """
+
+    params: tuple[str, ...]
+    family: str
+    printed: Texts
+    guards: tuple[tuple[str, str], ...] = ()
+    corrected: Texts | None = None
+
+
+_N_LAM = ("n", "lam")
 _THM_D = (
     "fact(lam) binom(n,h) binom(2lam,lam) binom(2lam+n,lam+h) /poch(n,lam)"
     " /lin(2) /lin(lam+n)"
@@ -484,87 +436,98 @@ _THM_D = (
 _PROP_C = (
     "fact(n) /poch(c-1,n+1) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h) /lin(2)"
 )
-_COR_2 = (
-    "lin(1+n+2lam) catalan(lam) binom(1+2lam,lam) binom(n,h)"
-    " /binom(lam+n+1,n) /binom(2lam+2n,lam+n) /binom(1+2lam+n,lam+h)"
-)
-_COR_4 = (
-    "lin(1+2lam) binom(2lam,lam)^2 binom(n,h)"
+_COR_3 = (
+    "binom(2lam,lam)^2 binom(n,h)"
     " /binom(lam+n,n) /binom(2lam+2n,lam+n) /binom(2lam+n,lam+h)"
 )
+_COR_4 = "lin(1+2lam) " + _COR_3
 
-# the closed forms as catalogued: (even n, odd n)
-_PRINTED: dict[IdentityId, tuple[str, str | None]] = {
-    IdentityId.RECURRENCE: ("catalan(n+1)",) * 2,
-    IdentityId.TOUCHARD: ("catalan(n+1)",) * 2,
-    IdentityId.MIKIC1: ("lin(2) binom(n,h)^2 /lin(n+2)", None),
-    IdentityId.MIKIC2: ("binom(n,h)^2",) * 2,
-    IdentityId.THM_A: (
+
+def _cor_2(central: str) -> Texts:
+    # cor-2 with the central binomial's row index as given; the case
+    # branches divide by 1-n (even n) and 2-n (odd n), which vanish only
+    # at the other parity, so the statement needs no guard
+    shell = (
+        "lin(1+n+2lam) catalan(lam) binom(1+2lam,lam) binom(n,h)"
+        f" /binom(lam+n+1,n) /binom({central},lam+n) /binom(1+2lam+n,lam+h)"
+    )
+    return shell + " lin(n) /lin(1-n)", shell + " lin(1+n) /lin(2-n)"
+
+
+IDENTITIES: dict[IdentityId, Identity] = {
+    IdentityId.RECURRENCE: Identity(("n",), "mikic", ("catalan(n+1)",) * 2),
+    IdentityId.TOUCHARD: Identity(("n",), "mikic", ("catalan(n+1)",) * 2),
+    IdentityId.MIKIC1: Identity(
+        ("n",), "mikic", ("lin(2) binom(n,h)^2 /lin(n+2)", None)
+    ),
+    IdentityId.MIKIC2: Identity(("n",), "mikic", ("binom(n,h)^2",) * 2),
+    IdentityId.THM_A: Identity(_N_LAM, "thm", (
         "fact(lam) binom(2lam,lam) binom(n,h) catalan(lam+h) /poch(2+n,lam)",
         None,
-    ),
-    IdentityId.THM_B: (
+    )),
+    IdentityId.THM_B: Identity(_N_LAM, "thm", (
         "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
         " /poch(2+n,lam)",
-    ) * 2,
-    IdentityId.THM_C: (
+    ) * 2),
+    IdentityId.THM_C: Identity(_N_LAM, "thm", (
         "fact(lam) binom(2lam,lam) binom(n,h) binom(2lam+n,lam+h)"
         " /poch(1+n,lam)",
         None,
+    )),
+    # lam!/(n)_lam is undefined at n = 0 for positive lam
+    IdentityId.THM_D: Identity(
+        _N_LAM,
+        "thm",
+        (_THM_D + " lin(n) lin(2lam+n)", _THM_D + " lin(n+1) lin(2lam+n+1)"),
+        guards=(("n", "lam"),),
     ),
-    IdentityId.THM_D: (
-        _THM_D + " lin(n) lin(2lam+n)",
-        _THM_D + " lin(n+1) lin(2lam+n+1)",
-    ),
-    IdentityId.THM_E: (
+    IdentityId.THM_E: Identity(("n", "lam", "mu"), "thm", (
         "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
         None,
+    )),
+    IdentityId.PROP_A: Identity(
+        ("n", "a", "c"),
+        "prop",
+        ("fact(n) /poch(c,n) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h)", None),
+        guards=(("c", "n"),),
     ),
-    IdentityId.PROP_A: (
-        "fact(n) /poch(c,n) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h)",
-        None,
+    IdentityId.PROP_B: Identity(
+        ("n", "a", "c"),
+        "prop",
+        (
+            "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
+            " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
+            None,
+        ),
+        guards=(("2a", "n"), ("2c", "n"), ("a+c", "h")),
     ),
-    IdentityId.PROP_B: (
-        "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
-        " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
-        None,
+    # (c-1)_(n+1) != 0 also keeps (c)_n and (c)_h clear of zero
+    IdentityId.PROP_C: Identity(
+        ("n", "a", "c"),
+        "prop",
+        (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
+        guards=(("c-1", "n+1"),),
     ),
-    IdentityId.PROP_C: (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
-    IdentityId.COR_1: (
+    IdentityId.COR_1: Identity(_N_LAM, "cor", (
         "lin(3) catalan(lam) binom(2lam,lam) binom(n,h)"
         " /catalan(lam+h) /binom(lam+n,lam) /binom(2lam+2n,lam+n)",
         None,
+    )),
+    # cor-2 disagrees with its sum as catalogued; it agrees everywhere
+    # once the central binomial's row index is raised by one
+    IdentityId.COR_2: Identity(
+        _N_LAM, "cor", _cor_2("2lam+2n"), corrected=_cor_2("1+2lam+2n")
     ),
-    IdentityId.COR_2: (
-        _COR_2 + " lin(n) /lin(1-n)",
-        _COR_2 + " lin(1+n) /lin(2-n)",
-    ),
-    IdentityId.COR_3: (
-        "binom(2lam,lam)^2 binom(n,h)"
-        " /binom(lam+n,n) /binom(2lam+2n,lam+n) /binom(2lam+n,lam+h)",
-        None,
-    ),
-    IdentityId.COR_4: (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)"),
-}
-
-CLOSED_FORMS: dict[IdentityId, tuple[Table, Table | None]] = {
-    ident: _tables(texts) for ident, texts in _PRINTED.items()
-}
-
-# closed forms with a documented mismatch against the oracle, mapped to
-# their corrected tables: cor-2 agrees with its sum everywhere once the
-# central binomial's row index is raised by one
-CORRECTED_FORMS = {
-    IdentityId.COR_2: _tables(
-        text.replace("/binom(2lam+2n,", "/binom(1+2lam+2n,")
-        for text in _PRINTED[IdentityId.COR_2]
+    IdentityId.COR_3: Identity(_N_LAM, "cor", (_COR_3, None)),
+    IdentityId.COR_4: Identity(
+        _N_LAM, "cor", (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)")
     ),
 }
 
 # identities whose right side carries the even-index indicator; their sums
 # vanish identically for odd n
 CHI_BEARING = tuple(
-    ident for ident in IdentityId if CLOSED_FORMS[ident][1] is None
+    ident for ident, record in IDENTITIES.items() if record.printed[1] is None
 )
 
 
@@ -575,21 +538,24 @@ def _at(arg: Affine, values: tuple) -> int:
     return total
 
 
-def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
-    # One integer numerator and denominator, and one Fraction at the end.
-    # Rational a and c are scaled by the lcm q of their denominators, so
-    # lin(x) is (q x) / q and poch(x, k) is q**k (x)_k / q**k.
+def _values(p: IdentityParams) -> tuple[int, tuple, tuple]:
+    # (q, ints, scaled): (1, n, h, lam, mu) for integer arguments, and the
+    # values times q, the lcm of a's and c's denominators, for rational ones
     n = p.n
     ints = (1, n, n // 2, p.lam, p.mu)
-    q, scaled = 1, ints
-    if p.a is not None:
-        a, c = p.a, p.c
-        q = math.lcm(a.denominator, c.denominator)
-        scaled = (
-            q, n * q, n // 2 * q, None, None,
-            a.numerator * (q // a.denominator),
-            c.numerator * (q // c.denominator),
-        )
+    if p.a is None or p.c is None:
+        return 1, ints, ints
+    a, c = p.a, p.c
+    q = math.lcm(a.denominator, c.denominator)
+    a_q = a.numerator * (q // a.denominator)
+    c_q = c.numerator * (q // c.denominator)
+    return q, ints, (q, n * q, n // 2 * q, None, None, a_q, c_q)
+
+
+def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
+    # One integer numerator and denominator, and one Fraction at the end:
+    # lin(x) is (q x) / q and poch(x, k) is q**k (x)_k / q**k.
+    q, ints, scaled = _values(p)
     num = den = 1
     for kind, args, exp in factors:
         scale = 1
@@ -612,17 +578,20 @@ def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
 
 
 def closed_form(
-    ident: IdentityId, p: IdentityParams, forms=CLOSED_FORMS
+    ident: IdentityId, p: IdentityParams, corrected: bool = False
 ) -> Fraction:
-    """``ident``'s right side at ``p``, from its factor table in ``forms``.
+    """``ident``'s right side at ``p``, from its record's factor table.
 
-    Exact.  ``p`` is not validated; :func:`rhs_value` does that.
+    The printed table, or with ``corrected`` the corrected one.  Exact.
+    ``p`` is not validated; :func:`rhs_value` does that.
     """
     if ident is IdentityId.THM_D and p.n == p.lam == 0:
         # both case branches carry n / (lam + n), which is 0/0 here; the
         # sum is 0 by inspection
         return Fraction(0)
-    factors = forms[ident][p.n % 2]
+    record = IDENTITIES[ident]
+    texts = record.corrected if corrected else record.printed
+    factors = _tables(texts)[p.n % 2]
     return Fraction(0) if factors is None else _evaluate(factors, p)
 
 
@@ -677,8 +646,8 @@ def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
         report.record_pass()
         return report
     params = p.items_for(ident)
-    if ident in CORRECTED_FORMS and lhs == closed_form(
-        ident, p, CORRECTED_FORMS
+    if IDENTITIES[ident].corrected and lhs == closed_form(
+        ident, p, corrected=True
     ):
         report.record_flagged(
             CaseRecord(
@@ -710,7 +679,7 @@ def case_points(
     n is the outermost axis, then lam and mu, or a and c.  A missing
     range raises at once, not on iteration.
     """
-    names = ARITY[ident]
+    names = IDENTITIES[ident].params
     ns = range(n_range[0], n_range[1] + 1)
     if "a" in names:
         base = tuple(Fraction(g) for g in (rational_grid or DEFAULT_RATIONAL_GRID))
@@ -972,7 +941,7 @@ def specialization_check(
     rule = VALIDATED_SPECIALIZATIONS[theorem]
     start = time.perf_counter()
     report = VerificationReport(name=f"{theorem.value}-specialization")
-    mus = range(mu_max + 1) if "mu" in ARITY[theorem] else (None,)
+    mus = range(mu_max + 1) if "mu" in IDENTITIES[theorem].params else (None,)
     for lam in range(rule.lam_min, lam_max + 1):
         for mu in mus:
             a, c = (_parse_substitution(t, lam, mu) for t in rule.substitution)
@@ -1038,7 +1007,7 @@ def specialization_findings() -> VerificationReport:
                 "theorem exactly"
             )
             if any(
-                "mu" in text and "mu" not in ARITY[theorem]
+                "mu" in text and "mu" not in IDENTITIES[theorem].params
                 for text in printed
             ):
                 note += (
@@ -1075,10 +1044,11 @@ def _specialization_witness(
     printed: tuple[str, str],
 ):
     # find a small point where the stated substitution visibly fails
+    has_mu = "mu" in IDENTITIES[theorem].params
     for n in (2, 4, 6):
         for lam in range(rule.lam_min, 4):
-            for mu in range(0, 4) if "mu" in ARITY[theorem] else (0,):
-                mu_val = mu if "mu" in ARITY[theorem] else None
+            for mu in range(0, 4) if has_mu else (0,):
+                mu_val = mu if has_mu else None
                 thm_p = IdentityParams(n=n, lam=lam, mu=mu_val)
                 a, c = (_parse_substitution(t, lam, mu) for t in printed)
                 prop_p = IdentityParams(n=n, a=a, c=c)

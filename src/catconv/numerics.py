@@ -96,10 +96,6 @@ def _require_precision(precision: int) -> None:
         raise ValueError(f"precision must be at least {MIN_PRECISION} digits")
 
 
-def _as_fraction(x: RationalLike) -> Fraction:
-    return Fraction(x)
-
-
 def _to_mpf(x: Fraction):
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
@@ -134,7 +130,7 @@ def _signed_log_gamma(x: Fraction):
 def log_gamma(x: RationalLike, precision: int = 40):
     """log Gamma(x) for x > 0 at the stated precision."""
     _require_precision(precision)
-    x = _as_fraction(x)
+    x = Fraction(x)
     if x <= 0:
         raise ValueError("log_gamma requires a positive argument")
     with mp.workdps(precision + _GUARD):
@@ -422,7 +418,7 @@ def dixon_check(
     the four-over-four Gamma quotient to 10^-(precision/2).
     """
     _require_precision(precision)
-    a, c, e = map(_as_fraction, (a, c, e))
+    a, c, e = map(Fraction, (a, c, e))
 
     def closed_form():
         return gamma_quotient(
@@ -456,7 +452,7 @@ def dminus_check(
     sum; nonterminating ones need margin a/2 - c - e >= 1/2.
     """
     _require_precision(precision)
-    a, c, e = map(_as_fraction, (a, c, e))
+    a, c, e = map(Fraction, (a, c, e))
     half = Fraction(1, 2)
 
     def closed_form():
@@ -507,7 +503,7 @@ def linear4f3_check(
     and lam off the nonpositive integers.
     """
     _require_precision(precision)
-    a, c, e, lam = map(_as_fraction, (a, c, e, lam))
+    a, c, e, lam = map(Fraction, (a, c, e, lam))
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
     half = Fraction(1, 2)
@@ -604,8 +600,8 @@ def jacobi_rule(
     and the weights sum to Beta(beta+1, alpha+1).
     """
     _require_precision(precision)
-    alpha = _as_fraction(alpha)
-    beta = _as_fraction(beta)
+    alpha = Fraction(alpha)
+    beta = Fraction(beta)
     if alpha <= -1 or beta <= -1:
         raise ValueError("weight exponents must exceed -1")
     if m < 1:

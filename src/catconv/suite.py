@@ -19,8 +19,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 from . import hyperseries, numerics
 from .identities import (
-    ARITY,
     CHI_BEARING,
+    IDENTITIES,
     IdentityId,
     IdentityParams,
     DomainError,
@@ -193,31 +193,32 @@ def _finish(
 def _suite_grid(
     ident: IdentityId, sizes: SuiteSizes
 ) -> tuple[tuple[int, int], tuple[int, int] | None, tuple[int, int] | None]:
-    """The ``(n, lam, mu)`` ranges the suite checks ``ident`` on."""
-    names = ARITY[ident]
-    if names == ("n",):
-        return (0, sizes.mikic_n), None, None
-    if "a" in names:
-        return (0, sizes.prop_n), None, None
-    if ident.name.startswith("COR"):
-        return (0, sizes.cor_n), (0, sizes.cor_lam), None
-    mu_range = (0, sizes.thm_mu) if "mu" in names else None
-    return (0, sizes.thm_n), (0, sizes.thm_lam), mu_range
+    """The ``(n, lam, mu)`` ranges the suite checks ``ident`` on: from 0
+    to its family's size field, such as ``thm_lam``, or None if unread."""
+    record = IDENTITIES[ident]
+    return tuple(
+        (0, getattr(sizes, f"{record.family}_{name}"))
+        if name in record.params
+        else None
+        for name in ("n", "lam", "mu")
+    )
+
+
+def _verify_family(
+    family: str, sizes: SuiteSizes, jobs: int
+) -> list[VerificationReport]:
+    """One suite-grid report per identity of ``family``, in catalogue order."""
+    return [
+        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
+        for ident, record in IDENTITIES.items()
+        if record.family == family
+    ]
 
 
 def criterion_theorems(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 1: the five convolution theorems, exact, full grid."""
     start = time.perf_counter()
-    reports = [
-        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
-        for ident in (
-            IdentityId.THM_A,
-            IdentityId.THM_B,
-            IdentityId.THM_C,
-            IdentityId.THM_D,
-            IdentityId.THM_E,
-        )
-    ]
+    reports = _verify_family("thm", sizes, jobs)
     return _finish(1, "alternating convolution theorems", reports, start)
 
 
@@ -262,11 +263,9 @@ def criterion_mikic(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 3: rational-parameter propositions over the default grid."""
     start = time.perf_counter()
-    reports = []
+    reports = _verify_family("prop", sizes, jobs)
     counts = []
-    for ident in (IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C):
-        grid = _suite_grid(ident, sizes)
-        reports.append(verify_grid(ident, *grid, jobs=jobs))
+    for ident in map(IdentityId, (r.name for r in reports)):
         admissible = 0
         for p in case_points(ident, (sizes.prop_n, sizes.prop_n)):
             try:
@@ -294,15 +293,7 @@ def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 def criterion_cors(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 4: reciprocal corollaries; documented mismatches flag."""
     start = time.perf_counter()
-    reports = [
-        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
-        for ident in (
-            IdentityId.COR_1,
-            IdentityId.COR_2,
-            IdentityId.COR_3,
-            IdentityId.COR_4,
-        )
-    ]
+    reports = _verify_family("cor", sizes, jobs)
     flagged = sum(len(r.flagged) for r in reports)
     details = f"{flagged} flagged closed-form discrepancies"
     return _finish(

@@ -3,9 +3,11 @@
 These are the term-by-term ``fractions.Fraction`` loops that
 ``catconv.hyperseries``, ``catconv.exactnum`` and the brute-force sums of
 ``catconv.identities`` used before they moved to integer rows, the
-``Fraction`` comparisons of the 4F3 block before it compared integer
-pairs, and the hand-written closed forms that the identities' factor
-tables replaced.
+per-term integer loops of the integer-valued sums before they became
+row convolutions, the ``Fraction`` comparisons of the 4F3 block before it
+compared integer pairs, the hand-written closed forms that the
+identities' factor tables replaced, and the per-identity domain checks
+that the records' stated guards replaced.
 They are kept only as oracles for the differential tests: every
 operation reduces by a gcd, which makes them slow but easy to read.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 from catconv import exactnum
 from catconv.exactnum import ZeroLowerPochhammer, binomial, catalan
 from catconv.hyperseries import ARG_MINUS, ARG_SQUARED, TruncatedSeries
-from catconv.identities import IdentityId
+from catconv.identities import DomainError, IdentityId
 from catconv.report import CaseRecord, VerificationReport
 
 
@@ -182,7 +184,127 @@ def poch_quotient(uppers, lowers, n):
     return num / den
 
 
+# --- identities: domain checks ------------------------------------------
+
+ARITY = {
+    IdentityId.RECURRENCE: ("n",),
+    IdentityId.TOUCHARD: ("n",),
+    IdentityId.MIKIC1: ("n",),
+    IdentityId.MIKIC2: ("n",),
+    IdentityId.THM_A: ("n", "lam"),
+    IdentityId.THM_B: ("n", "lam"),
+    IdentityId.THM_C: ("n", "lam"),
+    IdentityId.THM_D: ("n", "lam"),
+    IdentityId.THM_E: ("n", "lam", "mu"),
+    IdentityId.PROP_A: ("n", "a", "c"),
+    IdentityId.PROP_B: ("n", "a", "c"),
+    IdentityId.PROP_C: ("n", "a", "c"),
+    IdentityId.COR_1: ("n", "lam"),
+    IdentityId.COR_2: ("n", "lam"),
+    IdentityId.COR_3: ("n", "lam"),
+    IdentityId.COR_4: ("n", "lam"),
+}
+
+
+def _nonpos_int_hit(x, span):
+    # does x + j == 0 for some 0 <= j < span?
+    return x.denominator == 1 and 0 >= x.numerator > -span
+
+
+def validate(ident, p):
+    # the hand-written branches, prop-c's (c)_n check included
+    if p.n < 0:
+        raise DomainError("n must be nonnegative")
+    for name in ARITY[ident]:
+        if getattr(p, name) is None:
+            raise DomainError(f"{ident.value} requires parameter {name}")
+    for name in ("lam", "mu"):
+        if name in ARITY[ident] and getattr(p, name) < 0:
+            raise DomainError(f"{name} must be nonnegative")
+    n = p.n
+    if ident is IdentityId.THM_D:
+        # lam!/(n)_lam is undefined at n=0 for positive lam
+        if n == 0 and p.lam > 0:
+            raise DomainError("thm-d right side is undefined at n=0 with lam>0")
+    if ident is IdentityId.PROP_A:
+        if _nonpos_int_hit(p.c, n):
+            raise DomainError("prop-a requires (c)_k nonzero through k=n")
+    if ident is IdentityId.PROP_B:
+        if _nonpos_int_hit(2 * p.a, n):
+            raise DomainError("prop-b requires (2a)_k nonzero through k=n")
+        if _nonpos_int_hit(2 * p.c, n):
+            raise DomainError("prop-b requires (2c)_k nonzero through k=n")
+        if _nonpos_int_hit(p.a + p.c, n // 2):
+            raise DomainError("prop-b requires (a+c)_h nonzero")
+    if ident is IdentityId.PROP_C:
+        if _nonpos_int_hit(p.c, n):
+            raise DomainError("prop-c requires (c)_k nonzero through k=n")
+        if _nonpos_int_hit(p.c - 1, n + 1):
+            raise DomainError("prop-c requires (c-1)_k nonzero through k=n+1")
+
+
 # --- identities: brute-force left sides ---------------------------------
+
+def _alternating(terms):
+    total = 0
+    for k, term in enumerate(terms):
+        total += -term if k % 2 else term
+    return Fraction(total)
+
+
+def lhs_mikic1(p):
+    n = p.n
+    return _alternating(
+        binomial(n, k) * catalan(k) * catalan(n - k) for k in range(n + 1)
+    )
+
+
+def lhs_mikic2(p):
+    n = p.n
+    return _alternating(
+        binomial(n, k) * binomial(2 * n - 2 * k, n - k) * catalan(k)
+        for k in range(n + 1)
+    )
+
+
+def lhs_thm_a(p):
+    n, lam = p.n, p.lam
+    return _alternating(
+        binomial(n, k) * catalan(k + lam) * catalan(n - k + lam)
+        for k in range(n + 1)
+    )
+
+
+def lhs_thm_b(p):
+    n, lam = p.n, p.lam
+    return _alternating(
+        binomial(n, k)
+        * binomial(2 * (n - k) + 2 * lam, n - k + lam)
+        * catalan(k + lam)
+        for k in range(n + 1)
+    )
+
+
+def lhs_thm_c(p):
+    n, lam = p.n, p.lam
+    return _alternating(
+        binomial(n, k)
+        * binomial(2 * k + 2 * lam, k + lam)
+        * binomial(2 * (n - k) + 2 * lam, n - k + lam)
+        for k in range(n + 1)
+    )
+
+
+def lhs_thm_d(p):
+    n, lam = p.n, p.lam
+    return _alternating(
+        binomial(n, k)
+        * binomial(2 * k + 2 * lam, k + lam)
+        * binomial(2 * (n - k) + 2 * lam, n - k + lam)
+        * (n - k + lam)
+        for k in range(n + 1)
+    )
+
 
 def lhs_thm_e(p):
     n, lam, mu = p.n, p.lam, p.mu

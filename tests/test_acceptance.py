@@ -19,8 +19,7 @@ from pathlib import Path
 import reference_kernels as ref
 
 from catconv.identities import (
-    ARITY,
-    CORRECTED_FORMS,
+    IDENTITIES,
     DomainError,
     IdentityId,
     case_points,
@@ -214,7 +213,7 @@ def test_closed_forms_match_the_hand_written_reference():
     checked = 0
     for ident in IdentityId:
         points = case_points(ident, *_suite_grid(ident, FULL_SIZES))
-        if "a" in ARITY[ident]:
+        if "a" in IDENTITIES[ident].params:
             points = itertools.chain(
                 points,
                 case_points(
@@ -230,8 +229,8 @@ def test_closed_forms_match_the_hand_written_reference():
             assert type(value) is Fraction
             assert value == ref.RHS[ident](p), (ident, p)
             checked += 1
-            if ident in CORRECTED_FORMS:
-                corrected = closed_form(ident, p, CORRECTED_FORMS)
+            if IDENTITIES[ident].corrected:
+                corrected = closed_form(ident, p, corrected=True)
                 assert corrected == ref.rhs_cor_2_corrected(p), p
                 checked += 1
     assert checked == 40432

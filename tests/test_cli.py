@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,11 @@ from catconv.cli import (
     main,
 )
 from catconv.identities import usable_workers
+
+# sha256 of `catconv all --quick --format json --no-timing --jobs 1` stdout
+QUICK_SUITE_SHA256 = (
+    "08607fa8f273bfb06c0849850af7a5884c704398e75012ef8fe34452e98dd8c6"
+)
 
 
 def run_cli(capsys, *argv):
@@ -218,6 +224,10 @@ class TestDeterminism:
         # the config echoes the --jobs asked for; every other byte agrees
         assert serial.count(b'"jobs": 1,') == 1
         assert serial.replace(b'"jobs": 1,', b'"jobs": 2,') == pooled
+        # the refactor gate: a change that keeps every verdict, case count,
+        # skip and witness keeps this digest; one that means to move them
+        # states the new digest here
+        assert hashlib.sha256(serial).hexdigest() == QUICK_SUITE_SHA256
 
     def test_no_timing_strips_elapsed_keys(self, capsys):
         _, payload = run_json(capsys, *self.ARGS)

@@ -1,5 +1,7 @@
 """Catalog of convolution identities: oracle sums vs closed forms."""
 
+import dataclasses
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,11 +11,8 @@ from hypothesis import strategies as st
 from catconv import identities, suite
 from catconv.exactnum import binomial, catalan, pochhammer
 from catconv.identities import (
-    ARITY,
     CHI_BEARING,
-    CLOSED_FORMS,
-    CORRECTED_FORMS,
-    INTEGER_VALUED,
+    IDENTITIES,
     DomainError,
     IdentityId,
     IdentityParams,
@@ -34,6 +33,14 @@ from catconv.identities import (
 import reference_kernels as ref
 
 F = Fraction
+
+# sums that take integer values on their whole valid domain
+INTEGER_VALUED = (
+    IdentityId.THM_A,
+    IdentityId.THM_B,
+    IdentityId.THM_C,
+    IdentityId.THM_D,
+)
 
 
 class TestKnownValues:
@@ -239,9 +246,9 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("ident", CHI_BEARING)
     def test_odd_index_sums_vanish(self, ident):
         for n in (1, 3, 5, 7, 9):
-            if ARITY[ident] == ("n", "lam"):
+            if IDENTITIES[ident].params == ("n", "lam"):
                 points = [IdentityParams(n=n, lam=l) for l in range(5)]
-            elif ARITY[ident] == ("n", "lam", "mu"):
+            elif IDENTITIES[ident].params == ("n", "lam", "mu"):
                 points = [
                     IdentityParams(n=n, lam=l, mu=m)
                     for l in range(3) for m in range(3)
@@ -276,16 +283,17 @@ class TestStructuralInvariants:
         assert report.cases_run == 41 * 13 * 4
 
     def test_arity_covers_every_identity(self):
-        assert set(ARITY) == set(IdentityId)
-        assert list(CLOSED_FORMS) == list(IdentityId)
+        assert list(IDENTITIES) == list(IdentityId)
 
 
 def swap_factor(monkeypatch, ident, old, new):
     # replace one factor of an identity's closed form at even n
-    even, odd = CLOSED_FORMS[ident]
-    even = list(even)
-    even[even.index(identities._factor(old))] = identities._factor(new)
-    monkeypatch.setitem(CLOSED_FORMS, ident, (tuple(even), odd))
+    record = IDENTITIES[ident]
+    even, odd = record.printed
+    factors = even.split()
+    factors[factors.index(old)] = new
+    swapped = dataclasses.replace(record, printed=(" ".join(factors), odd))
+    monkeypatch.setitem(IDENTITIES, ident, swapped)
 
 
 class TestSeededFaults:
@@ -334,9 +342,9 @@ class TestFactorTables:
     }
 
     def tables(self):
-        for forms in (CLOSED_FORMS, CORRECTED_FORMS):
-            for ident, pair in forms.items():
-                for table in pair:
+        for ident, record in IDENTITIES.items():
+            for texts in (record.printed, record.corrected):
+                for table in identities._tables(texts) if texts else ():
                     if table is not None:
                         yield ident, table
 
@@ -344,7 +352,7 @@ class TestFactorTables:
         # a table that names mu where it means lam, or a where it means
         # c in an integer slot, reads a parameter the point does not carry
         for ident, table in self.tables():
-            allowed = {"n", "h"} | set(ARITY[ident])
+            allowed = {"n", "h"} | set(IDENTITIES[ident].params)
             for kind, args, exp in table:
                 assert len(args) == (2 if kind in ("binom", "poch") else 1)
                 assert exp != 0
@@ -361,9 +369,13 @@ class TestFactorTables:
     def test_corrected_cor_2_differs_in_one_factor(self):
         central = identities._factor("/binom(2lam+2n,lam+n)")
         raised = identities._factor("/binom(1+2lam+2n,lam+n)")
-        assert list(CORRECTED_FORMS) == [IdentityId.COR_2]
+        assert [
+            ident for ident, record in IDENTITIES.items() if record.corrected
+        ] == [IdentityId.COR_2]
+        record = IDENTITIES[IdentityId.COR_2]
         for printed, corrected in zip(
-            CLOSED_FORMS[IdentityId.COR_2], CORRECTED_FORMS[IdentityId.COR_2]
+            identities._tables(record.printed),
+            identities._tables(record.corrected),
         ):
             assert len(printed) == len(corrected)
             assert [
@@ -380,7 +392,7 @@ class TestFactorTables:
 
 
 def corrected_cor_2(p):
-    return closed_form(IdentityId.COR_2, p, CORRECTED_FORMS)
+    return closed_form(IdentityId.COR_2, p, corrected=True)
 
 
 class TestCor2Discrepancy:
@@ -510,6 +522,12 @@ orders = st.one_of(st.just(0), st.integers(0, 30))
 shifts = st.integers(0, 12)
 
 REFERENCE_SUMS = {
+    IdentityId.MIKIC1: ref.lhs_mikic1,
+    IdentityId.MIKIC2: ref.lhs_mikic2,
+    IdentityId.THM_A: ref.lhs_thm_a,
+    IdentityId.THM_B: ref.lhs_thm_b,
+    IdentityId.THM_C: ref.lhs_thm_c,
+    IdentityId.THM_D: ref.lhs_thm_d,
     IdentityId.THM_E: ref.lhs_thm_e,
     IdentityId.PROP_A: ref.lhs_prop_a,
     IdentityId.PROP_B: ref.lhs_prop_b,
@@ -568,6 +586,85 @@ class TestSumsAgainstReference:
     @example(IdentityId.COR_1, 3, 2)
     def test_corollaries(self, ident, n, lam):
         agrees_with_reference(ident, IdentityParams(n=n, lam=lam))
+
+
+def admitted(check, ident, p):
+    try:
+        check(ident, p)
+    except DomainError:
+        return False
+    return True
+
+
+# nonpositive integers, half-integers of both signs and two thirds: the
+# a and c values at which the stated guards bite
+EDGE_VALUES = sorted({F(k, 2) for k in range(-13, 6)} | {F(-5, 3), F(1, 3)})
+
+
+def edge_points(ident, n_max):
+    # n, lam and mu from -1, so the sign checks are compared too
+    names = IDENTITIES[ident].params
+    ns = range(-1, n_max + 1)
+    if "a" in names:
+        return [
+            IdentityParams(n=n, a=a, c=c)
+            for n, a, c in itertools.product(ns, EDGE_VALUES, EDGE_VALUES)
+        ]
+    shifts = range(-1, 5)
+    lams = shifts if "lam" in names else (None,)
+    mus = shifts if "mu" in names else (None,)
+    return [
+        IdentityParams(n=n, lam=lam, mu=mu)
+        for n, lam, mu in itertools.product(ns, lams, mus)
+    ]
+
+
+class TestAgainstHandWrittenReference:
+    """The records' guards and the row sums against the hand-written
+    validate branches and per-term loops they replaced."""
+
+    @pytest.mark.parametrize("ident", list(IdentityId))
+    def test_guards_admit_what_the_branches_admitted(self, ident):
+        points = edge_points(ident, 12)
+        verdicts = [admitted(validate, ident, p) for p in points]
+        assert verdicts == [admitted(ref.validate, ident, p) for p in points]
+        # a guard must bite somewhere a sign check does not
+        in_sign = [
+            ok for p, ok in zip(points, verdicts)
+            if p.n >= 0 and min(p.lam or 0, p.mu or 0) >= 0
+        ]
+        assert all(in_sign) == (not IDENTITIES[ident].guards), ident
+
+    @pytest.mark.parametrize(
+        "ident, n_max, lam_max",
+        [
+            (IdentityId.MIKIC1, 60, None),
+            (IdentityId.MIKIC2, 60, None),
+            (IdentityId.THM_A, 30, 8),
+            (IdentityId.THM_B, 30, 8),
+            (IdentityId.THM_C, 30, 8),
+            (IdentityId.THM_D, 30, 8),
+        ],
+    )
+    def test_row_sums_match_per_term_loops(self, ident, n_max, lam_max):
+        lams = range(lam_max + 1) if lam_max is not None else (None,)
+        for n, lam in itertools.product(range(n_max + 1), lams):
+            p = IdentityParams(n=n, lam=lam)
+            if admitted(validate, ident, p):
+                value = lhs_value(ident, p)
+                assert type(value) is Fraction
+                assert value == REFERENCE_SUMS[ident](p), p
+
+    @pytest.mark.parametrize(
+        "ident", [IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C]
+    )
+    def test_proposition_sums_on_the_edge_grid(self, ident):
+        checked = 0
+        for p in edge_points(ident, 6):
+            if admitted(validate, ident, p):
+                assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), p
+                checked += 1
+        assert checked > 0
 
 
 class TestRowCaches:
