@@ -4,8 +4,8 @@ identities for Catalan numbers and binomial coefficients.
 The package pairs brute-force summation oracles with closed forms over
 exact rationals (`identities`), certifies confluent hypergeometric
 product formulae coefficient-by-coefficient (`hyperseries`), and checks
-Gamma-quotient evaluations and double-integral representations at
-arbitrary precision (`numerics`).  `suite` bundles the acceptance
+Gamma-quotient evaluations at arbitrary precision and double-integral
+representations exactly from Beta moments (`numerics`).  `suite` bundles the acceptance
 criteria; `cli` exposes everything as the ``catconv`` command.
 """
 

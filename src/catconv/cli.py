@@ -3,7 +3,7 @@
 Subcommands run one verification family each; ``all`` runs the whole
 acceptance suite.  Reports stream to stdout as text or JSON; exit codes:
 0 all pass, 1 at least one mismatch, 2 usage or configuration error,
-3 numeric failure (non-convergence, pole, rule construction).
+3 numeric failure (non-convergence, pole).
 
 JSON reports are deterministic for a fixed configuration once timings
 are suppressed with ``--no-timing``.  Exact rationals appear as
@@ -39,7 +39,6 @@ EXIT_NUMERIC = 3
 _NUMERIC_ERRORS = (
     numerics.NonConvergent,
     numerics.TailBoundExceeded,
-    numerics.RuleConstructionFailure,
     numerics.PoleError,
 )
 _CONFIG_ERRORS = (ZeroLowerPochhammer, ValueError)
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     integral = sub.add_parser(
         "integral", parents=[common],
-        help="double-integral representations by Gauss-Jacobi quadrature",
+        help="double-integral representations exactly from Beta moments",
     )
     integral.add_argument(
         "--which", required=True, choices=numerics.INTEGRAL_FAMILIES
@@ -218,11 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     integral.add_argument("--n", type=_parse_nonnegative_range, default=(0, 8))
     integral.add_argument(
         "--lambda", dest="lam", type=_parse_nonnegative_range, default=(0, 3)
-    )
-    integral.add_argument("--prec", type=int, default=40)
-    integral.add_argument(
-        "--nodes", type=int, default=None,
-        help="override the node count (default n//2 + 2)",
     )
 
     everything = sub.add_parser(
@@ -301,8 +295,6 @@ def _cmd_integral(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         args.which,
         range(args.n[0], args.n[1] + 1),
         range(args.lam[0], args.lam[1] + 1),
-        args.prec,
-        args.nodes,
     )
     return [report], {}
 
@@ -331,7 +323,7 @@ _HANDLERS: dict[str, Callable] = {
 _ECHO_KEYS = (
     "identity", "formula", "family", "which", "quick",
     "n", "lam", "mu", "a", "c", "e",
-    "order", "prec", "max_terms", "nodes", "jobs", "strict_printed",
+    "order", "prec", "max_terms", "jobs", "strict_printed",
 )
 
 

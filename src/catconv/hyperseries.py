@@ -103,6 +103,11 @@ DEFAULT_RATIONAL_GRID: tuple[Fraction, ...] = tuple(
 )
 
 
+def _fraction(x: RationalLike) -> Fraction:
+    # a Fraction passes through unconverted; Fraction(x) would copy it
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 class DegenerateLambda(ValueError):
     """The extra linear factor's parameter is zero, so its series is undefined."""
 
@@ -120,14 +125,14 @@ class SeriesSpec:
     prefactor: tuple[Fraction, int] = (Fraction(1), 0)
 
     def __post_init__(self):
-        object.__setattr__(self, "uppers", tuple(Fraction(u) for u in self.uppers))
-        object.__setattr__(self, "lowers", tuple(Fraction(l) for l in self.lowers))
+        object.__setattr__(self, "uppers", tuple(map(_fraction, self.uppers)))
+        object.__setattr__(self, "lowers", tuple(map(_fraction, self.lowers)))
         if self.argument not in _ARGUMENTS:
             raise ValueError(f"unknown argument tag {self.argument!r}")
         coeff, power = self.prefactor
         if power < 0:
             raise ValueError("prefactor power must be nonnegative")
-        object.__setattr__(self, "prefactor", (Fraction(coeff), int(power)))
+        object.__setattr__(self, "prefactor", (_fraction(coeff), int(power)))
 
 
 @dataclass(frozen=True)
@@ -583,14 +588,14 @@ def terminating_4f3_block(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = Fraction(c)
-    e = Fraction(e)
-    lams = [Fraction(lam) for lam in lams]
+    c = _fraction(c)
+    e = _fraction(e)
+    lams = [_fraction(lam) for lam in lams]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
     block_skipped = _undefined_at(c, n) or _undefined_at(e, n)
     if not block_skipped:
-        uppers = _pairs([Fraction(-n), c, e])
+        uppers = [(-n, 1)] + _pairs([c, e])
         lowers = _pairs([1 - c - n, 1 - e - n])
         p, q = _unity_sum(uppers, lowers, n)
         # at n = 0 the raised 3F2 does not terminate, but its weight n/lam

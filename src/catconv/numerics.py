@@ -1,9 +1,12 @@
 """High-precision floating-point verification.
 
 Everything exact arithmetic cannot reach lands here: Gamma-quotient
-closed forms for nonterminating series at unit argument, reflection and
-duplication self-tests for the Gamma implementation, and double-integral
-representations evaluated by tensor Gauss-Jacobi quadrature.
+closed forms for nonterminating series at unit argument, and reflection
+and duplication self-tests for the Gamma implementation.  The
+double-integral representations are checked exactly instead: each
+integral over pi^2 is a finite rational sum of Euler Beta moments.  A
+tensor Gauss-Jacobi quadrature (``integral_value``) stays as the
+floating reference that sum is tested against.
 
 Precision is always an explicit argument (decimal digits, at least 20)
 and computations run in a local mpmath context with guard digits; no
@@ -707,55 +710,72 @@ def integral_value(
     return quadrature, closed, mass
 
 
-def integral_check(
-    which: str,
-    n: int,
-    lam: int,
-    precision: int = 40,
-    m: int | None = None,
-) -> VerificationReport:
-    """Compare the double integral against its closed form.
+# B(1/2, b)/pi, the first Beta moment over pi, for the two (1 - x)
+# exponents b - 1 the integral weights use
+_FIRST_MOMENT = {Fraction(1, 2): Fraction(1), Fraction(3, 2): Fraction(1, 2)}
 
-    Nonzero closed forms must match to relative 10^-(precision-8); cases
-    whose closed form is exactly zero (odd n under the symmetric weight)
-    must come out below 10^-(precision-8) of the rule's total mass.
-    Cases beyond n = 12 or lam = 6 are rejected.
+
+def _beta_moments(b: Fraction, count: int) -> list[Fraction]:
+    """B(p + 1/2, b)/pi for p = 0 .. count - 1, with b = 1/2 or 3/2.
+
+    Euler's Beta integral gives the first moment and the ratio
+    B(p + 3/2, b)/B(p + 1/2, b) = (p + 1/2)/(p + 1/2 + b), so every moment
+    is pi times a rational.
     """
+    moments = [_FIRST_MOMENT[b]]
+    for p in range(count - 1):
+        shifted = p + Fraction(1, 2)
+        moments.append(moments[-1] * shifted / (shifted + b))
+    return moments
+
+
+def _moment_sum(which: str, n: int, lam: int) -> Fraction:
+    # the double integral over pi^2: (x - y)^n expanded binomially against
+    # the per-axis weights x^(lam - 1/2) (1 - x)^(b - 1), one Beta moment
+    # per axis and power
+    half = Fraction(1, 2)
+    moments_y = _beta_moments(3 * half, n + lam + 1)
+    if which == "thm-a":
+        moments_x = moments_y
+    else:
+        moments_x = _beta_moments(half, n + lam + 1)
+    return sum(
+        (-1) ** (n - k) * math.comb(n, k)
+        * moments_x[k + lam] * moments_y[n - k + lam]
+        for k in range(n + 1)
+    )
+
+
+def integral_check(which: str, n: int, lam: int) -> VerificationReport:
+    """Compare the double integral against its closed form, exactly.
+
+    Both sides are pi^2 times a rational: the integral as a sum of Beta
+    moments, the closed form as the theorem's right side over the
+    weight's power of two.  The rationals must be equal; at odd n under
+    the symmetric weight both are 0.  Cases beyond n = 12 or lam = 6 are
+    rejected.
+    """
+    if which not in INTEGRAL_FAMILIES:
+        raise ValueError(f"unknown integral family {which!r}")
+    if n < 0 or lam < 0:
+        raise ValueError("n and lam must be nonnegative")
     if n > _INTEGRAL_N_CAP or lam > _INTEGRAL_LAM_CAP:
         raise ValueError(
             f"configured caps are n <= {_INTEGRAL_N_CAP}, "
             f"lam <= {_INTEGRAL_LAM_CAP}"
         )
-    quadrature, closed, mass = integral_value(which, n, lam, precision, m)
+    integral = _moment_sum(which, n, lam)
+    closed = _integral_closed_form(which, n, lam)
     report = VerificationReport(name=f"integral-{which}")
-    params = (
-        ("which", which),
-        ("n", n),
-        ("lam", lam),
-        ("m", m if m is not None else n // 2 + 2),
-        ("precision", precision),
-    )
-    with mp.workdps(precision + 25):
-        tolerance = mp.mpf(10) ** -(precision - 8)
-        if closed == 0:
-            ok = abs(quadrature) <= tolerance * mass
-            note = (
-                f"|integral| {mp.nstr(abs(quadrature), 5)} against "
-                f"zero closed form, mass {mp.nstr(mass, 5)}"
+    if integral == closed:
+        report.record_pass()
+    else:
+        report.record_failure(
+            CaseRecord(
+                params=(("which", which), ("n", n), ("lam", lam)),
+                lhs=integral,
+                rhs=closed,
+                note="integral and closed form over pi^2 differ",
             )
-        else:
-            residual = abs(quadrature - closed) / abs(closed)
-            ok = residual <= tolerance
-            note = f"relative error {mp.nstr(residual, 5)}"
-        if ok:
-            report.record_pass()
-        else:
-            report.record_failure(
-                CaseRecord(
-                    params=params,
-                    lhs=mp.nstr(quadrature, precision),
-                    rhs=mp.nstr(closed, precision),
-                    note=note,
-                )
-            )
+        )
     return report

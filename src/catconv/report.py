@@ -9,7 +9,6 @@ dropped, and never counted as a pass).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -92,6 +91,3 @@ class VerificationReport:
         if include_timing and self.elapsed_ms is not None:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
         return out
-
-    def to_json(self, include_timing: bool = True) -> str:
-        return json.dumps(self.as_dict(include_timing=include_timing), indent=2)

@@ -403,23 +403,21 @@ def integral_sweep(
     which: str,
     ns: Iterable[int],
     lams: Sequence[int],
-    precision: int = 40,
-    m: int | None = None,
 ) -> VerificationReport:
     """One double-integral family's checks over the (n, lam) grid."""
     report = VerificationReport(name=f"integral-{which}")
     for n in ns:
         for lam in lams:
-            report.merge(numerics.integral_check(which, n, lam, precision, m))
+            report.merge(numerics.integral_check(which, n, lam))
     return report
 
 
 def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
-    """Criterion 9: double-integral representations by exact-weight rules."""
+    """Criterion 9: double-integral representations from Beta moments."""
     start = time.perf_counter()
     ns, lams = range(sizes.int_n + 1), range(sizes.int_lam + 1)
     reports = [
-        integral_sweep(which, ns, lams, sizes.precision)
+        integral_sweep(which, ns, lams)
         for which in numerics.INTEGRAL_FAMILIES
     ]
     return _finish(9, "double-integral representations", reports, start)

@@ -437,7 +437,7 @@ class TestOtherCommands:
         code, payload = run_json(
             capsys,
             "integral", "--which", "thm-a",
-            "--n", "0..2", "--lambda", "0..1", "--prec", "30",
+            "--n", "0..2", "--lambda", "0..1",
             "--format", "json",
         )
         assert code == EXIT_PASS

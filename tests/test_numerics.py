@@ -1,4 +1,5 @@
-"""High-precision checks: Gamma quotients, accelerated series, quadrature."""
+"""High-precision checks: Gamma quotients, accelerated series, quadrature;
+and the exact Beta-moment integrals."""
 
 from fractions import Fraction
 
@@ -333,13 +334,14 @@ class TestIntegrals:
     @pytest.mark.parametrize("which", ["thm-a", "thm-b"])
     @pytest.mark.parametrize("n", range(0, 7))
     def test_check_passes_both_parities(self, which, n):
-        report = integral_check(which, n, 2, precision=40)
+        report = integral_check(which, n, 2)
         assert report.ok, report.failures
 
     def test_more_nodes_than_needed_changes_nothing(self):
+        _, closed, _ = integral_value("thm-a", 4, 1, precision=40)
         for m in (4, 8, 12):
-            report = integral_check("thm-a", 4, 1, precision=40, m=m)
-            assert report.ok, (m, report.failures)
+            quadrature, _, _ = integral_value("thm-a", 4, 1, precision=40, m=m)
+            assert close(quadrature, closed, "1e-32"), m
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError):
@@ -350,3 +352,66 @@ class TestIntegrals:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             integral_value("thm-z", 0, 0)
+        with pytest.raises(ValueError):
+            integral_check("thm-z", 0, 0)
+        with pytest.raises(ValueError):
+            integral_check("thm-a", -1, 0)
+
+
+# every criterion-9 point at full size, plus the configured caps
+_CRITERION_9_POINTS = [
+    (which, n, lam)
+    for which in ("thm-a", "thm-b")
+    for n in range(9)
+    for lam in range(4)
+] + [("thm-a", 12, 6), ("thm-b", 12, 6)]
+
+
+class TestExactIntegrals:
+    @pytest.mark.parametrize("b", [F(3, 2), F(1, 2)])
+    def test_moments_match_the_beta_function(self, b):
+        moments = numerics._beta_moments(b, 31)
+        with mp.workdps(60):
+            for p, moment in enumerate(moments):
+                expected = mp.beta(p + mp.mpf(1) / 2, as_mpf(b)) / mp.pi
+                assert close(moment, expected, "1e-55"), (b, p)
+
+    @pytest.mark.parametrize("which, n, lam", _CRITERION_9_POINTS)
+    def test_moment_sum_matches_the_quadrature(self, which, n, lam):
+        # the exact path against the floating Gauss-Jacobi reference
+        quadrature, _, mass = integral_value(which, n, lam, precision=40)
+        exact = numerics._moment_sum(which, n, lam)
+        with mp.workdps(60):
+            value = mp.pi**2 * as_mpf(exact)
+            tolerance = mp.mpf("1e-32")
+            if exact == 0:
+                assert abs(quadrature) <= tolerance * mass
+            else:
+                assert abs(quadrature - value) <= tolerance * abs(value)
+
+    @pytest.mark.parametrize(
+        "which, n, lam, perturb",
+        [
+            ("thm-b", 5, 2, lambda closed: closed * (1 + F(1, 10**40))),
+            ("thm-a", 4, 2, lambda closed: closed * (1 + F(1, 10**40))),
+            ("thm-a", 3, 1, lambda closed: closed + F(1, 10**40)),
+        ],
+        ids=["thm-b-relative", "thm-a-relative", "thm-a-odd-zero"],
+    )
+    def test_seeded_closed_form_fault_fails(
+        self, monkeypatch, which, n, lam, perturb
+    ):
+        # the relative faults sit below any 40-digit quadrature tolerance;
+        # only an exact comparison sees them
+        original = numerics._integral_closed_form
+
+        def faulty(w, k, l):
+            closed = original(w, k, l)
+            return perturb(closed) if (w, k, l) == (which, n, lam) else closed
+
+        monkeypatch.setattr(numerics, "_integral_closed_form", faulty)
+        report = integral_check(which, n, lam)
+        assert report.cases_run == 1 and len(report.failures) == 1
+        params = dict(report.failures[0].params)
+        assert (params["which"], params["n"], params["lam"]) == (which, n, lam)
+        assert integral_check(which, n, lam + 1).ok
