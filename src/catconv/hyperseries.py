@@ -381,9 +381,9 @@ def check_product_formula(
     mismatching coefficient index.
     """
     start = time.perf_counter()
-    a = Fraction(a)
-    c = Fraction(c)
-    lam_f = None if lam is None else Fraction(lam)
+    a = _fraction(a)
+    c = _fraction(c)
+    lam_f = None if lam is None else _fraction(lam)
     (lhs, lhs_den), (rhs, rhs_den) = _product_sides(formula, a, c, lam_f, order)
     params: list[tuple[str, object]] = [("formula", formula), ("a", a), ("c", c)]
     if formula == LEMMA_LINEAR:
@@ -421,10 +421,10 @@ def check_product_grid(
     linear factor) are counted as skipped, never silently dropped.
     """
     start = time.perf_counter()
-    grid = tuple(Fraction(g) for g in (grid or DEFAULT_RATIONAL_GRID))
+    grid = tuple(map(_fraction, grid or DEFAULT_RATIONAL_GRID))
     report = VerificationReport(name=formula)
     if formula == LEMMA_LINEAR:
-        lams = tuple(Fraction(g) for g in (lam_grid or DEFAULT_RATIONAL_GRID))
+        lams = tuple(map(_fraction, lam_grid or DEFAULT_RATIONAL_GRID))
         combos: Iterable[tuple] = (
             (a, c, l) for a in grid for c in grid for l in lams
         )
@@ -506,9 +506,9 @@ def terminating_4f3_closed_form(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    c = Fraction(c)
-    e = Fraction(e)
-    lam = Fraction(lam)
+    c = _fraction(c)
+    e = _fraction(e)
+    lam = _fraction(lam)
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
     return _f43_factor(n, c, e) * Fraction(*_f43_tail(n, lam))
@@ -523,7 +523,7 @@ def _single_point(
 ) -> VerificationReport:
     # one report of terminating_4f3_block at a one-lam block
     start = time.perf_counter()
-    if Fraction(lam) == 0:
+    if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
     report = terminating_4f3_block(n, c, e, [lam])[which]
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
