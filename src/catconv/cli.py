@@ -88,7 +88,7 @@ def _parse_jobs(text: str) -> int:
         ) from None
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
-    # the pools lower it to the usable CPUs; the echo keeps what was asked
+    # every run is one process; the count is only validated and echoed
     return jobs
 
 
@@ -129,8 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--jobs", type=_parse_jobs, default=1,
-        help="worker processes for grid sweeps (default 1; more than the "
-        "usable CPUs run as that many)",
+        help="accepted for compatibility and echoed in the config; every "
+        "run is one process (default 1)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -235,7 +235,6 @@ def _cmd_verify(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         args.n,
         lam_range=args.lam,
         mu_range=args.mu,
-        jobs=args.jobs,
         a_grid=args.a,
         c_grid=args.c,
     )
@@ -264,7 +263,6 @@ def _cmd_fourf3(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         args.c or grid,
         args.e or grid,
         range(args.lam[0], args.lam[1] + 1),
-        jobs=args.jobs,
     )
     return reports, {}
 
@@ -300,7 +298,7 @@ def _cmd_integral(args) -> tuple[list[VerificationReport], dict[str, Any]]:
 
 
 def _cmd_all(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    result = suite.run_all(quick=args.quick, jobs=args.jobs)
+    result = suite.run_all(quick=args.quick)
     reports = [r for criterion in result.criteria for r in criterion.reports]
     extra = {
         "ok": result.ok,

@@ -37,7 +37,12 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Sequence
 
-from .exactnum import RationalLike, ZeroLowerPochhammer, poch_quotient
+from .exactnum import (
+    RationalLike,
+    ZeroLowerPochhammer,
+    _zero_offset,
+    poch_quotient,
+)
 from .report import CaseRecord, VerificationReport
 
 __all__ = [
@@ -487,12 +492,6 @@ def _f43_tail(n: int, lam: Fraction) -> tuple[int, int]:
     return -(1 + n) * lam.denominator, 2 * lam.numerator
 
 
-def _undefined_at(x: Fraction, n: int) -> bool:
-    # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
-    # lower parameter of the 4F3 within its n + 1 terms
-    return x.denominator == 1 and 1 - n <= x.numerator <= 0
-
-
 def terminating_4f3_closed_form(
     n: int,
     c: RationalLike,
@@ -593,7 +592,9 @@ def terminating_4f3_block(
     lams = [_fraction(lam) for lam in lams]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
-    block_skipped = _undefined_at(c, n) or _undefined_at(e, n)
+    # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
+    # lower parameter of the 4F3 within its n + 1 terms
+    block_skipped = any(_zero_offset(x, n) is not None for x in (c, e))
     if not block_skipped:
         uppers = [(-n, 1)] + _pairs([c, e])
         lowers = _pairs([1 - c - n, 1 - e - n])
@@ -605,7 +606,7 @@ def terminating_4f3_block(
         ps, rq, qs = p * s, r * q, q * s
         factor = _f43_factor(n, c, e)
     for lam in lams:
-        if block_skipped or lam == 0 or _undefined_at(lam, n):
+        if block_skipped or lam == 0 or _zero_offset(lam, n) is not None:
             evaluation.record_skip()
             contiguous.record_skip()
             continue

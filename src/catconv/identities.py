@@ -53,20 +53,18 @@ import enum
 import functools
 import itertools
 import math
-import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+# Unused: every grid runs in this process.  The name stays bound, as in
+# suite, because perfbench/tracer.py counts pools by rebinding it.
+from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 from .exactnum import RationalLike, binomial, catalan, pochhammer
 from .hyperseries import DEFAULT_RATIONAL_GRID
 from .report import CaseRecord, VerificationReport
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 __all__ = [
     "IdentityId",
@@ -82,8 +80,6 @@ __all__ = [
     "verify_grid",
     "case_points",
     "capture_case",
-    "map_points",
-    "usable_workers",
     "dictionary_check",
     "specialization_check",
     "specialization_findings",
@@ -638,13 +634,21 @@ def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
     recorded as flagged when the corrected variant matches the oracle;
     any other mismatch is a failure.
     """
-    validate(ident, p)
     report = VerificationReport(name=ident.value)
+    _record_case(report, ident, p)
+    return report
+
+
+def _record_case(
+    report: VerificationReport, ident: IdentityId, p: IdentityParams
+) -> None:
+    # verify_case's comparison, recorded into a grid's report
+    validate(ident, p)
     lhs = _LHS[ident](p)
     rhs = _RHS[ident](p)
     if lhs == rhs:
         report.record_pass()
-        return report
+        return
     params = p.items_for(ident)
     if IDENTITIES[ident].corrected and lhs == closed_form(
         ident, p, corrected=True
@@ -662,7 +666,6 @@ def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
         )
     else:
         report.record_failure(CaseRecord(params=params, lhs=lhs, rhs=rhs))
-    return report
 
 
 def case_points(
@@ -703,25 +706,26 @@ def case_points(
 
 
 def capture_case(
+    report: VerificationReport,
     ident: IdentityId,
     p: IdentityParams,
-    check: Callable[[IdentityId, IdentityParams], VerificationReport],
+    check: Callable[[VerificationReport, IdentityId, IdentityParams], None],
     prefix: tuple[tuple[str, object], ...] = (),
-) -> VerificationReport:
-    """``check(ident, p)``'s report, with its exceptions captured.
+) -> None:
+    """Record ``check(report, ident, p)`` into ``report``, with its
+    exceptions captured.
 
     A :class:`DomainError` counts as a skip.  An ``ArithmeticError``
     becomes a failure record at ``prefix`` plus ``p``'s parameters, with
     both sides ``None`` and ``"<Type>: <message>"`` as the note, so one
-    bad point does not end the run.
+    bad point does not end the run.  ``check`` records nothing before it
+    can raise.
     """
     try:
-        return check(ident, p)
+        check(report, ident, p)
     except DomainError:
-        report = VerificationReport(name=ident.value)
         report.record_skip()
     except ArithmeticError as exc:
-        report = VerificationReport(name=ident.value)
         report.record_failure(
             CaseRecord(
                 params=prefix + p.items_for(ident),
@@ -729,44 +733,6 @@ def capture_case(
                 rhs=None,
                 note=f"{type(exc).__name__}: {exc}",
             )
-        )
-    return report
-
-
-def _grid_worker(ident: IdentityId, p: IdentityParams) -> VerificationReport:
-    return capture_case(ident, p, verify_case)
-
-
-def usable_workers(jobs: int) -> int:
-    """``jobs`` lowered to the CPUs this process may run on, and at least 1.
-
-    More workers than CPUs only adds processes, never throughput.  The
-    affinity mask is used where the platform has one.
-    """
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return max(1, min(jobs, cpus))
-
-
-def map_points(
-    worker: Callable[[T], R], items: Sequence[T], jobs: int = 1
-) -> Iterator[R]:
-    """Yield ``worker(item)`` for every item, in order.
-
-    With one usable worker, or at most 64 items, the items run lazily in
-    this process.  Otherwise they are mapped in chunks across one process
-    pool, and the results still come back in submission order.  Either
-    way each result can be merged and dropped before the next arrives.
-    """
-    jobs = usable_workers(jobs)
-    if jobs == 1 or len(items) <= 64:
-        yield from map(worker, items)
-        return
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        yield from pool.map(
-            worker, items, chunksize=max(1, len(items) // (jobs * 8))
         )
 
 
@@ -783,21 +749,19 @@ def verify_grid(
     """Verify an identity over the Cartesian product of parameter ranges.
 
     Points outside the identity's valid domain count as skipped.  The
-    iteration order is fixed, so reports are reproducible; with ``jobs``
-    greater than one the grid is mapped across worker processes and
-    results are merged in submission order.  ``a_grid``/``c_grid``
-    override ``rational_grid`` per axis for the rational-parameter
-    identities.
+    points are made lazily, in :func:`case_points` order, and each one
+    records into the grid's one report, so reports are reproducible.
+    ``jobs`` is accepted and ignored: every grid runs in this process.
+    ``a_grid``/``c_grid`` override ``rational_grid`` per axis for the
+    rational-parameter identities.
     """
     start = time.perf_counter()
-    points = list(
-        case_points(
-            ident, n_range, lam_range, mu_range, rational_grid, a_grid, c_grid
-        )
+    points = case_points(
+        ident, n_range, lam_range, mu_range, rational_grid, a_grid, c_grid
     )
     report = VerificationReport(name=ident.value)
-    for sub in map_points(functools.partial(_grid_worker, ident), points, jobs):
-        report.merge(sub)
+    for p in points:
+        capture_case(report, ident, p, _record_case)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 

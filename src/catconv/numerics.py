@@ -38,10 +38,9 @@ from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .exactnum import RationalLike
+from .exactnum import RationalLike, _zero_offset
 from .hyperseries import (
     DegenerateLambda,
-    _undefined_at,
     pfq_unity_sum_exact,
     terminating_4f3_closed_form,
 )
@@ -74,8 +73,8 @@ _GUARD = 15
 
 NUMERIC_FAMILIES = ("dixon", "dminus", "linear4f3")
 INTEGRAL_FAMILIES = ("thm-a", "thm-b")
-_INTEGRAL_N_CAP = 12
-_INTEGRAL_LAM_CAP = 6
+_INTEGRAL_N_CAP = 60
+_INTEGRAL_LAM_CAP = 12
 
 
 class PoleError(ValueError):
@@ -372,7 +371,7 @@ def _series_check(
             reference = exact(-uppers[0].numerator)
         else:
             for l in lowers:
-                if not first_ends and _undefined_at(l, n):
+                if not first_ends and _zero_offset(l, n) is not None:
                     raise PoleError(
                         f"lower parameter {l} makes the series undefined"
                     )
@@ -512,7 +511,7 @@ def linear4f3_check(
     half = Fraction(1, 2)
 
     def exact(n: int) -> Fraction | None:
-        if any(_undefined_at(x, n) for x in (c, e, lam)):
+        if any(_zero_offset(x, n) is not None for x in (c, e, lam)):
             return None
         return terminating_4f3_closed_form(n, c, e, lam)
 
@@ -752,8 +751,8 @@ def integral_check(which: str, n: int, lam: int) -> VerificationReport:
     Both sides are pi^2 times a rational: the integral as a sum of Beta
     moments, the closed form as the theorem's right side over the
     weight's power of two.  The rationals must be equal; at odd n under
-    the symmetric weight both are 0.  Cases beyond n = 12 or lam = 6 are
-    rejected.
+    the symmetric weight both are 0.  Cases beyond the theorems' grid,
+    n = 60 or lam = 12, are rejected before any work starts.
     """
     if which not in INTEGRAL_FAMILIES:
         raise ValueError(f"unknown integral family {which!r}")

@@ -4,14 +4,16 @@ Each criterion function takes a :class:`SuiteSizes` describing grid caps
 and precision, runs the corresponding checks, and returns a
 :class:`CriterionResult`.  ``run_all`` executes all ten; the full sizes
 are the shipping targets, the quick sizes keep the whole run under the
-CI budget.
+CI budget.  Every criterion runs in this process; the ``jobs`` argument
+each criterion function takes is accepted and ignored.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-# identities.map_points builds every pool; the name stays bound here
-# because perfbench/tracer.py rebinds it with identities' own, or neither
+# Unused: every grid runs in this process.  The name stays bound, as in
+# identities, because perfbench/tracer.py counts pools by rebinding it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,7 +29,6 @@ from .identities import (
     capture_case,
     case_points,
     lhs_value,
-    map_points,
     rhs_value,
     validate,
     verify_grid,
@@ -204,12 +205,10 @@ def _suite_grid(
     )
 
 
-def _verify_family(
-    family: str, sizes: SuiteSizes, jobs: int
-) -> list[VerificationReport]:
+def _verify_family(family: str, sizes: SuiteSizes) -> list[VerificationReport]:
     """One suite-grid report per identity of ``family``, in catalogue order."""
     return [
-        verify_grid(ident, *_suite_grid(ident, sizes), jobs=jobs)
+        verify_grid(ident, *_suite_grid(ident, sizes))
         for ident, record in IDENTITIES.items()
         if record.family == family
     ]
@@ -218,7 +217,7 @@ def _verify_family(
 def criterion_theorems(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 1: the five convolution theorems, exact, full grid."""
     start = time.perf_counter()
-    reports = _verify_family("thm", sizes, jobs)
+    reports = _verify_family("thm", sizes)
     return _finish(1, "alternating convolution theorems", reports, start)
 
 
@@ -263,7 +262,7 @@ def criterion_mikic(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 3: rational-parameter propositions over the default grid."""
     start = time.perf_counter()
-    reports = _verify_family("prop", sizes, jobs)
+    reports = _verify_family("prop", sizes)
     counts = []
     for ident in map(IdentityId, (r.name for r in reports)):
         admissible = 0
@@ -293,7 +292,7 @@ def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 def criterion_cors(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     """Criterion 4: reciprocal corollaries; documented mismatches flag."""
     start = time.perf_counter()
-    reports = _verify_family("cor", sizes, jobs)
+    reports = _verify_family("cor", sizes)
     flagged = sum(len(r.flagged) for r in reports)
     details = f"{flagged} flagged closed-form discrepancies"
     return _finish(
@@ -315,29 +314,22 @@ def criterion_products(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     return _finish(5, "product formulae through fixed order", reports, start)
 
 
-def _f43_worker(
-    block: tuple,
-) -> tuple[VerificationReport, VerificationReport]:
-    return hyperseries.terminating_4f3_block(*block)
-
-
 def f43_sweep(
     ns: Sequence[int],
     cs: Sequence[Fraction],
     es: Sequence[Fraction],
     lams: Iterable[int | Fraction],
-    jobs: int = 1,
 ) -> list[VerificationReport]:
     """The 4F3 evaluation and contiguous-relation reports over a grid.
 
-    The work is split into (n, c, e) blocks, each covering every lam, so
-    the series a block shares are summed once also inside the pool.
+    The grid runs in (n, c, e) blocks, in that order, each covering every
+    lam, so the series a block shares are summed once.
     """
     lams = tuple(Fraction(lam) for lam in lams)
-    blocks = [(n, c, e, lams) for n in ns for c in cs for e in es]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
-    for first, second in map_points(_f43_worker, blocks, jobs):
+    for n, c, e in itertools.product(ns, cs, es):
+        first, second = hyperseries.terminating_4f3_block(n, c, e, lams)
         evaluation.merge(first)
         contiguous.merge(second)
     return [evaluation, contiguous]
@@ -348,7 +340,7 @@ def criterion_f43(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     start = time.perf_counter()
     grid = hyperseries.DEFAULT_RATIONAL_GRID
     reports = f43_sweep(
-        range(sizes.f43_n + 1), grid, grid, range(1, sizes.f43_lam + 1), jobs
+        range(sizes.f43_n + 1), grid, grid, range(1, sizes.f43_lam + 1)
     )
     return _finish(
         6, "terminating 4f3 and contiguous relation", reports, start
@@ -424,8 +416,9 @@ def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
 
 
 # criterion 10 mixes identities in one report, so its records name theirs
-def _parity_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
-    report = VerificationReport(name=ident.value)
+def _record_parity(
+    report: VerificationReport, ident: IdentityId, p: IdentityParams
+) -> None:
     value = lhs_value(ident, p)
     if value == 0:
         report.record_pass()
@@ -434,14 +427,6 @@ def _parity_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
         report.record_failure(
             CaseRecord(params=params, lhs=value, rhs=Fraction(0))
         )
-    return report
-
-
-def _parity_worker(
-    point: tuple[IdentityId, IdentityParams]
-) -> VerificationReport:
-    ident, p = point
-    return capture_case(ident, p, _parity_case, (("identity", ident.value),))
 
 
 def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
@@ -450,17 +435,13 @@ def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
     The points are each chi-bearing identity's suite grid at odd n.
     """
     start = time.perf_counter()
-    points = []
+    report = VerificationReport(name="odd-index-vanishing")
     for ident in CHI_BEARING:
         (_, n_hi), lam_range, mu_range = _suite_grid(ident, sizes)
-        points.extend(
-            (ident, p)
-            for n in range(1, n_hi + 1, 2)
-            for p in case_points(ident, (n, n), lam_range, mu_range)
-        )
-    report = VerificationReport(name="odd-index-vanishing")
-    for sub in map_points(_parity_worker, points, jobs):
-        report.merge(sub)
+        prefix = (("identity", ident.value),)
+        for n in range(1, n_hi + 1, 2):
+            for p in case_points(ident, (n, n), lam_range, mu_range):
+                capture_case(report, ident, p, _record_parity, prefix)
     return _finish(10, "odd-index vanishing", [report], start)
 
 
@@ -502,12 +483,12 @@ class SuiteResult:
         return out
 
 
-def run_all(quick: bool = False, jobs: int = 1) -> SuiteResult:
+def run_all(quick: bool = False) -> SuiteResult:
     """Run criteria 1-10 at full or quick sizes."""
     sizes = QUICK_SIZES if quick else FULL_SIZES
     start = time.perf_counter()
     result = SuiteResult(quick=quick)
     for _, fn in CRITERIA:
-        result.criteria.append(fn(sizes, jobs))
+        result.criteria.append(fn(sizes))
     result.elapsed_s = time.perf_counter() - start
     return result

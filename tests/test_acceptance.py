@@ -18,6 +18,7 @@ from pathlib import Path
 
 import reference_kernels as ref
 
+from catconv import identities, suite
 from catconv.identities import (
     IDENTITIES,
     DomainError,
@@ -25,9 +26,11 @@ from catconv.identities import (
     case_points,
     closed_form,
     validate,
+    verify_grid,
 )
 from catconv.suite import (
     FULL_SIZES,
+    QUICK_SIZES,
     SuiteSizes,
     _suite_grid,
     criterion_cors,
@@ -130,14 +133,20 @@ def test_criterion_06_terminating_4f3_and_contiguous():
     )
 
 
-def test_criterion_06_same_reports_in_the_pool():
-    sizes = SuiteSizes(f43_n=6, f43_lam=2)
-    serial = criterion_f43(sizes, jobs=1)
-    pooled = criterion_f43(sizes, jobs=2)
-    assert [r.as_dict(include_timing=False) for r in serial.reports] == [
-        r.as_dict(include_timing=False) for r in pooled.reports
-    ]
-    assert serial.reports[0].cases_run == 7 * 2 * 64
+def test_grids_run_in_one_process(monkeypatch):
+    # jobs = 2 is accepted, but no grid may start a process pool
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(identities, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", no_pool)
+    f43 = criterion_f43(SuiteSizes(f43_n=6, f43_lam=2), 2)
+    assert f43.passed and [(r.cases_run, r.skipped) for r in f43.reports] == [
+        (7 * 2 * 64, 0),
+    ] * 2
+    grid = verify_grid(IdentityId.THM_A, (0, 12), (0, 8), jobs=2)
+    assert grid.ok and grid.cases_run + grid.skipped == 13 * 9
+    assert criterion_parity(QUICK_SIZES, 2).passed
 
 
 def test_criterion_07_gamma_selftest_three_precisions():

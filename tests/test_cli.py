@@ -15,7 +15,6 @@ from catconv.cli import (
     build_parser,
     main,
 )
-from catconv.identities import usable_workers
 
 # sha256 of `catconv all --quick --format json --no-timing --jobs 1` stdout
 QUICK_SUITE_SHA256 = (
@@ -256,14 +255,6 @@ class TestJobsOption:
         parser = build_parser()
         assert parser.parse_args(["all", "--jobs", "2"]).jobs == 2
         assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 64
-
-    def test_pools_are_lowered_to_the_usable_cpus(self, monkeypatch):
-        # sizes a pool without starting one
-        monkeypatch.setattr(
-            "catconv.identities.os.sched_getaffinity", lambda pid: {0, 1, 2},
-            raising=False,
-        )
-        assert [usable_workers(j) for j in (-1, 1, 2, 3, 64)] == [1, 1, 2, 3, 3]
 
 
 class TestOtherCommands:

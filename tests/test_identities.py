@@ -21,7 +21,6 @@ from catconv.identities import (
     closed_form,
     dictionary_check,
     lhs_value,
-    map_points,
     rhs_value,
     specialization_check,
     specialization_findings,
@@ -142,13 +141,6 @@ class TestGrids:
         assert report.ok
         assert report.cases_run == 11 * 2 * 1
 
-    def test_parallel_grid_matches_serial(self):
-        serial = verify_grid(IdentityId.THM_A, (0, 12), (0, 8), jobs=1)
-        parallel = verify_grid(IdentityId.THM_A, (0, 12), (0, 8), jobs=2)
-        assert serial.cases_run == parallel.cases_run
-        assert serial.skipped == parallel.skipped
-        assert parallel.ok
-
     def test_domain_violations_counted_as_skips(self):
         # thm-d is undefined at n=0 with lam > 0
         report = verify_grid(IdentityId.THM_D, (0, 5), (0, 2))
@@ -215,23 +207,26 @@ class TestCaseCapture:
         assert (report.failures[2].lhs, report.failures[2].rhs) == (1, 0)
 
 
-class TestMapPoints:
-    def test_serial_run_is_lazy(self):
-        seen = []
+class TestCasePoints:
+    def test_grid_checks_each_point_as_it_is_made(self, monkeypatch):
+        made, checked = [], []
+        points, record = identities.case_points, identities._record_case
 
-        def worker(item):
-            seen.append(item)
-            return -item
+        def counting(*args):
+            for p in points(*args):
+                made.append(p)
+                yield p
 
-        results = map_points(worker, list(range(200)), jobs=1)
-        assert seen == []
-        assert next(results) == 0
-        assert seen == [0]
-        assert list(results) == [-i for i in range(1, 200)]
+        def recording(report, ident, p):
+            checked.append((len(made), p))
+            record(report, ident, p)
 
-    def test_pool_keeps_submission_order(self):
-        items = list(range(-100, 0))
-        assert list(map_points(abs, items, jobs=2)) == [-i for i in items]
+        monkeypatch.setattr(identities, "case_points", counting)
+        monkeypatch.setattr(identities, "_record_case", recording)
+        report = verify_grid(IdentityId.THM_A, (0, 3), (0, 1))
+        assert (report.ok, report.cases_run) == (True, 8)
+        # no point is made before the one ahead of it is checked
+        assert checked == list(enumerate(made, start=1))
 
     def test_case_points_order_and_missing_range(self):
         points = list(case_points(IdentityId.THM_E, (0, 1), (0, 1), (2, 3)))

@@ -346,9 +346,17 @@ class TestIntegrals:
 
     def test_caps_enforced(self):
         with pytest.raises(ValueError):
-            integral_check("thm-a", 13, 0)
+            integral_check("thm-a", 61, 0)
         with pytest.raises(ValueError):
-            integral_check("thm-b", 2, 7)
+            integral_check("thm-b", 2, 13)
+
+    @pytest.mark.parametrize("which", ["thm-a", "thm-b"])
+    @pytest.mark.parametrize("n", [13, 30, 60])
+    @pytest.mark.parametrize("lam", [0, 7, 12])
+    def test_exact_check_covers_the_theorem_grid(self, which, n, lam):
+        # the exact moment sum has no precision limit, so the caps are
+        # the theorems' own grid, n <= 60 and lam <= 12
+        assert integral_check(which, n, lam).ok
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
