@@ -46,7 +46,6 @@ from .identities import (
     verify_grid,
 )
 from .numerics import (
-    GammaQuotientSpec,
     NonConvergent,
     PoleError,
     QuadratureRule,

@@ -26,7 +26,7 @@ from typing import Any, Callable, Sequence
 
 from . import hyperseries, numerics, suite
 from .exactnum import ZeroLowerPochhammer
-from .identities import IdentityId, verify_grid
+from .identities import IDENTITIES, IdentityId, verify_grid
 from .report import VerificationReport, encode_value
 
 __all__ = ["main", "build_parser"]
@@ -228,8 +228,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_unread(args, keys: Sequence[str], reason: str) -> None:
+    # an option the command would not read must not be echoed as applied
+    for key in keys:
+        if getattr(args, key) is not None:
+            option = "--lambda" if key == "lam" else f"--{key}"
+            raise ValueError(f"{option} {reason}")
+
+
 def _cmd_verify(args) -> tuple[list[VerificationReport], dict[str, Any]]:
     ident = IdentityId(args.identity)
+    params = IDENTITIES[ident].params
+    _reject_unread(
+        args,
+        [key for key in ("lam", "mu", "a", "c") if key not in params],
+        f"is not a parameter of {ident.value}",
+    )
     report = verify_grid(
         ident,
         args.n,
@@ -244,6 +258,8 @@ def _cmd_verify(args) -> tuple[list[VerificationReport], dict[str, Any]]:
 def _cmd_coeffs(args) -> tuple[list[VerificationReport], dict[str, Any]]:
     if (args.a is None) != (args.c is None):
         raise ValueError("give both --a and --c, or neither for a grid sweep")
+    if args.formula != hyperseries.LEMMA_LINEAR:
+        _reject_unread(args, ("lam",), "is read only by lemma-linear")
     if args.a is not None:
         report = hyperseries.check_product_formula(
             args.formula, args.a, args.c, args.lam, args.order
@@ -272,6 +288,10 @@ def _cmd_gamma(args) -> tuple[list[VerificationReport], dict[str, Any]]:
 
 
 def _cmd_numeric(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+    if args.family != "linear4f3":
+        _reject_unread(args, ("lam",), "is read only by linear4f3")
+    if args.a is None:
+        _reject_unread(args, ("c", "e", "lam"), "needs --a")
     points = None
     if args.a is not None:
         if args.c is None or args.e is None:

@@ -287,88 +287,54 @@ def _product_sides(
     lam: Fraction | None,
     order: int,
 ) -> tuple[_Series, _Series]:
+    # Each series is built at its call, in the order below: the order
+    # decides which zero lower Pochhammer symbol a point raises.
+    def series(uppers, lowers, argument, prefactor=(Fraction(1), 0)):
+        return _expand(SeriesSpec(uppers, lowers, argument, prefactor), order)
+
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
-        lhs = _mul(
-            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            _expand(SeriesSpec((a,), (c,), ARG_MINUS), order),
-        )
-        rhs = _expand(
-            SeriesSpec((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED), order
-        )
-        return lhs, rhs
+        lhs = _mul(series((a,), (c,), ARG_PLUS), series((a,), (c,), ARG_MINUS))
+        return lhs, series((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
     if formula == BAILEY_WATSON:
         lhs = _mul(
-            _expand(SeriesSpec((a,), (2 * a,), ARG_PLUS), order),
-            _expand(SeriesSpec((c,), (2 * c,), ARG_MINUS), order),
+            series((a,), (2 * a,), ARG_PLUS), series((c,), (2 * c,), ARG_MINUS)
         )
-        rhs = _expand(
-            SeriesSpec(
-                ((a + c) / 2, (a + c + 1) / 2),
-                (a + c, a + half, c + half),
-                ARG_SQUARED,
-            ),
-            order,
+        return lhs, series(
+            ((a + c) / 2, (a + c + 1) / 2),
+            (a + c, a + half, c + half),
+            ARG_SQUARED,
         )
-        return lhs, rhs
     if formula == CLAUSEN:
-        f = _expand(SeriesSpec((a, c), (a + c + half,), ARG_PLUS), order)
-        lhs = _mul(f, f)
-        rhs = _expand(
-            SeriesSpec(
-                (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c), ARG_PLUS
-            ),
-            order,
+        f = series((a, c), (a + c + half,), ARG_PLUS)
+        return _mul(f, f), series(
+            (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c), ARG_PLUS
         )
-        return lhs, rhs
+    # the second factor's and the even part's (uppers, lowers)
     if formula == LEMMA_LINEAR:
         if lam is None or lam == 0:
             raise DegenerateLambda("linear-factor parameter must be nonzero")
-        lhs = _mul(
-            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            _expand(SeriesSpec((1 + lam, a), (lam, c), ARG_MINUS), order),
-        )
-        even_part = _expand(
-            SeriesSpec(
-                (1 + lam, a, c - a), (lam, c, c / 2, (1 + c) / 2), ARG_SQUARED
-            ),
-            order,
-        )
-        odd_part = _expand(
-            SeriesSpec(
-                (1 + a, c - a),
-                (c, (1 + c) / 2, (2 + c) / 2),
-                ARG_SQUARED,
-                prefactor=(a / (c * lam), 1),
-            ),
-            order,
-        )
-        return lhs, _sub(even_part, odd_part)
-    if formula == VARIANT_LINEAR:
+        second = (1 + lam, a), (lam, c)
+        even = (1 + lam, a, c - a), (lam, c, c / 2, (1 + c) / 2)
+    elif formula == VARIANT_LINEAR:
         # The lemma specialized at lam = c - 1; the factor with lowered
         # parameter takes the negated argument so odd coefficients agree.
         lam = c - 1
         if lam == 0:
             raise DegenerateLambda("variant requires c != 1")
-        lhs = _mul(
-            _expand(SeriesSpec((a,), (c,), ARG_PLUS), order),
-            _expand(SeriesSpec((a,), (c - 1,), ARG_MINUS), order),
-        )
-        even_part = _expand(
-            SeriesSpec((a, c - a), (c - 1, c / 2, (1 + c) / 2), ARG_SQUARED),
-            order,
-        )
-        odd_part = _expand(
-            SeriesSpec(
-                (1 + a, c - a),
-                (c, (1 + c) / 2, (2 + c) / 2),
-                ARG_SQUARED,
-                prefactor=(a / (c * (c - 1)), 1),
-            ),
-            order,
-        )
-        return lhs, _sub(even_part, odd_part)
-    raise ValueError(f"unknown product formula {formula!r}")
+        second = (a,), (lam,)
+        even = (a, c - a), (lam, c / 2, (1 + c) / 2)
+    else:
+        raise ValueError(f"unknown product formula {formula!r}")
+    lhs = _mul(series((a,), (c,), ARG_PLUS), series(*second, ARG_MINUS))
+    even_part = series(*even, ARG_SQUARED)
+    odd_part = series(
+        (1 + a, c - a),
+        (c, (1 + c) / 2, (2 + c) / 2),
+        ARG_SQUARED,
+        (a / (c * lam), 1),
+    )
+    return lhs, _sub(even_part, odd_part)
 
 
 def check_product_formula(
@@ -417,7 +383,6 @@ def check_product_formula(
 def check_product_grid(
     formula: str,
     order: int = DEFAULT_ORDER,
-    grid: Sequence[RationalLike] | None = None,
     lam_grid: Sequence[RationalLike] | None = None,
 ) -> VerificationReport:
     """Sweep a product formula over the default rational grid.
@@ -426,7 +391,7 @@ def check_product_grid(
     linear factor) are counted as skipped, never silently dropped.
     """
     start = time.perf_counter()
-    grid = tuple(map(_fraction, grid or DEFAULT_RATIONAL_GRID))
+    grid = DEFAULT_RATIONAL_GRID
     report = VerificationReport(name=formula)
     if formula == LEMMA_LINEAR:
         lams = tuple(map(_fraction, lam_grid or DEFAULT_RATIONAL_GRID))

@@ -84,7 +84,6 @@ __all__ = [
     "specialization_check",
     "specialization_findings",
     "VALIDATED_SPECIALIZATIONS",
-    "PRINTED_SPECIALIZATIONS",
     "CHI_BEARING",
 ]
 
@@ -829,65 +828,101 @@ class SpecializationRule:
     """How a two-parameter convolution theorem sits inside a proposition.
 
     ``substitution`` is the (a, c) text, such as ``("1/2+lam", "1/2+mu")``,
-    that :func:`_parse_substitution` reads at each (lam, mu).  ``scale``
+    that :func:`_parse_substitution` reads at each (lam, mu), and
+    ``printed`` the text as the source catalogue states it.  ``scale``
     multiplies the proposition's sum to recover the theorem's sum after
     substituting; the dictionary conversions above supply the factor.
     """
 
-    theorem: IdentityId
     proposition: IdentityId
     substitution: tuple[str, str]
+    printed: tuple[str, str]
     scale: Callable[[int, int, int | None], Fraction]
     lam_min: int = 0
 
 
 VALIDATED_SPECIALIZATIONS: dict[IdentityId, SpecializationRule] = {
     IdentityId.THM_A: SpecializationRule(
-        theorem=IdentityId.THM_A,
         proposition=IdentityId.PROP_A,
         substitution=("1/2+lam", "2+lam"),
+        printed=("1/2+lam", "2+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
     ),
     IdentityId.THM_B: SpecializationRule(
-        theorem=IdentityId.THM_B,
         proposition=IdentityId.PROP_C,
         substitution=("1/2+lam", "2+lam"),
+        printed=("1/2+lam", "2+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n
         * catalan(lam)
         * binomial(2 * lam, lam),
     ),
     IdentityId.THM_C: SpecializationRule(
-        theorem=IdentityId.THM_C,
         proposition=IdentityId.PROP_A,
         substitution=("1/2+lam", "1+lam"),
+        printed=("1/2+lam", "1+lam"),
         scale=lambda n, lam, mu: Fraction(4) ** n * binomial(2 * lam, lam) ** 2,
     ),
     IdentityId.THM_D: SpecializationRule(
-        theorem=IdentityId.THM_D,
         proposition=IdentityId.PROP_C,
         substitution=("1/2+lam", "1+lam"),
+        printed=("1/2+lam", "1+mu"),
         scale=lambda n, lam, mu: Fraction(4) ** n
         * binomial(2 * lam, lam) ** 2
         * lam,
         lam_min=1,
     ),
     IdentityId.THM_E: SpecializationRule(
-        theorem=IdentityId.THM_E,
         proposition=IdentityId.PROP_B,
         substitution=("1/2+lam", "1/2+mu"),
+        printed=("1/2+lam", "2+mu"),
         scale=lambda n, lam, mu: Fraction(4) ** n,
     ),
 }
 
-# the substitutions as stated in the source catalog, for comparison with
-# the oracle-validated table above
-PRINTED_SPECIALIZATIONS: dict[IdentityId, tuple[str, str]] = {
-    IdentityId.THM_A: ("1/2+lam", "2+lam"),
-    IdentityId.THM_B: ("1/2+lam", "2+lam"),
-    IdentityId.THM_C: ("1/2+lam", "1+lam"),
-    IdentityId.THM_D: ("1/2+lam", "1+mu"),
-    IdentityId.THM_E: ("1/2+lam", "2+mu"),
-}
+
+def _record_specializations(
+    report: VerificationReport,
+    theorem: IdentityId,
+    substitution: tuple[str, str],
+    ns: Sequence[int],
+    lam_max: int,
+    mu_max: int,
+) -> None:
+    # Compare the theorem with its proposition under ``substitution`` at
+    # each (n, lam, mu), n outermost: a skip where either point leaves its
+    # domain, else a pass, or one failure for the first side (lhs, then
+    # rhs) that differs, at the theorem's point plus a, c and the side.
+    # A theorem without mu reads a stated mu as 0.
+    rule = VALIDATED_SPECIALIZATIONS[theorem]
+    has_mu = "mu" in IDENTITIES[theorem].params
+    for n in ns:
+        for lam in range(rule.lam_min, lam_max + 1):
+            for mu in range(mu_max + 1) if has_mu else (0,):
+                a, c = (_parse_substitution(t, lam, mu) for t in substitution)
+                thm_p = IdentityParams(n=n, lam=lam, mu=mu if has_mu else None)
+                prop_p = IdentityParams(n=n, a=a, c=c)
+                try:
+                    validate(theorem, thm_p)
+                    validate(rule.proposition, prop_p)
+                except DomainError:
+                    report.record_skip()
+                    continue
+                scale = rule.scale(n, lam, thm_p.mu)
+                params = thm_p.items_for(theorem) + (("a", a), ("c", c))
+                for side, get in (("lhs", lhs_value), ("rhs", rhs_value)):
+                    t_val = get(theorem, thm_p)
+                    p_val = scale * get(rule.proposition, prop_p)
+                    if t_val != p_val:
+                        report.record_failure(
+                            CaseRecord(
+                                params=params + (("side", side),),
+                                lhs=t_val,
+                                rhs=p_val,
+                            )
+                        )
+                        break
+                else:
+                    report.record_pass()
 
 
 def specialization_check(
@@ -902,43 +937,16 @@ def specialization_check(
     at the substituted (a, c) and multiplied by the dictionary scale; both
     must equal the theorem's sum and closed form exactly.
     """
-    rule = VALIDATED_SPECIALIZATIONS[theorem]
     start = time.perf_counter()
     report = VerificationReport(name=f"{theorem.value}-specialization")
-    mus = range(mu_max + 1) if "mu" in IDENTITIES[theorem].params else (None,)
-    for lam in range(rule.lam_min, lam_max + 1):
-        for mu in mus:
-            a, c = (_parse_substitution(t, lam, mu) for t in rule.substitution)
-            for n in range(n_max + 1):
-                thm_p = IdentityParams(n=n, lam=lam, mu=mu)
-                prop_p = IdentityParams(n=n, a=a, c=c)
-                try:
-                    validate(theorem, thm_p)
-                    validate(rule.proposition, prop_p)
-                except DomainError:
-                    report.record_skip()
-                    continue
-                scale = rule.scale(n, lam, mu)
-                params = thm_p.items_for(theorem) + (
-                    ("a", a),
-                    ("c", c),
-                )
-                ok = True
-                for side, get in (("lhs", lhs_value), ("rhs", rhs_value)):
-                    t_val = get(theorem, thm_p)
-                    p_val = get(rule.proposition, prop_p)
-                    if t_val != scale * p_val:
-                        ok = False
-                        report.record_failure(
-                            CaseRecord(
-                                params=params + (("side", side),),
-                                lhs=t_val,
-                                rhs=scale * p_val,
-                            )
-                        )
-                        break
-                if ok:
-                    report.record_pass()
+    _record_specializations(
+        report,
+        theorem,
+        VALIDATED_SPECIALIZATIONS[theorem].substitution,
+        range(n_max + 1),
+        lam_max,
+        mu_max,
+    )
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -948,16 +956,21 @@ def specialization_findings() -> VerificationReport:
 
     Mismatches are flagged findings, each with a concrete witness point
     showing that the stated substitution does not reproduce the theorem
-    while the validated one does.
+    while the validated one does: the first point of n in {2, 4, 6},
+    lam in [lam_min, 3] and mu in [0, 3] where the left sides differ.
     """
     report = VerificationReport(name="specialization-catalog")
     for theorem, rule in VALIDATED_SPECIALIZATIONS.items():
-        printed = PRINTED_SPECIALIZATIONS[theorem]
-        validated = rule.substitution
+        printed, validated = rule.printed, rule.substitution
         if printed == validated:
             report.record_pass()
             continue
-        witness = _specialization_witness(theorem, rule, printed)
+        probe = VerificationReport(name=theorem.value)
+        _record_specializations(probe, theorem, printed, (2, 4, 6), 3, 3)
+        witness = next(
+            (r for r in probe.failures if r.params[-1] == ("side", "lhs")),
+            None,
+        )
         if witness is not None:
             note = (
                 "stated substitution does not reproduce the theorem; "
@@ -980,6 +993,7 @@ def specialization_findings() -> VerificationReport:
                 )
         report.record_flagged(
             CaseRecord(
+                # the witness's point, without its a, c and side
                 params=(
                     ("theorem", theorem.value),
                     ("stated_a", printed[0]),
@@ -987,9 +1001,9 @@ def specialization_findings() -> VerificationReport:
                     ("validated_a", validated[0]),
                     ("validated_c", validated[1]),
                 )
-                + (witness[0] if witness else ()),
-                lhs=witness[1] if witness else None,
-                rhs=witness[2] if witness else None,
+                + (witness.params[:-3] if witness else ()),
+                lhs=witness.lhs if witness else None,
+                rhs=witness.rhs if witness else None,
                 note=note,
             )
         )
@@ -1000,31 +1014,3 @@ def _parse_substitution(text: str, lam: int, mu: int | None) -> Fraction:
     base, _, shift = text.partition("+")
     offset = lam if shift == "lam" else mu
     return Fraction(base) + offset
-
-
-def _specialization_witness(
-    theorem: IdentityId,
-    rule: SpecializationRule,
-    printed: tuple[str, str],
-):
-    # find a small point where the stated substitution visibly fails
-    has_mu = "mu" in IDENTITIES[theorem].params
-    for n in (2, 4, 6):
-        for lam in range(rule.lam_min, 4):
-            for mu in range(0, 4) if has_mu else (0,):
-                mu_val = mu if has_mu else None
-                thm_p = IdentityParams(n=n, lam=lam, mu=mu_val)
-                a, c = (_parse_substitution(t, lam, mu) for t in printed)
-                prop_p = IdentityParams(n=n, a=a, c=c)
-                try:
-                    validate(theorem, thm_p)
-                    validate(rule.proposition, prop_p)
-                except DomainError:
-                    continue
-                t_val = lhs_value(theorem, thm_p)
-                mapped = rule.scale(n, lam, mu_val) * lhs_value(
-                    rule.proposition, prop_p
-                )
-                if t_val != mapped:
-                    return (thm_p.items_for(theorem), t_val, mapped)
-    return None

@@ -53,7 +53,6 @@ __all__ = [
     "NonConvergent",
     "TailBoundExceeded",
     "RuleConstructionFailure",
-    "GammaQuotientSpec",
     "log_gamma",
     "gamma_quotient",
     "gamma_selftest",
@@ -139,40 +138,30 @@ def log_gamma(x: RationalLike, precision: int = 40):
         return mp.loggamma(_to_mpf(x))
 
 
-@dataclass(frozen=True)
-class GammaQuotientSpec:
-    """Product of Gamma values over another, by argument lists."""
-
-    numerators: tuple[Fraction, ...]
-    denominators: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "numerators", tuple(Fraction(x) for x in self.numerators)
-        )
-        object.__setattr__(
-            self, "denominators", tuple(Fraction(x) for x in self.denominators)
-        )
-
-
-def gamma_quotient(spec: GammaQuotientSpec, precision: int = 40):
+def gamma_quotient(
+    numerators: Sequence[RationalLike],
+    denominators: Sequence[RationalLike],
+    precision: int = 40,
+):
     """Evaluate prod Gamma(num) / prod Gamma(den) in log space.
 
     Arguments within 10^-(precision/2) of a nonpositive integer are
     rejected; sign bookkeeping makes negative non-integer arguments safe.
     """
     _require_precision(precision)
-    for x in spec.numerators + spec.denominators:
+    numerators = [Fraction(x) for x in numerators]
+    denominators = [Fraction(x) for x in denominators]
+    for x in numerators + denominators:
         if _near_nonpositive_integer(x, precision):
             raise PoleError(f"Gamma argument {x} is at or near a pole")
     with mp.workdps(precision + _GUARD):
         total = mp.mpf(0)
         sign = 1
-        for x in spec.numerators:
+        for x in numerators:
             log_abs, s = _signed_log_gamma(x)
             total += log_abs
             sign *= s
-        for x in spec.denominators:
+        for x in denominators:
             log_abs, s = _signed_log_gamma(x)
             total -= log_abs
             sign *= s
@@ -204,52 +193,35 @@ def gamma_selftest(precision: int = 40) -> VerificationReport:
     _require_precision(precision)
     report = VerificationReport(name="gamma-selftest")
     threshold = mp.mpf(10) ** -(precision - 5)
+    half = Fraction(1, 2)
     with mp.workdps(precision + _GUARD):
-        for x in _REFLECTION_POINTS:
-            lhs = gamma_quotient(
-                GammaQuotientSpec((x, 1 - x), ()), precision
+        cases = [
+            (
+                "reflection", x,
+                gamma_quotient((x, 1 - x), (), precision),
+                mp.pi / mp.sin(mp.pi * _to_mpf(x)),
             )
-            rhs = mp.pi / mp.sin(mp.pi * _to_mpf(x))
-            residual = abs(lhs / rhs - 1)
-            _record_residual(
-                report,
-                (("check", "reflection"), ("x", x)),
-                lhs,
-                rhs,
-                residual,
-                threshold,
-                precision,
-            )
-        for x in _DUPLICATION_POINTS:
-            lhs = gamma_quotient(
-                GammaQuotientSpec((x, x + Fraction(1, 2)), ()), precision
-            )
-            rhs = (
+            for x in _REFLECTION_POINTS
+        ]
+        cases += [
+            (
+                "duplication", x,
+                gamma_quotient((x, x + half), (), precision),
                 mp.power(2, _to_mpf(1 - 2 * x))
                 * mp.sqrt(mp.pi)
-                * gamma_quotient(GammaQuotientSpec((2 * x,), ()), precision)
+                * gamma_quotient((2 * x,), (), precision),
             )
-            residual = abs(lhs / rhs - 1)
+            for x in _DUPLICATION_POINTS
+        ]
+        cases.append((
+            "duplication-factorial", Fraction(3),
+            gamma_quotient((6,), (), precision), mp.mpf(120),
+        ))
+        for check, x, lhs, rhs in cases:
             _record_residual(
-                report,
-                (("check", "duplication"), ("x", x)),
-                lhs,
-                rhs,
-                residual,
-                threshold,
-                precision,
+                report, (("check", check), ("x", x)), lhs, rhs,
+                abs(lhs / rhs - 1), threshold, precision,
             )
-        gamma_six = gamma_quotient(GammaQuotientSpec((Fraction(6),), ()), precision)
-        residual = abs(gamma_six / 120 - 1)
-        _record_residual(
-            report,
-            (("check", "duplication-factorial"), ("x", Fraction(3))),
-            gamma_six,
-            mp.mpf(120),
-            residual,
-            threshold,
-            precision,
-        )
     return report
 
 
@@ -424,10 +396,8 @@ def dixon_check(
 
     def closed_form():
         return gamma_quotient(
-            GammaQuotientSpec(
-                (1 + a / 2, 1 + a - c, 1 + a - e, 1 + a / 2 - c - e),
-                (1 + a, 1 + a / 2 - c, 1 + a / 2 - e, 1 + a - c - e),
-            ),
+            (1 + a / 2, 1 + a - c, 1 + a - e, 1 + a / 2 - c - e),
+            (1 + a, 1 + a / 2 - c, 1 + a / 2 - e, 1 + a - c - e),
             precision,
         )
 
@@ -460,17 +430,12 @@ def dminus_check(
     def closed_form():
         prefactor = mp.power(2, _to_mpf(2 * a - 2 * c - 2 * e - 1)) / mp.pi
         front = gamma_quotient(
-            GammaQuotientSpec(
-                (1 + a - c, 1 + a - e), (1 + a - 2 * c, 1 + a - 2 * e)
-            ),
-            precision,
+            (1 + a - c, 1 + a - e), (1 + a - 2 * c, 1 + a - 2 * e), precision
         )
 
         def bracket(lo, hi):
             return gamma_quotient(
-                GammaQuotientSpec(
-                    (lo, hi - c, hi - e, lo - c - e), (1 + a, 1 + a - c - e)
-                ),
+                (lo, hi - c, hi - e, lo - c - e), (1 + a, 1 + a - c - e),
                 precision,
             )
 
@@ -517,21 +482,16 @@ def linear4f3_check(
 
     def closed_form():
         front = gamma_quotient(
-            GammaQuotientSpec((1 + a - c, 1 + a - e), (a, 1 + a - c - e)),
-            precision,
+            (1 + a - c, 1 + a - e), (a, 1 + a - c - e), precision
         )
         bracket_first = gamma_quotient(
-            GammaQuotientSpec(
-                ((1 + a) * half, (1 + a) * half - c - e),
-                ((1 + a) * half - c, (1 + a) * half - e),
-            ),
+            ((1 + a) * half, (1 + a) * half - c - e),
+            ((1 + a) * half - c, (1 + a) * half - e),
             precision,
         )
         bracket_second = gamma_quotient(
-            GammaQuotientSpec(
-                (a * half, (2 + a) * half - c - e),
-                ((2 + a) * half - c, (2 + a) * half - e),
-            ),
+            (a * half, (2 + a) * half - c - e),
+            ((2 + a) * half - c, (2 + a) * half - e),
             precision,
         )
         return front * (
@@ -608,17 +568,6 @@ def jacobi_rule(
         raise ValueError("weight exponents must exceed -1")
     if m < 1:
         raise ValueError("node count must be positive")
-    return _jacobi_rule(alpha, beta, m, precision)
-
-
-# A rule is frozen with tuple nodes and weights, so callers may share it.
-# The integral grids ask for few distinct rules: m = n//2 + 2 repeats
-# across n, and thm-a's rule is thm-b's second axis.  The size is fixed
-# so that memory does not grow with the grid.
-@functools.lru_cache(maxsize=128)
-def _jacobi_rule(
-    alpha: Fraction, beta: Fraction, m: int, precision: int
-) -> QuadratureRule:
     diag, offdiag_sq = _jacobi_recurrence(alpha, beta, m)
     with mp.workdps(precision + 25):
         matrix = mp.zeros(m, m)

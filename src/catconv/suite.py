@@ -469,19 +469,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return all(c.passed for c in self.criteria)
 
-    def as_dict(self, include_timing: bool = True) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "quick": self.quick,
-            "ok": self.ok,
-            "criteria": [
-                c.as_dict(include_timing=include_timing)
-                for c in self.criteria
-            ],
-        }
-        if include_timing:
-            out["elapsed_s"] = round(self.elapsed_s, 3)
-        return out
-
 
 def run_all(quick: bool = False) -> SuiteResult:
     """Run criteria 1-10 at full or quick sizes."""

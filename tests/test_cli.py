@@ -257,6 +257,41 @@ class TestJobsOption:
         assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 64
 
 
+class TestUnreadOptions:
+    # an option the chosen identity, formula or family does not read is a
+    # usage error before anything is checked, not silently dropped
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ("verify", "--identity", "recurrence", "--n", "0..3",
+                 "--lambda", "0..2", "--mu", "0..1", "--a", "1/2"),
+                "--lambda is not a parameter of recurrence",
+            ),
+            (
+                ("coeffs", "--formula", "clausen", "--a", "1/2", "--c", "2",
+                 "--lambda", "3"),
+                "--lambda is read only by lemma-linear",
+            ),
+            (
+                ("numeric", "--family", "dixon", "--c", "1/2",
+                 "--lambda", "3"),
+                "--lambda is read only by linear4f3",
+            ),
+            (
+                ("numeric", "--family", "linear4f3", "--e", "1/2",
+                 "--lambda", "3"),
+                "--e needs --a",
+            ),
+        ],
+    )
+    def test_rejected_before_any_case(self, capsys, argv, message):
+        code, payload = run_json(capsys, *argv, "--format", "json")
+        assert code == EXIT_USAGE
+        assert (payload["cases_run"], payload["skipped"]) == (0, 0)
+        assert payload["error"] == {"type": "ValueError", "message": message}
+
+
 class TestOtherCommands:
     def test_coeffs_single_point(self, capsys):
         code, payload = run_json(

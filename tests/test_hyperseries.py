@@ -198,6 +198,14 @@ class TestProductFormulae:
         with pytest.raises(DegenerateLambda):
             check_product_formula(VARIANT_LINEAR, F(1, 2), F(1), order=8)
 
+    def test_first_factor_is_built_first(self):
+        # at c = -1 the first factor's lower c and the second's c - 1 both
+        # hit zero; the first factor is built first, so c is the one named
+        with pytest.raises(ZeroLowerPochhammer) as info:
+            check_product_formula(VARIANT_LINEAR, F(1, 2), -1, order=10)
+        assert (info.value.parameter, info.value.index) == (-1, 1)
+        assert str(info.value) == "lower parameter -1 hits zero at offset 1"
+
     @pytest.mark.parametrize("formula", PRODUCT_FORMULAE)
     def test_grid_sweep_order_24(self, formula):
         report = check_product_grid(formula, order=24)

@@ -506,6 +506,67 @@ class TestSpecializations:
         assert record.lhs is None
         assert "parameter the theorem does not have" in record.note
 
+    def test_findings_report_is_pinned(self):
+        # the whole report: thm-e's witness point and values, and thm-d's
+        # stated 1+mu, read at mu = 0, leaving prop-c's domain everywhere
+        stated = {"stated_a": "1/2+lam", "validated_a": "1/2+lam"}
+        assert specialization_findings().as_dict(include_timing=False) == {
+            "name": "specialization-catalog",
+            "cases_run": 5,
+            "skipped": 0,
+            "failures": [],
+            "flagged": [
+                {
+                    "params": {
+                        "theorem": "thm-d", **stated,
+                        "stated_c": "1+mu", "validated_c": "1+lam",
+                    },
+                    "lhs": None,
+                    "rhs": None,
+                    "note": (
+                        "stated substitution leaves the proposition's "
+                        "domain at every probed point; the validated column "
+                        "reproduces the theorem exactly; the stated text "
+                        "also names a parameter the theorem does not have"
+                    ),
+                },
+                {
+                    "params": {
+                        "theorem": "thm-e", **stated,
+                        "stated_c": "2+mu", "validated_c": "1/2+mu",
+                        "n": 2, "lam": 0, "mu": 0,
+                    },
+                    "lhs": "4/1",
+                    "rhs": "14/5",
+                    "note": (
+                        "stated substitution does not reproduce the "
+                        "theorem; lhs is the theorem value, rhs the "
+                        "rescaled proposition value under the stated "
+                        "substitution"
+                    ),
+                },
+            ],
+        }
+
+    def test_a_wrong_scale_is_recorded_at_its_point(self, monkeypatch):
+        # double thm-a's scale at (n, lam) = (4, 1) only: that one point
+        # fails on its first side, at the theorem's point plus a and c
+        rule = VALIDATED_SPECIALIZATIONS[IdentityId.THM_A]
+        wrong = dataclasses.replace(
+            rule,
+            scale=lambda n, lam, mu: rule.scale(n, lam, mu)
+            * (2 if (n, lam) == (4, 1) else 1),
+        )
+        monkeypatch.setitem(VALIDATED_SPECIALIZATIONS, IdentityId.THM_A, wrong)
+        report = specialization_check(IdentityId.THM_A, 6, 2, 0)
+        theorem = lhs_value(IdentityId.THM_A, IdentityParams(n=4, lam=1))
+        [case] = report.failures
+        assert case.params == (
+            ("n", 4), ("lam", 1), ("a", F(3, 2)), ("c", F(3)), ("side", "lhs")
+        )
+        assert (case.lhs, case.rhs) == (theorem, 2 * theorem)
+        assert report.cases_run == 21 and report.skipped == 0
+
 
 # signed rationals with q <= 7; 0 and the negative integers make (a)_k
 # vanish from some k on, and as c they hit the lower-parameter checks
