@@ -59,7 +59,6 @@ from .numerics import (
     integral_value,
     jacobi_rule,
     linear4f3_check,
-    log_gamma,
 )
 from .report import CaseRecord, VerificationReport
 from .suite import FULL_SIZES, QUICK_SIZES, SuiteSizes, run_all

@@ -3,7 +3,7 @@
 Subcommands run one verification family each; ``all`` runs the whole
 acceptance suite.  Reports stream to stdout as text or JSON; exit codes:
 0 all pass, 1 at least one mismatch, 2 usage or configuration error,
-3 numeric failure (non-convergence, pole).
+3 numeric failure (non-convergence, pole), 4 internal error.
 
 JSON reports are deterministic for a fixed configuration once timings
 are suppressed with ``--no-timing``.  Exact rationals appear as
@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from typing import Any, Callable, Sequence
 
@@ -35,13 +36,15 @@ EXIT_PASS = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
-_NUMERIC_ERRORS = (
-    numerics.NonConvergent,
-    numerics.TailBoundExceeded,
-    numerics.PoleError,
+# an error's exit code is that of the first entry whose types it matches
+_ERROR_EXITS = (
+    ((numerics.NonConvergent, numerics.TailBoundExceeded, numerics.PoleError),
+     EXIT_NUMERIC),
+    ((ZeroLowerPochhammer, ValueError), EXIT_USAGE),
+    (Exception, EXIT_INTERNAL),
 )
-_CONFIG_ERRORS = (ZeroLowerPochhammer, ValueError)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -236,7 +239,7 @@ def _reject_unread(args, keys: Sequence[str], reason: str) -> None:
             raise ValueError(f"{option} {reason}")
 
 
-def _cmd_verify(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+def _cmd_verify(args) -> list[VerificationReport]:
     ident = IdentityId(args.identity)
     params = IDENTITIES[ident].params
     _reject_unread(
@@ -252,10 +255,10 @@ def _cmd_verify(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         a_grid=args.a,
         c_grid=args.c,
     )
-    return [report], {}
+    return [report]
 
 
-def _cmd_coeffs(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+def _cmd_coeffs(args) -> list[VerificationReport]:
     if (args.a is None) != (args.c is None):
         raise ValueError("give both --a and --c, or neither for a grid sweep")
     if args.formula != hyperseries.LEMMA_LINEAR:
@@ -269,10 +272,10 @@ def _cmd_coeffs(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         report = hyperseries.check_product_grid(
             args.formula, order=args.order, lam_grid=lam_grid
         )
-    return [report], {}
+    return [report]
 
 
-def _cmd_fourf3(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+def _cmd_fourf3(args) -> list[VerificationReport]:
     grid = hyperseries.DEFAULT_RATIONAL_GRID
     reports = suite.f43_sweep(
         range(args.n[0], args.n[1] + 1),
@@ -280,14 +283,14 @@ def _cmd_fourf3(args) -> tuple[list[VerificationReport], dict[str, Any]]:
         args.e or grid,
         range(args.lam[0], args.lam[1] + 1),
     )
-    return reports, {}
+    return reports
 
 
-def _cmd_gamma(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    return [numerics.gamma_selftest(args.prec)], {}
+def _cmd_gamma(args) -> list[VerificationReport]:
+    return [numerics.gamma_selftest(args.prec)]
 
 
-def _cmd_numeric(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+def _cmd_numeric(args) -> list[VerificationReport]:
     if args.family != "linear4f3":
         _reject_unread(args, ("lam",), "is read only by linear4f3")
     if args.a is None:
@@ -305,27 +308,20 @@ def _cmd_numeric(args) -> tuple[list[VerificationReport], dict[str, Any]]:
     report = suite.numeric_sweep(
         args.family, args.prec, args.max_terms, points
     )
-    return [report], {}
+    return [report]
 
 
-def _cmd_integral(args) -> tuple[list[VerificationReport], dict[str, Any]]:
+def _cmd_integral(args) -> list[VerificationReport]:
     report = suite.integral_sweep(
         args.which,
         range(args.n[0], args.n[1] + 1),
         range(args.lam[0], args.lam[1] + 1),
     )
-    return [report], {}
+    return [report]
 
 
-def _cmd_all(args) -> tuple[list[VerificationReport], dict[str, Any]]:
-    result = suite.run_all(quick=args.quick)
-    reports = [r for criterion in result.criteria for r in criterion.reports]
-    extra = {
-        "ok": result.ok,
-        "criteria": result.criteria,
-        "suite_elapsed_s": result.elapsed_s,
-    }
-    return reports, extra
+def _cmd_all(args) -> list[suite.CriterionResult]:
+    return suite.run_all(quick=args.quick)
 
 
 _HANDLERS: dict[str, Callable] = {
@@ -355,31 +351,45 @@ def _config_echo(args) -> dict[str, Any]:
     return echo
 
 
-def _emit(
-    args,
-    reports: list[VerificationReport],
-    extra: dict[str, Any],
-    error: dict[str, str] | None,
-    elapsed_ms: float,
-) -> int:
+def _exit_code(error: Exception) -> int:
+    return next(c for kinds, c in _ERROR_EXITS if isinstance(error, kinds))
+
+
+def _verdict(args, reports, ok: bool, error) -> tuple[int, str]:
+    """The exit code and the ``overall:`` text of a finished run; ``ok``
+    is False when a criterion of ``all`` failed."""
+    if error is not None:
+        return _exit_code(error), "FAIL"
+    if not ok or any(r.failures for r in reports):
+        return EXIT_MISMATCH, "FAIL"
+    if not any(r.flagged for r in reports):
+        return EXIT_PASS, "PASS"
+    if getattr(args, "strict_printed", False):
+        return EXIT_MISMATCH, "FAIL (flagged, strict)"
+    return EXIT_PASS, "PASS (with flagged discrepancies)"
+
+
+def _emit(args, results, error: Exception | None, elapsed_ms: float) -> int:
     include_timing = not args.no_timing
-    strict = getattr(args, "strict_printed", False)
-    failures = [case for r in reports for case in r.failures]
-    flagged = [case for r in reports for case in r.flagged]
+    # ``all`` returns its criteria, every other command its reports
+    criteria = results if args.command == "all" and error is None else None
+    reports = results if criteria is None else [
+        r for c in criteria for r in c.reports
+    ]
+    ok = all(c.passed for c in criteria or ())
+    code, overall = _verdict(args, reports, ok, error)
     payload: dict[str, Any] = {
         "command": args.command,
         "config_echo": _config_echo(args),
         "cases_run": sum(r.cases_run for r in reports),
         "skipped": sum(r.skipped for r in reports),
-        "failures": [case.as_dict() for case in failures],
-        "flagged": [case.as_dict() for case in flagged],
+        "failures": [case.as_dict() for r in reports for case in r.failures],
+        "flagged": [case.as_dict() for r in reports for case in r.flagged],
     }
-    if "ok" in extra:
-        payload["ok"] = extra["ok"]
-    if "criteria" in extra:
+    if criteria is not None:
+        payload["ok"] = ok
         payload["criteria"] = [
-            c.as_dict(include_timing=include_timing)
-            for c in extra["criteria"]
+            c.as_dict(include_timing=include_timing) for c in criteria
         ]
     else:
         payload["reports"] = [
@@ -387,17 +397,19 @@ def _emit(
         ]
     if error is not None:
         payload["error"] = {
-            "type": error["type"], "message": error["message"]
+            "type": type(error).__name__, "message": str(error)
         }
     if include_timing:
         payload["elapsed_ms"] = round(elapsed_ms, 3)
-        if "suite_elapsed_s" in extra:
-            payload["suite_elapsed_s"] = round(extra["suite_elapsed_s"], 3)
+        if criteria is not None:
+            payload["suite_elapsed_s"] = round(
+                sum(c.elapsed_s for c in criteria), 3
+            )
 
     if args.format == "json":
         rendered = json.dumps(payload, indent=2)
     else:
-        rendered = _render_text(args, payload, extra, include_timing)
+        rendered = _render_text(payload, criteria, overall, include_timing)
     print(rendered)
     if args.out:
         try:
@@ -409,16 +421,7 @@ def _emit(
                 file=sys.stderr,
             )
             return EXIT_USAGE
-
-    if error is not None:
-        return EXIT_USAGE if error["exit"] == "usage" else EXIT_NUMERIC
-    if payload["failures"]:
-        return EXIT_MISMATCH
-    if "ok" in payload and not payload["ok"]:
-        return EXIT_MISMATCH
-    if strict and payload["flagged"]:
-        return EXIT_MISMATCH
-    return EXIT_PASS
+    return code
 
 
 def _write_atomically(path: str, text: str) -> None:
@@ -433,10 +436,10 @@ def _write_atomically(path: str, text: str) -> None:
             os.unlink(partial)
 
 
-def _render_text(args, payload, extra, include_timing: bool) -> str:
+def _render_text(payload, criteria, overall: str, include_timing: bool) -> str:
     lines = [f"command: {payload['command']}"]
-    if "criteria" in payload:
-        for criterion in extra["criteria"]:
+    if criteria is not None:
+        for criterion in criteria:
             verdict = "PASS" if criterion.passed else "FAIL"
             timing = (
                 f" ({criterion.elapsed_s:.1f}s)" if include_timing else ""
@@ -467,15 +470,6 @@ def _render_text(args, payload, extra, include_timing: bool) -> str:
         lines.append(
             f"error: {payload['error']['type']}: {payload['error']['message']}"
         )
-    overall = "PASS"
-    if payload["failures"] or payload.get("error") or not payload.get("ok", True):
-        overall = "FAIL"
-    elif payload["flagged"]:
-        overall = (
-            "FAIL (flagged, strict)"
-            if getattr(args, "strict_printed", False)
-            else "PASS (with flagged discrepancies)"
-        )
     timing = f" in {payload['elapsed_ms']:.0f} ms" if include_timing else ""
     lines.append(f"overall: {overall}{timing}")
     return "\n".join(lines)
@@ -485,24 +479,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    reports: list[VerificationReport] = []
-    extra: dict[str, Any] = {}
+    results: list = []
     error = None
     try:
-        reports, extra = _HANDLERS[args.command](args)
-    except _NUMERIC_ERRORS as exc:
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "exit": "numeric",
-        }
-        print(f"catconv: {type(exc).__name__}: {exc}", file=sys.stderr)
-    except _CONFIG_ERRORS as exc:
-        error = {
-            "type": type(exc).__name__,
-            "message": str(exc),
-            "exit": "usage",
-        }
+        results = _HANDLERS[args.command](args)
+    except Exception as exc:
+        error = exc
+        if _exit_code(exc) == EXIT_INTERNAL:
+            traceback.print_exc()
         print(f"catconv: {type(exc).__name__}: {exc}", file=sys.stderr)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return _emit(args, reports, extra, error, elapsed_ms)
+    return _emit(args, results, error, elapsed_ms)

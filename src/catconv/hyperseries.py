@@ -19,10 +19,9 @@ the 4F3 block compare integers.
 
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
-(``pfq_truncate``, ``series_mul``, ``series_sub``,
-``pfq_unity_sum_exact``, which are views over the same kernels), for the
-closed form's Pochhammer factor once per 4F3 block, and for the two sides
-of a failure record.  A ``Fraction`` per term would pay a gcd on every
+(``pfq_truncate``, ``series_mul`` and ``pfq_unity_sum_exact``, which are
+views over the same kernels), for the closed form's Pochhammer factor
+once per 4F3 block, and for the two sides of a failure record.  A ``Fraction`` per term would pay a gcd on every
 product and sum; those gcds, not the big-integer products themselves,
 were most of the cost.
 """
@@ -62,7 +61,6 @@ __all__ = [
     "TruncatedSeries",
     "pfq_truncate",
     "series_mul",
-    "series_sub",
     "check_product_formula",
     "check_product_grid",
     "pfq_unity_sum_exact",
@@ -274,10 +272,6 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated to the smaller order."""
     return _view(_mul(_over_lcm(a), _over_lcm(b)))
-
-
-def series_sub(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    return _view(_sub(_over_lcm(a), _over_lcm(b)))
 
 
 def _product_sides(

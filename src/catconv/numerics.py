@@ -53,7 +53,6 @@ __all__ = [
     "NonConvergent",
     "TailBoundExceeded",
     "RuleConstructionFailure",
-    "log_gamma",
     "gamma_quotient",
     "gamma_selftest",
     "dixon_check",
@@ -126,16 +125,6 @@ def _signed_log_gamma(x: Fraction):
     log_abs = mp.log(mp.pi) - mp.log(sin_frac) - mp.loggamma(_to_mpf(1 - x))
     sign = 1 if floor % 2 == 0 else -1
     return log_abs, sign
-
-
-def log_gamma(x: RationalLike, precision: int = 40):
-    """log Gamma(x) for x > 0 at the stated precision."""
-    _require_precision(precision)
-    x = Fraction(x)
-    if x <= 0:
-        raise ValueError("log_gamma requires a positive argument")
-    with mp.workdps(precision + _GUARD):
-        return mp.loggamma(_to_mpf(x))
 
 
 def gamma_quotient(

@@ -4,18 +4,20 @@ Each criterion function takes a :class:`SuiteSizes` describing grid caps
 and precision, runs the corresponding checks, and returns a
 :class:`CriterionResult`.  ``run_all`` executes all ten; the full sizes
 are the shipping targets, the quick sizes keep the whole run under the
-CI budget.  Every criterion runs in this process; the ``jobs`` argument
-each criterion function takes is accepted and ignored.
+CI budget.  One decorator, ``_criterion``, numbers, titles and times
+every criterion; it accepts the ``jobs`` argument and ignores it, since
+every criterion runs in this process.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 # Unused: every grid runs in this process.  The name stays bound, as in
 # identities, because perfbench/tracer.py counts pools by rebinding it.
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -40,7 +42,6 @@ __all__ = [
     "FULL_SIZES",
     "QUICK_SIZES",
     "CriterionResult",
-    "SuiteResult",
     "CRITERIA",
     "f43_sweep",
     "numeric_sweep",
@@ -148,12 +149,19 @@ LINEAR4F3_TERMINATING = (
 
 @dataclass
 class CriterionResult:
+    """One criterion's verdict.  ``passed`` is worked out from the
+    reports: all must be ok, and a ``passed=False`` given here fails the
+    criterion even so (criterion 3's count of admissible pairs)."""
+
     number: int
     title: str
-    passed: bool
     reports: list[VerificationReport]
-    elapsed_s: float
+    elapsed_s: float = 0.0
     details: str = ""
+    passed: bool = True
+
+    def __post_init__(self) -> None:
+        self.passed = self.passed and all(r.ok for r in self.reports)
 
     def as_dict(self, include_timing: bool = True) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -171,24 +179,24 @@ class CriterionResult:
         return out
 
 
-def _finish(
-    number: int,
-    title: str,
-    reports: list[VerificationReport],
-    start: float,
-    passed: bool | None = None,
-    details: str = "",
-) -> CriterionResult:
-    if passed is None:
-        passed = all(r.ok for r in reports)
-    return CriterionResult(
-        number=number,
-        title=title,
-        passed=passed,
-        reports=reports,
-        elapsed_s=time.perf_counter() - start,
-        details=details,
-    )
+def _criterion(number: int, title: str):
+    """Make ``body(sizes)`` criterion ``number``, called as ``fn(sizes,
+    jobs)`` and timed.  The body returns its reports, or a ``(reports,
+    details)`` or ``(reports, details, passed)`` tuple."""
+
+    def decorate(body):
+        @functools.wraps(body)
+        def criterion(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+            start = time.perf_counter()
+            found = body(sizes)
+            reports, *rest = found if isinstance(found, tuple) else (found,)
+            elapsed_s = time.perf_counter() - start
+            return CriterionResult(number, title, reports, elapsed_s, *rest)
+
+        criterion.number = number
+        return criterion
+
+    return decorate
 
 
 def _suite_grid(
@@ -214,16 +222,15 @@ def _verify_family(family: str, sizes: SuiteSizes) -> list[VerificationReport]:
     ]
 
 
-def criterion_theorems(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(1, "alternating convolution theorems")
+def criterion_theorems(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 1: the five convolution theorems, exact, full grid."""
-    start = time.perf_counter()
-    reports = _verify_family("thm", sizes)
-    return _finish(1, "alternating convolution theorems", reports, start)
+    return _verify_family("thm", sizes)
 
 
-def criterion_mikic(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(2, "base identities match lam=0 specializations")
+def criterion_mikic(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 2: the base identities coincide with lam=0 throughout."""
-    start = time.perf_counter()
     report = VerificationReport(name="mikic-specialization")
     pairs = (
         (IdentityId.MIKIC1, IdentityId.THM_A),
@@ -254,14 +261,15 @@ def criterion_mikic(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
                         note="all four of base lhs/rhs and lam=0 lhs/rhs must agree",
                     )
                 )
-    return _finish(
-        2, "base identities match lam=0 specializations", [report], start
-    )
+    return [report]
 
 
-def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
-    """Criterion 3: rational-parameter propositions over the default grid."""
-    start = time.perf_counter()
+@_criterion(3, "rational-parameter propositions")
+def criterion_props(
+    sizes: SuiteSizes,
+) -> tuple[list[VerificationReport], str, bool]:
+    """Criterion 3: rational-parameter propositions over the default grid,
+    each with at least 40 admissible (n, a) pairs."""
     reports = _verify_family("prop", sizes)
     counts = []
     for ident in map(IdentityId, (r.name for r in reports)):
@@ -273,45 +281,27 @@ def criterion_props(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
                 continue
             admissible += 1
         counts.append((ident.value, admissible))
-    passed = all(r.ok for r in reports) and all(
-        count >= 40 for _, count in counts
-    )
     details = "admissible pairs: " + ", ".join(
         f"{name} {count}" for name, count in counts
     )
-    return _finish(
-        3,
-        "rational-parameter propositions",
-        reports,
-        start,
-        passed=passed,
-        details=details,
-    )
+    return reports, details, all(count >= 40 for _, count in counts)
 
 
-def criterion_cors(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(4, "reciprocal corollaries (exact or flagged)")
+def criterion_cors(sizes: SuiteSizes) -> tuple[list[VerificationReport], str]:
     """Criterion 4: reciprocal corollaries; documented mismatches flag."""
-    start = time.perf_counter()
     reports = _verify_family("cor", sizes)
     flagged = sum(len(r.flagged) for r in reports)
-    details = f"{flagged} flagged closed-form discrepancies"
-    return _finish(
-        4,
-        "reciprocal corollaries (exact or flagged)",
-        reports,
-        start,
-        details=details,
-    )
+    return reports, f"{flagged} flagged closed-form discrepancies"
 
 
-def criterion_products(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(5, "product formulae through fixed order")
+def criterion_products(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 5: product formulae, coefficientwise to the fixed order."""
-    start = time.perf_counter()
-    reports = [
+    return [
         hyperseries.check_product_grid(formula, order=sizes.order)
         for formula in hyperseries.PRODUCT_FORMULAE
     ]
-    return _finish(5, "product formulae through fixed order", reports, start)
 
 
 def f43_sweep(
@@ -335,26 +325,22 @@ def f43_sweep(
     return [evaluation, contiguous]
 
 
-def criterion_f43(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(6, "terminating 4f3 and contiguous relation")
+def criterion_f43(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 6: terminating 4F3 evaluation plus contiguous relation."""
-    start = time.perf_counter()
     grid = hyperseries.DEFAULT_RATIONAL_GRID
-    reports = f43_sweep(
+    return f43_sweep(
         range(sizes.f43_n + 1), grid, grid, range(1, sizes.f43_lam + 1)
     )
-    return _finish(
-        6, "terminating 4f3 and contiguous relation", reports, start
-    )
 
 
-def criterion_gamma(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(7, "gamma self-test")
+def criterion_gamma(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 7: reflection/duplication self-test at several precisions."""
-    start = time.perf_counter()
-    reports = [
+    return [
         numerics.gamma_selftest(precision)
         for precision in sizes.gamma_precisions
     ]
-    return _finish(7, "gamma self-test", reports, start)
 
 
 _NUMERIC_POINTS = {
@@ -379,16 +365,13 @@ def numeric_sweep(
     return report
 
 
-def criterion_numeric(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(8, "nonterminating series vs gamma closed forms")
+def criterion_numeric(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 8: nonterminating series against Gamma closed forms."""
-    start = time.perf_counter()
-    reports = [
+    return [
         numeric_sweep(family, sizes.precision)
         for family in numerics.NUMERIC_FAMILIES
     ]
-    return _finish(
-        8, "nonterminating series vs gamma closed forms", reports, start
-    )
 
 
 def integral_sweep(
@@ -404,15 +387,14 @@ def integral_sweep(
     return report
 
 
-def criterion_integrals(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(9, "double-integral representations")
+def criterion_integrals(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 9: double-integral representations from Beta moments."""
-    start = time.perf_counter()
     ns, lams = range(sizes.int_n + 1), range(sizes.int_lam + 1)
-    reports = [
+    return [
         integral_sweep(which, ns, lams)
         for which in numerics.INTEGRAL_FAMILIES
     ]
-    return _finish(9, "double-integral representations", reports, start)
 
 
 # criterion 10 mixes identities in one report, so its records name theirs
@@ -429,12 +411,12 @@ def _record_parity(
         )
 
 
-def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
+@_criterion(10, "odd-index vanishing")
+def criterion_parity(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 10: every chi-bearing sum vanishes exactly at odd index.
 
     The points are each chi-bearing identity's suite grid at odd n.
     """
-    start = time.perf_counter()
     report = VerificationReport(name="odd-index-vanishing")
     for ident in CHI_BEARING:
         (_, n_hi), lam_range, mu_range = _suite_grid(ident, sizes)
@@ -442,40 +424,29 @@ def criterion_parity(sizes: SuiteSizes, jobs: int = 1) -> CriterionResult:
         for n in range(1, n_hi + 1, 2):
             for p in case_points(ident, (n, n), lam_range, mu_range):
                 capture_case(report, ident, p, _record_parity, prefix)
-    return _finish(10, "odd-index vanishing", [report], start)
+    return [report]
 
 
-CRITERIA: tuple[tuple[int, Callable[[SuiteSizes, int], CriterionResult]], ...] = (
-    (1, criterion_theorems),
-    (2, criterion_mikic),
-    (3, criterion_props),
-    (4, criterion_cors),
-    (5, criterion_products),
-    (6, criterion_f43),
-    (7, criterion_gamma),
-    (8, criterion_numeric),
-    (9, criterion_integrals),
-    (10, criterion_parity),
+# run_all looks the table up at call time, so a rebound table is the one run
+_Criterion = Callable[[SuiteSizes, int], CriterionResult]
+CRITERIA: tuple[tuple[int, _Criterion], ...] = tuple(
+    (fn.number, fn)
+    for fn in (
+        criterion_theorems,
+        criterion_mikic,
+        criterion_props,
+        criterion_cors,
+        criterion_products,
+        criterion_f43,
+        criterion_gamma,
+        criterion_numeric,
+        criterion_integrals,
+        criterion_parity,
+    )
 )
 
 
-@dataclass
-class SuiteResult:
-    quick: bool
-    criteria: list[CriterionResult] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.criteria)
-
-
-def run_all(quick: bool = False) -> SuiteResult:
+def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run criteria 1-10 at full or quick sizes."""
     sizes = QUICK_SIZES if quick else FULL_SIZES
-    start = time.perf_counter()
-    result = SuiteResult(quick=quick)
-    for _, fn in CRITERIA:
-        result.criteria.append(fn(sizes))
-    result.elapsed_s = time.perf_counter() - start
-    return result
+    return [fn(sizes) for _, fn in CRITERIA]

@@ -264,13 +264,14 @@ def test_tracer_finds_every_target_and_covers_the_per_layer_metrics():
     assert wanted - names == set()
 
 
-def test_criterion_11_quick_suite_end_to_end():
+def test_criterion_11_quick_suite_end_to_end(catconv_env):
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "catconv", "all", "--quick", "--format", "json"],
         capture_output=True,
         text=True,
         timeout=300,
+        env=catconv_env,
     )
     elapsed = time.perf_counter() - start
     verdict = "PASS" if proc.returncode == 0 and elapsed < 120 else "FAIL"

@@ -4,9 +4,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from catconv import suite
 from catconv.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERIC,
@@ -15,6 +17,7 @@ from catconv.cli import (
     build_parser,
     main,
 )
+from catconv.report import CaseRecord, VerificationReport
 
 # sha256 of `catconv all --quick --format json --no-timing --jobs 1` stdout
 QUICK_SUITE_SHA256 = (
@@ -121,6 +124,86 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
 
 
+class TestSuiteVerdict:
+    # `catconv all` over stub criteria: the exit code, the JSON "ok" and
+    # the text overall line all follow from the criteria's verdicts
+    ALL = ("all", "--quick", "--no-timing")
+    FLAG = CaseRecord(params=(("n", 1),), lhs=Fraction(1), rhs=Fraction(2))
+
+    @staticmethod
+    def stub(monkeypatch, passed=True, flagged=()):
+        result = suite.CriterionResult(
+            number=3,
+            title="stub criterion",
+            passed=passed,
+            reports=[
+                VerificationReport(
+                    name="stub", cases_run=1, flagged=list(flagged)
+                )
+            ],
+            elapsed_s=0.0,
+        )
+        monkeypatch.setattr(
+            suite, "CRITERIA", ((3, lambda sizes, jobs=1: result),)
+        )
+
+    def test_failed_criterion_without_failure_records(
+        self, capsys, monkeypatch
+    ):
+        # criterion 3 fails on too few admissible pairs, with every case ok
+        self.stub(monkeypatch, passed=False)
+        code, payload = run_json(capsys, *self.ALL, "--format", "json")
+        assert code == EXIT_MISMATCH
+        assert payload["ok"] is False and payload["failures"] == []
+        code, out = run_cli(capsys, *self.ALL)
+        assert code == EXIT_MISMATCH
+        assert "criterion  3 FAIL  stub criterion" in out
+        assert out.rstrip().endswith("overall: FAIL")
+
+    def test_flags_alone_pass(self, capsys, monkeypatch):
+        self.stub(monkeypatch, flagged=[self.FLAG])
+        code, out = run_cli(capsys, *self.ALL)
+        assert code == EXIT_PASS
+        assert out.rstrip().endswith(
+            "overall: PASS (with flagged discrepancies)"
+        )
+
+    def test_flags_fail_under_strict_printed(self, capsys, monkeypatch):
+        self.stub(monkeypatch, flagged=[self.FLAG])
+        code, out = run_cli(capsys, *self.ALL, "--strict-printed")
+        assert code == EXIT_MISMATCH
+        assert out.rstrip().endswith("overall: FAIL (flagged, strict)")
+
+    def test_error_during_all_reports_no_criteria(self, capsys, monkeypatch):
+        def broken(sizes, jobs=1):
+            raise ValueError("bad grid")
+
+        monkeypatch.setattr(suite, "CRITERIA", ((1, broken),))
+        code, payload = run_json(capsys, *self.ALL, "--format", "json")
+        assert code == EXIT_USAGE
+        assert payload["reports"] == []
+        assert "ok" not in payload and "criteria" not in payload
+        assert payload["error"] == {
+            "type": "ValueError", "message": "bad grid"
+        }
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        # an unexpected exception is not a mismatch (exit 1)
+        from catconv.cli import EXIT_INTERNAL
+
+        def broken(quick=False):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(suite, "run_all", broken)
+        code = main([*self.ALL, "--format", "json"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL == 4
+        payload = json.loads(captured.out)
+        assert payload["error"] == {"type": "RuntimeError", "message": "boom"}
+        assert captured.err.startswith("Traceback")
+        assert captured.err.splitlines()[-1] == "catconv: RuntimeError: boom"
+
+
 class TestNRangeOption:
     # the identity or family each command needs before it parses
     COMMANDS = (
@@ -206,7 +289,7 @@ class TestDeterminism:
         _, second = run_cli(capsys, *self.ARGS)
         assert first == second
 
-    def test_quick_suite_is_byte_identical_across_jobs(self):
+    def test_quick_suite_is_byte_identical_across_jobs(self, catconv_env):
         def quick_suite(jobs):
             proc = subprocess.run(
                 [
@@ -215,6 +298,7 @@ class TestDeterminism:
                 ],
                 capture_output=True,
                 timeout=300,
+                env=catconv_env,
             )
             assert proc.returncode == 0, proc.stderr[-2000:]
             return proc.stdout
@@ -479,7 +563,9 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         assert target.read_text() == out
 
-    def test_unwritable_out_is_a_configuration_error(self, tmp_path):
+    def test_unwritable_out_is_a_configuration_error(
+        self, tmp_path, catconv_env
+    ):
         target = tmp_path / "missing" / "report.json"
         proc = subprocess.run(
             [
@@ -490,6 +576,7 @@ class TestOtherCommands:
             capture_output=True,
             text=True,
             timeout=60,
+            env=catconv_env,
         )
         assert proc.returncode == EXIT_USAGE
         assert proc.stderr.splitlines() == [

@@ -28,7 +28,6 @@ from catconv.hyperseries import (
     pfq_truncate,
     pfq_unity_sum_exact,
     series_mul,
-    series_sub,
     terminating_4f3_block,
     terminating_4f3_check,
     terminating_4f3_closed_form,
@@ -521,9 +520,3 @@ class TestKernelsAgainstReference:
             SeriesSpec((F(-7, 2),), (F(1, 3), F(3, 2)), ARG_SQUARED), 48
         )
         assert series_mul(a, b) == ref.series_mul(a, b)
-
-
-def test_series_sub_cancels_equal_series():
-    a = pfq_truncate(one_f_one(F(2, 3), F(9, 4)), 6)
-    zero = series_sub(a, a)
-    assert all(c == 0 for c in zero.coeffs)

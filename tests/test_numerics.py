@@ -19,7 +19,6 @@ from catconv.numerics import (
     integral_value,
     jacobi_rule,
     linear4f3_check,
-    log_gamma,
 )
 
 F = Fraction
@@ -35,26 +34,6 @@ def close(x, y, eps):
     with mp.workdps(80):
         scale = max(1, abs(as_mpf(y)))
         return abs(as_mpf(x) - as_mpf(y)) <= mp.mpf(eps) * scale
-
-
-class TestLogGamma:
-    def test_gamma_one_is_one(self):
-        assert close(log_gamma(1, 40), 0, "1e-38")
-
-    def test_gamma_half_is_sqrt_pi(self):
-        with mp.workdps(60):
-            value = mp.e ** log_gamma(F(1, 2), 50)
-            assert close(value, mp.sqrt(mp.pi), "1e-45")
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            log_gamma(0)
-        with pytest.raises(ValueError):
-            log_gamma(F(-1, 2))
-
-    def test_precision_floor(self):
-        with pytest.raises(ValueError):
-            log_gamma(1, precision=5)
 
 
 class TestGammaQuotient:
@@ -101,6 +80,10 @@ class TestGammaQuotient:
     def test_just_outside_near_pole_band_accepted(self):
         x = F(-2) + F(1, 10**10)
         gamma_quotient((x,), (), 40)
+
+    def test_precision_floor(self):
+        with pytest.raises(ValueError):
+            gamma_quotient((1,), (), precision=5)
 
 
 class TestGammaSelftest:
