@@ -82,17 +82,16 @@ def _parse_fraction(text: str) -> Fraction:
         ) from None
 
 
-def _parse_jobs(text: str) -> int:
+def _parse_positive_int(text: str) -> int:
     try:
-        jobs = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a worker count, got {text!r}"
+            f"expected a positive integer, got {text!r}"
         ) from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {jobs}")
-    # every run is one process; the count is only validated and echoed
-    return jobs
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
+    return value
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -129,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--out", default=None, help="also write the report to this path"
-    )
-    common.add_argument(
-        "--jobs", type=_parse_jobs, default=1,
-        help="accepted for compatibility and echoed in the config; every "
-        "run is one process (default 1)",
     )
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -208,7 +202,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=_parse_fraction, default=None
     )
     numeric.add_argument("--prec", type=int, default=40)
-    numeric.add_argument("--max-terms", type=int, default=100000)
+    numeric.add_argument(
+        "--max-terms", type=_parse_positive_int, default=100000
+    )
 
     integral = sub.add_parser(
         "integral", parents=[common],
@@ -227,6 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     everything.add_argument("--quick", action="store_true")
     everything.add_argument("--strict-printed", action="store_true")
+    everything.add_argument(
+        "--jobs", type=_parse_positive_int, default=1,
+        help="accepted for compatibility and echoed in the config; every "
+        "run is one process (default 1)",
+    )
 
     return parser
 

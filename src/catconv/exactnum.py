@@ -21,6 +21,7 @@ __all__ = [
     "catalan",
     "pochhammer",
     "poch_quotient",
+    "zero_offset",
 ]
 
 
@@ -97,11 +98,19 @@ def pochhammer(x: RationalLike, n: int) -> Fraction:
     return Fraction(_rising_numerator(x, n), x.denominator**n)
 
 
-def _zero_offset(x: Fraction, n: int) -> int | None:
-    # Offset j < n with x + j == 0, if any.  Only integer x can hit.
-    if x.denominator == 1 and -x.numerator >= 0 and -x.numerator < n:
-        return -x.numerator
-    return None
+def zero_offset(num: int, den: int, n: int | None = None) -> int | None:
+    """The offset ``j`` with ``num/den + j == 0`` and ``0 <= j < n``, if any.
+
+    This is the one statement of when a rising factorial ``(x)_n`` of
+    ``x = num/den`` has a zero factor.  The pair need not be reduced, but
+    ``den`` must be positive; ``n=None`` leaves ``j`` unbounded, which asks
+    whether ``x`` is a nonpositive integer.  It takes integers, not a
+    ``Fraction``, so hot callers build none.
+    """
+    if num > 0 or num % den:
+        return None
+    j = -num // den
+    return j if n is None or j < n else None
 
 
 def poch_quotient(
@@ -122,7 +131,7 @@ def poch_quotient(
         raise ValueError(f"poch_quotient requires n >= 0, got n={n}")
     lower_fracs = [Fraction(l) for l in lowers]
     for l in lower_fracs:
-        offset = _zero_offset(l, n)
+        offset = zero_offset(l.numerator, l.denominator, n)
         if offset is not None:
             raise ZeroLowerPochhammer(l, offset)
     num = den = 1

@@ -39,8 +39,8 @@ from typing import Iterable, Sequence
 from .exactnum import (
     RationalLike,
     ZeroLowerPochhammer,
-    _zero_offset,
     poch_quotient,
+    zero_offset,
 )
 from .report import CaseRecord, VerificationReport
 
@@ -174,12 +174,13 @@ def _ratio_rows(
     """
     stop = steps
     for num, den in uppers:
-        if den == 1 and 0 <= -num < stop:
-            stop = -num
+        k = zero_offset(num, den, stop)
+        if k is not None:
+            stop = k
     hits = [
-        (-num, i)
+        (k, i)
         for i, (num, den) in enumerate(lowers)
-        if den == 1 and 0 <= -num < stop
+        if (k := zero_offset(num, den, stop)) is not None
     ]
     if hits:
         k, i = min(hits)
@@ -553,7 +554,9 @@ def terminating_4f3_block(
     contiguous = VerificationReport(name="contiguous-relation")
     # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
     # lower parameter of the 4F3 within its n + 1 terms
-    block_skipped = any(_zero_offset(x, n) is not None for x in (c, e))
+    block_skipped = any(
+        zero_offset(x.numerator, x.denominator, n) is not None for x in (c, e)
+    )
     if not block_skipped:
         uppers = [(-n, 1)] + _pairs([c, e])
         lowers = _pairs([1 - c - n, 1 - e - n])
@@ -565,11 +568,11 @@ def terminating_4f3_block(
         ps, rq, qs = p * s, r * q, q * s
         factor = _f43_factor(n, c, e)
     for lam in lams:
-        if block_skipped or lam == 0 or _zero_offset(lam, n) is not None:
+        ln, ld = lam.numerator, lam.denominator
+        if block_skipped or lam == 0 or zero_offset(ln, ld, n) is not None:
             evaluation.record_skip()
             contiguous.record_skip()
             continue
-        ln, ld = lam.numerator, lam.denominator
         four, four_den = _unity_sum(
             uppers + [(ln + ld, ld)], lowers + [(ln, ld)], n
         )

@@ -62,7 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .exactnum import RationalLike, binomial, catalan, pochhammer
+from .exactnum import RationalLike, binomial, catalan, pochhammer, zero_offset
 from .hyperseries import DEFAULT_RATIONAL_GRID
 from .report import CaseRecord, VerificationReport
 
@@ -76,7 +76,6 @@ __all__ = [
     "lhs_value",
     "rhs_value",
     "closed_form",
-    "verify_case",
     "verify_grid",
     "case_points",
     "capture_case",
@@ -129,11 +128,6 @@ class IdentityParams:
         return tuple((k, getattr(self, k)) for k in IDENTITIES[ident].params)
 
 
-def _nonpos_int_hit(top: int, q: int, span: int) -> bool:
-    # does x + j == 0 for some 0 <= j < span, with x = top / q?
-    return top % q == 0 and 0 >= top // q > -span
-
-
 def validate(ident: IdentityId, p: IdentityParams) -> None:
     """Raise DomainError when the statement does not cover the parameters.
 
@@ -153,7 +147,7 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
     q, ints, scaled = _values(p)
     for x, span in record.guards:
         top = _at(_affine(x), scaled)
-        if _nonpos_int_hit(top, q, _at(_affine(span), ints)):
+        if zero_offset(top, q, _at(_affine(span), ints)) is not None:
             raise DomainError(f"{ident.value} requires ({x})_({span}) nonzero")
 
 
@@ -626,22 +620,12 @@ def rhs_value(ident: IdentityId, p: IdentityParams) -> Fraction:
     return _RHS[ident](p)
 
 
-def verify_case(ident: IdentityId, p: IdentityParams) -> VerificationReport:
-    """Compare both sides of one case exactly.
-
-    A mismatch on an identity with a documented closed-form discrepancy is
-    recorded as flagged when the corrected variant matches the oracle;
-    any other mismatch is a failure.
-    """
-    report = VerificationReport(name=ident.value)
-    _record_case(report, ident, p)
-    return report
-
-
 def _record_case(
     report: VerificationReport, ident: IdentityId, p: IdentityParams
 ) -> None:
-    # verify_case's comparison, recorded into a grid's report
+    # Compare both sides of one case exactly.  A mismatch on an identity
+    # with a documented closed-form discrepancy is flagged when the
+    # corrected variant matches the oracle; any other is a failure.
     validate(ident, p)
     lhs = _LHS[ident](p)
     rhs = _RHS[ident](p)

@@ -38,7 +38,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp
 
-from .exactnum import RationalLike, _zero_offset
+from .exactnum import RationalLike, zero_offset
 from .hyperseries import (
     DegenerateLambda,
     pfq_unity_sum_exact,
@@ -107,15 +107,11 @@ def _near_nonpositive_integer(x: Fraction, precision: int) -> bool:
     return abs(x - nearest) < Fraction(1, 10 ** (precision // 2))
 
 
-def _is_nonpositive_integer(x: Fraction) -> bool:
-    return x.denominator == 1 and x <= 0
-
-
 def _signed_log_gamma(x: Fraction):
     # log|Gamma(x)| and the sign of Gamma(x), in the ambient context;
     # negative non-integer arguments go through the reflection identity
     # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    if _is_nonpositive_integer(x):
+    if zero_offset(x.numerator, x.denominator) is not None:
         raise PoleError(f"Gamma pole at {x}")
     if x > 0:
         return mp.loggamma(_to_mpf(x)), 1
@@ -322,20 +318,21 @@ def _series_check(
     params += (("precision", precision),)
     report = VerificationReport(name=name)
     ratio = _term_ratio(uppers, lowers)
-    ends = [
-        -u.numerator for u in uppers[:enders] if _is_nonpositive_integer(u)
+    offsets = [
+        zero_offset(u.numerator, u.denominator) for u in uppers[:enders]
     ]
-    if ends:
-        n = min(ends)
-        first_ends = _is_nonpositive_integer(uppers[0])
-        if first_ends and exact is not None:
-            reference = exact(-uppers[0].numerator)
+    n = min((j for j in offsets if j is not None), default=None)
+    if offsets[0] is None:
+        # poles: a lower parameter hits zero before the series ends
+        for l in lowers:
+            if zero_offset(l.numerator, l.denominator, n) is not None:
+                raise PoleError(
+                    f"lower parameter {l} makes the series undefined"
+                )
+    if n is not None:
+        if offsets[0] is not None and exact is not None:
+            reference = exact(offsets[0])
         else:
-            for l in lowers:
-                if not first_ends and _zero_offset(l, n) is not None:
-                    raise PoleError(
-                        f"lower parameter {l} makes the series undefined"
-                    )
             reference = pfq_unity_sum_exact(uppers, lowers, n)
         if reference is None:
             report.record_skip()
@@ -346,11 +343,6 @@ def _series_check(
         with mp.workdps(precision + _GUARD):
             *_, value = _partial_sums(ratio)
     else:
-        for l in lowers:
-            if _is_nonpositive_integer(l):
-                raise PoleError(
-                    f"lower parameter {l} makes the series undefined"
-                )
         text, bound = margin
         if bound < Fraction(1, 2):
             raise NonConvergent(f"margin {text} = {bound} is below 1/2")
@@ -465,7 +457,10 @@ def linear4f3_check(
     half = Fraction(1, 2)
 
     def exact(n: int) -> Fraction | None:
-        if any(_zero_offset(x, n) is not None for x in (c, e, lam)):
+        if any(
+            zero_offset(x.numerator, x.denominator, n) is not None
+            for x in (c, e, lam)
+        ):
             return None
         return terminating_4f3_closed_form(n, c, e, lam)
 

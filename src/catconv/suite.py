@@ -228,6 +228,34 @@ def criterion_theorems(sizes: SuiteSizes) -> list[VerificationReport]:
     return _verify_family("thm", sizes)
 
 
+# criterion 2 at one point: base at n against general at (n, lam=0)
+def _record_specialization(
+    general: IdentityId,
+    prefix: tuple[tuple[str, object], ...],
+    report: VerificationReport,
+    base: IdentityId,
+    p: IdentityParams,
+) -> None:
+    p_gen = IdentityParams(n=p.n, lam=0)
+    values = (
+        lhs_value(base, p),
+        rhs_value(base, p),
+        lhs_value(general, p_gen),
+        rhs_value(general, p_gen),
+    )
+    if all(v == values[0] for v in values[1:]):
+        report.record_pass()
+    else:
+        report.record_failure(
+            CaseRecord(
+                params=prefix + p.items_for(base),
+                lhs=values[0],
+                rhs=values[2],
+                note="all four of base lhs/rhs and lam=0 lhs/rhs must agree",
+            )
+        )
+
+
 @_criterion(2, "base identities match lam=0 specializations")
 def criterion_mikic(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 2: the base identities coincide with lam=0 throughout."""
@@ -237,30 +265,10 @@ def criterion_mikic(sizes: SuiteSizes) -> list[VerificationReport]:
         (IdentityId.MIKIC2, IdentityId.THM_B),
     )
     for base, general in pairs:
+        prefix = (("base", base.value), ("general", general.value))
+        check = functools.partial(_record_specialization, general, prefix)
         for n in range(sizes.mikic_n + 1):
-            p_base = IdentityParams(n=n)
-            p_gen = IdentityParams(n=n, lam=0)
-            values = (
-                lhs_value(base, p_base),
-                rhs_value(base, p_base),
-                lhs_value(general, p_gen),
-                rhs_value(general, p_gen),
-            )
-            if all(v == values[0] for v in values[1:]):
-                report.record_pass()
-            else:
-                report.record_failure(
-                    CaseRecord(
-                        params=(
-                            ("base", base.value),
-                            ("general", general.value),
-                            ("n", n),
-                        ),
-                        lhs=values[0],
-                        rhs=values[2],
-                        note="all four of base lhs/rhs and lam=0 lhs/rhs must agree",
-                    )
-                )
+            capture_case(report, base, IdentityParams(n=n), check, prefix)
     return [report]
 
 

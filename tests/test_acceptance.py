@@ -6,9 +6,11 @@ prints a single PASS/FAIL line.  The last test drives the installed
 console entry point end to end in quick mode.
 """
 
+import importlib
 import importlib.util
 import itertools
 import json
+import pkgutil
 import re
 import subprocess
 import sys
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import reference_kernels as ref
 
+import catconv
 from catconv import identities, suite
 from catconv.identities import (
     IDENTITIES,
@@ -262,6 +265,33 @@ def test_tracer_finds_every_target_and_covers_the_per_layer_metrics():
     benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
     wanted = {entry["name"] for entry in benchmark["per_layer"]}
     assert wanted - names == set()
+
+
+def test_seeded_exact_full_calls_verify_grid_as_the_benchmark_does():
+    # for every seed but 0, exact-full runs criterion 3 on a drawn grid
+    # through verify_grid(..., rational_grid=..., jobs=...); a signature
+    # change there would fail every such benchmark run
+    workloads = load_perfbench("workloads")
+    criterion = workloads._props_on_grid(workloads.prop_grid(11))
+    result = criterion(SuiteSizes(prop_n=4), 1)
+    assert result["passed"]
+    assert [
+        (r["name"], r["cases_run"], r["skipped"]) for r in result["reports"]
+    ] == [("prop-a", 320, 0), ("prop-b", 320, 0), ("prop-c", 280, 40)]
+
+
+def test_every_name_in_each_modules_all_exists():
+    # the package does not import the public names, so nothing else
+    # notices a stale __all__ entry
+    missing = []
+    for info in pkgutil.iter_modules(catconv.__path__):
+        module = importlib.import_module(f"catconv.{info.name}")
+        missing += [
+            f"{info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        ]
+    assert missing == []
 
 
 def test_criterion_11_quick_suite_end_to_end(catconv_env):

@@ -338,7 +338,29 @@ class TestJobsOption:
         # the echoed config is the same on every host
         parser = build_parser()
         assert parser.parse_args(["all", "--jobs", "2"]).jobs == 2
-        assert parser.parse_args(["fourf3", "--jobs", "64"]).jobs == 64
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["fourf3", "--jobs", "64"])
+        assert excinfo.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--identity", "thm-a"),
+            ("coeffs", "--formula", "clausen"),
+            ("fourf3",),
+            ("gamma-selftest",),
+            ("numeric", "--family", "dixon"),
+            ("integral", "--which", "thm-a"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_only_all_takes_jobs(self, capsys, argv):
+        # nothing but `all` would read it, so elsewhere it is not echoed
+        # as if applied
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--jobs", "2"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 class TestUnreadOptions:
@@ -534,6 +556,14 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         assert (payload["cases_run"], payload["skipped"]) == (0, 1)
         assert payload["failures"] == []
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_numeric_max_terms_below_one_is_usage_error(self, capsys, value):
+        # bad input, not a numeric failure (exit 3) after summing no terms
+        with pytest.raises(SystemExit) as excinfo:
+            main(["numeric", "--family", "dixon", f"--max-terms={value}"])
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_numeric_incomplete_point(self, capsys):
         code, payload = run_json(

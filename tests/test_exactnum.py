@@ -13,6 +13,7 @@ from catconv.exactnum import (
     catalan,
     poch_quotient,
     pochhammer,
+    zero_offset,
 )
 
 import reference_kernels as ref
@@ -118,6 +119,20 @@ class TestPochhammer:
         value = pochhammer(x, n)
         assert value.denominator > 0
         assert math.gcd(value.numerator, value.denominator) == 1
+
+
+class TestZeroOffset:
+    @given(
+        st.integers(-40, 40),
+        st.integers(1, 7),
+        st.one_of(st.none(), st.integers(0, 12)),
+    )
+    def test_first_zero_factor_of_the_rising_factorial(self, num, den, n):
+        # the pair need not be reduced; n=None leaves the offset unbounded
+        x = Fraction(num, den)
+        span = range(41) if n is None else range(n)
+        expected = next((j for j in span if x + j == 0), None)
+        assert zero_offset(num, den, n) == expected
 
 
 class TestPochQuotient:

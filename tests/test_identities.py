@@ -25,13 +25,29 @@ from catconv.identities import (
     specialization_check,
     specialization_findings,
     validate,
-    verify_case,
     verify_grid,
 )
 
 import reference_kernels as ref
 
 F = Fraction
+
+
+def verify_point(ident, p):
+    """verify_grid at the one point ``p``, which must be in the domain."""
+    def axis(value):
+        return None if value is None else (value, value)
+
+    def grid(value):
+        return None if value is None else (value,)
+
+    report = verify_grid(
+        ident, (p.n, p.n), axis(p.lam), axis(p.mu),
+        a_grid=grid(p.a), c_grid=grid(p.c),
+    )
+    assert (report.cases_run, report.skipped) == (1, 0)
+    return report
+
 
 # sums that take integer values on their whole valid domain
 INTEGER_VALUED = (
@@ -82,13 +98,13 @@ class TestKnownValues:
 
     def test_recurrence_case(self):
         p = IdentityParams(n=3)
-        report = verify_case(IdentityId.RECURRENCE, p)
+        report = verify_point(IdentityId.RECURRENCE, p)
         assert report.ok
         assert lhs_value(IdentityId.RECURRENCE, p) == 14
 
     def test_touchard_case(self):
         p = IdentityParams(n=4)
-        assert verify_case(IdentityId.TOUCHARD, p).ok
+        assert verify_point(IdentityId.TOUCHARD, p).ok
         assert lhs_value(IdentityId.TOUCHARD, p) == catalan(5)
 
 
@@ -205,6 +221,26 @@ class TestCaseCapture:
         assert report.failures[0].note == "ZeroDivisionError: raised at n=3"
         assert report.failures[0].lhs is None
         assert (report.failures[2].lhs, report.failures[2].rhs) == (1, 0)
+
+    def test_mikic_records_the_error_and_runs_on(self, monkeypatch):
+        raising_at(identities._LHS, IdentityId.MIKIC1, 3, monkeypatch)
+        # and a plain mismatch: mikic-2's sum off by one at n = 5
+        mikic_2 = identities._LHS[IdentityId.MIKIC2]
+        monkeypatch.setitem(
+            identities._LHS, IdentityId.MIKIC2,
+            lambda p: mikic_2(p) + (p.n == 5),
+        )
+        report = suite.criterion_mikic(suite.QUICK_SIZES).reports[0]
+        assert report.cases_run == 2 * (suite.QUICK_SIZES.mikic_n + 1)
+        assert [r.params for r in report.failures] == [
+            (("base", "mikic-1"), ("general", "thm-a"), ("n", 3)),
+            (("base", "mikic-2"), ("general", "thm-b"), ("n", 5)),
+        ]
+        raised, mismatch = report.failures
+        assert (raised.lhs, raised.rhs) == (None, None)
+        assert raised.note == "ZeroDivisionError: raised at n=3"
+        assert mismatch.lhs == mismatch.rhs + 1
+        assert mismatch.note.startswith("all four of base")
 
 
 class TestCasePoints:
@@ -392,10 +428,10 @@ def corrected_cor_2(p):
 
 class TestCor2Discrepancy:
     def test_n_zero_matches_as_printed(self):
-        assert verify_case(IdentityId.COR_2, IdentityParams(n=0, lam=0)).ok
+        assert verify_point(IdentityId.COR_2, IdentityParams(n=0, lam=0)).ok
 
     def test_flagged_not_failed(self):
-        report = verify_case(IdentityId.COR_2, IdentityParams(n=1, lam=0))
+        report = verify_point(IdentityId.COR_2, IdentityParams(n=1, lam=0))
         assert not report.failures
         assert len(report.flagged) == 1
         record = report.flagged[0]
@@ -404,7 +440,7 @@ class TestCor2Discrepancy:
         assert "corrected central binomial" in record.note
 
     def test_second_witness_point(self):
-        report = verify_case(IdentityId.COR_2, IdentityParams(n=2, lam=0))
+        report = verify_point(IdentityId.COR_2, IdentityParams(n=2, lam=0))
         assert not report.failures
         assert report.flagged[0].lhs == F(-2, 15)
         assert report.flagged[0].rhs == F(-2, 9)
@@ -776,4 +812,4 @@ class TestChainDenominatorEdges:
         p = IdentityParams(n=n, a=a, c=c)
         validate(ident, p)
         assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p)
-        assert verify_case(ident, p).ok
+        assert verify_point(ident, p).ok
