@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -47,30 +48,37 @@ _ERROR_EXITS = (
 )
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or lo..hi range, got {text!r}"
-        ) from None
-    if lo > hi:
-        raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return lo, hi
+# Caps on the inputs that size a run, checked while parsing so a value
+# over one exits 2 before any work starts; README times a run at each.
+MAX_ORDER = 100  # coeffs --order
+MAX_PREC = 200  # --prec of numeric and gamma-selftest
+MAX_N = 200  # verify --n
+MAX_F43_N = 80  # fourf3 --n
+MAX_SHIFT = 60  # both ends of --lambda and --mu (verify, fourf3)
 
 
-def _parse_nonnegative_range(text: str) -> tuple[int, int]:
-    # --n and the theorems' shifts: a negative point could only be skipped
-    lo, hi = _parse_range(text)
-    if lo < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative lower end, got {text!r}"
-        )
-    return lo, hi
+def _range_type(cap: int, signed: bool = False) -> Callable[[str], tuple]:
+    # lo..hi or one value, lo <= hi, both in [-cap, cap] if signed, else
+    # in [0, cap]: the theorems' shifts are nonnegative
+    def parse(text: str) -> tuple[int, int]:
+        try:
+            if ".." in text:
+                lo_text, hi_text = text.split("..", 1)
+                lo, hi = int(lo_text), int(hi_text)
+            else:
+                lo = hi = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer or lo..hi range, got {text!r}"
+            ) from None
+        low = -cap if signed else 0
+        if not low <= lo <= hi <= cap:
+            raise argparse.ArgumentTypeError(
+                f"expected lo <= hi within [{low}, {cap}], got {text!r}"
+            )
+        return lo, hi
+
+    return parse
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -82,16 +90,21 @@ def _parse_fraction(text: str) -> Fraction:
         ) from None
 
 
-def _parse_positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"need at least 1, got {value}")
-    return value
+def _int_type(
+    low: float = -math.inf, high: float = math.inf
+) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer in [{low}, {high}], got {text!r}"
+            )
+        return value
+
+    return parse
 
 
 def _parse_fraction_list(text: str) -> tuple[Fraction, ...]:
@@ -140,11 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--identity", required=True,
         choices=[ident.value for ident in IdentityId],
     )
-    verify.add_argument("--n", type=_parse_nonnegative_range, default=(0, 24))
+    verify.add_argument("--n", type=_range_type(MAX_N), default=(0, 24))
     verify.add_argument(
-        "--lambda", dest="lam", type=_parse_nonnegative_range, default=None
+        "--lambda", dest="lam", type=_range_type(MAX_SHIFT), default=None
     )
-    verify.add_argument("--mu", type=_parse_nonnegative_range, default=None)
+    verify.add_argument("--mu", type=_range_type(MAX_SHIFT), default=None)
     verify.add_argument(
         "--a", type=_parse_fraction_list, default=None,
         help="comma-separated rationals for the a grid",
@@ -168,16 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=_parse_fraction, default=None
     )
     coeffs.add_argument(
-        "--order", type=int, default=hyperseries.DEFAULT_ORDER
+        "--order", type=_int_type(high=MAX_ORDER),
+        default=hyperseries.DEFAULT_ORDER,
     )
 
     fourf3 = sub.add_parser(
         "fourf3", parents=[common],
         help="terminating 4F3 evaluation and contiguous relation",
     )
-    fourf3.add_argument("--n", type=_parse_nonnegative_range, default=(0, 12))
+    fourf3.add_argument("--n", type=_range_type(MAX_F43_N), default=(0, 12))
     fourf3.add_argument(
-        "--lambda", dest="lam", type=_parse_range, default=(1, 4)
+        "--lambda", dest="lam", type=_range_type(MAX_SHIFT, signed=True),
+        default=(1, 4),
     )
     fourf3.add_argument("--c", type=_parse_fraction_list, default=None)
     fourf3.add_argument("--e", type=_parse_fraction_list, default=None)
@@ -186,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gamma-selftest", parents=[common],
         help="reflection and duplication identities at one precision",
     )
-    gamma.add_argument("--prec", type=int, default=40)
+    gamma.add_argument("--prec", type=_int_type(high=MAX_PREC), default=40)
 
     numeric = sub.add_parser(
         "numeric", parents=[common],
@@ -201,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     numeric.add_argument(
         "--lambda", dest="lam", type=_parse_fraction, default=None
     )
-    numeric.add_argument("--prec", type=int, default=40)
+    numeric.add_argument("--prec", type=_int_type(high=MAX_PREC), default=40)
     numeric.add_argument(
-        "--max-terms", type=_parse_positive_int, default=100000
+        "--max-terms", type=_int_type(low=1), default=numerics.MAX_TERMS
     )
 
     integral = sub.add_parser(
@@ -213,9 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     integral.add_argument(
         "--which", required=True, choices=numerics.INTEGRAL_FAMILIES
     )
-    integral.add_argument("--n", type=_parse_nonnegative_range, default=(0, 8))
     integral.add_argument(
-        "--lambda", dest="lam", type=_parse_nonnegative_range, default=(0, 3)
+        "--n", type=_range_type(numerics.INTEGRAL_N_CAP), default=(0, 8)
+    )
+    integral.add_argument(
+        "--lambda", dest="lam", type=_range_type(numerics.INTEGRAL_LAM_CAP),
+        default=(0, 3),
     )
 
     everything = sub.add_parser(
@@ -224,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     everything.add_argument("--quick", action="store_true")
     everything.add_argument("--strict-printed", action="store_true")
     everything.add_argument(
-        "--jobs", type=_parse_positive_int, default=1,
+        "--jobs", type=_int_type(low=1), default=1,
         help="accepted for compatibility and echoed in the config; every "
         "run is one process (default 1)",
     )

@@ -7,7 +7,9 @@ rationals, so verification is literal equality.
 
 Everything the catalogue states about an identity is one
 :class:`Identity` record in ``IDENTITIES``: its parameters, its domain
-guards, its suite grid family and its closed form.  Every closed form
+guards, its suite grid family, its sum and its closed form, and where
+they apply the theorem whose lam = 0 case it is and the proposition a
+theorem embeds in.  Every closed form
 is a hypergeometric term, written as data: per parity of n, a table of
 factorials, binomials, Catalan numbers, Pochhammer symbols and linear
 factors whose arguments are affine in n, h = n // 2 and the identity's
@@ -34,8 +36,8 @@ common denominator needs no lcm over the point's terms:
   denominator divides the product of the two lower rows' entries at
   index n, and each term reaches it by exact division.
 
-The corollaries bring their terms to the lcm of the denominators.
-Adding ``Fraction`` values instead pays a gcd on ever larger operands at
+The corollaries bring their terms to the lcm of the denominators and
+convolve that row with a row of ones.  Adding ``Fraction`` values instead pays a gcd on ever larger operands at
 every step; here the only gcd of a thm-e or proposition sum is the final
 reduction's.
 
@@ -82,7 +84,6 @@ __all__ = [
     "dictionary_check",
     "specialization_check",
     "specialization_findings",
-    "VALIDATED_SPECIALIZATIONS",
     "CHI_BEARING",
 ]
 
@@ -221,17 +222,6 @@ def _convolution(
     return Fraction(total, den)
 
 
-def _alternating_sum(dens: Sequence[int], scale: int) -> Fraction:
-    # scale * sum_k (-1)^k binomial(n, k) / dens[k], n = len(dens) - 1,
-    # over one lcm
-    lcm = math.lcm(*dens)
-    total = 0
-    for k, b in enumerate(_pascal_row(len(dens) - 1)):
-        term = b * (lcm // dens[k])
-        total += -term if k % 2 else term
-    return Fraction(scale * total, lcm)
-
-
 def _lhs_mikic1(p: IdentityParams) -> Fraction:
     row = _catalan_row(p.n, 0)
     return _convolution(row, row)
@@ -294,46 +284,49 @@ def _lhs_prop_c(p: IdentityParams) -> Fraction:
     )
 
 
+# A corollary sums scale * (-1)^k binomial(n, k) / dens[k]: the summands
+# over their lcm, convolved with a row of ones.
 def _lhs_cor_1(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     row = _catalan_row(n, lam)
-    return _alternating_sum(
-        [row[k] * row[n - k] for k in range(n + 1)],
-        (n - 1) * (n - 3) * catalan(lam) ** 2,
-    )
+    dens = [row[k] * row[n - k] for k in range(n + 1)]
+    scale = (n - 1) * (n - 3) * catalan(lam) ** 2
+    lcm = math.lcm(*dens)
+    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
 
 
 def _lhs_cor_2(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     row = _catalan_row(n, lam)
-    return _alternating_sum(
-        [
-            math.comb(1 + 2 * k + 2 * lam, k + lam) * row[n - k]
-            for k in range(n + 1)
-        ],
-        n * math.comb(1 + 2 * lam, lam) * catalan(lam),
-    )
+    dens = [
+        math.comb(1 + 2 * k + 2 * lam, k + lam) * row[n - k]
+        for k in range(n + 1)
+    ]
+    scale = n * math.comb(1 + 2 * lam, lam) * catalan(lam)
+    lcm = math.lcm(*dens)
+    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
 
 
 def _lhs_cor_3(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     central = _central_row(n, lam)
-    return _alternating_sum(
-        [central[k] * central[n - k] for k in range(n + 1)],
-        (1 - n) * math.comb(2 * lam, lam) ** 2,
-    )
+    dens = [central[k] * central[n - k] for k in range(n + 1)]
+    scale = (1 - n) * math.comb(2 * lam, lam) ** 2
+    lcm = math.lcm(*dens)
+    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
 
 
 def _lhs_cor_4(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     central = _central_row(n, lam)
-    return _alternating_sum(
-        [
-            (1 + 2 * k + 2 * lam) * central[k] * central[n - k]
-            for k in range(n + 1)
-        ],
-        n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * math.comb(2 * lam, lam) ** 2,
-    )
+    dens = [
+        (1 + 2 * k + 2 * lam) * central[k] * central[n - k]
+        for k in range(n + 1)
+    ]
+    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam)
+    scale *= math.comb(2 * lam, lam) ** 2
+    lcm = math.lcm(*dens)
+    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
 
 
 # --- the catalogue: one record per identity ----------------------------
@@ -398,23 +391,47 @@ def _tables(texts: Texts) -> tuple[Table, Table | None]:
 
 
 @dataclass(frozen=True)
+class SpecializationRule:
+    """How a two-parameter convolution theorem sits inside a proposition.
+
+    ``substitution`` is the (a, c) text, such as ``("1/2+lam", "1/2+mu")``,
+    that :func:`_parse_substitution` reads at each (lam, mu), and
+    ``printed`` the text as the source catalogue states it.  ``scale``
+    multiplies the proposition's sum to recover the theorem's sum after
+    substituting; the dictionary conversions below supply the factor.
+    """
+
+    proposition: IdentityId
+    substitution: tuple[str, str]
+    printed: tuple[str, str]
+    scale: Callable[[int, int, int | None], Fraction]
+    lam_min: int = 0
+
+
+@dataclass(frozen=True)
 class Identity:
     """What the catalogue states about one identity, as data.
 
     ``params`` are the parameters it reads, in reporting order, and
     ``family`` the prefix of the ``suite.SuiteSizes`` fields bounding its
-    suite grid.  ``printed`` is the closed form as catalogued, an (even n,
-    odd n) pair of factor texts, and ``corrected`` the variant the oracle
-    matches where the printed one is known wrong.  A guard ``(x, span)``
-    of affine texts states ``(x)_span != 0``.  Guards are stated, not read
-    off the tables, so a wrong zero denominator fails, not skips.
+    suite grid.  ``lhs`` is its brute-force sum.  ``printed`` is the
+    closed form as catalogued, an (even n, odd n) pair of factor texts,
+    and ``corrected`` the variant the oracle matches where the printed one
+    is known wrong.  A guard ``(x, span)`` of affine texts states
+    ``(x)_span != 0``.  Guards are stated, not read off the tables, so a
+    wrong zero denominator fails, not skips.  ``lam0_of`` names the
+    theorem whose lam = 0 case the identity is, and ``embedding`` how a
+    theorem sits inside a proposition.
     """
 
     params: tuple[str, ...]
     family: str
+    lhs: Callable[[IdentityParams], Fraction]
     printed: Texts
     guards: tuple[tuple[str, str], ...] = ()
     corrected: Texts | None = None
+    lam0_of: IdentityId | None = None
+    embedding: SpecializationRule | None = None
 
 
 _N_LAM = ("n", "lam")
@@ -444,45 +461,94 @@ def _cor_2(central: str) -> Texts:
 
 
 IDENTITIES: dict[IdentityId, Identity] = {
-    IdentityId.RECURRENCE: Identity(("n",), "mikic", ("catalan(n+1)",) * 2),
-    IdentityId.TOUCHARD: Identity(("n",), "mikic", ("catalan(n+1)",) * 2),
-    IdentityId.MIKIC1: Identity(
-        ("n",), "mikic", ("lin(2) binom(n,h)^2 /lin(n+2)", None)
+    IdentityId.RECURRENCE: Identity(
+        ("n",), "mikic", _lhs_recurrence, ("catalan(n+1)",) * 2
     ),
-    IdentityId.MIKIC2: Identity(("n",), "mikic", ("binom(n,h)^2",) * 2),
-    IdentityId.THM_A: Identity(_N_LAM, "thm", (
-        "fact(lam) binom(2lam,lam) binom(n,h) catalan(lam+h) /poch(2+n,lam)",
-        None,
-    )),
-    IdentityId.THM_B: Identity(_N_LAM, "thm", (
-        "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
-        " /poch(2+n,lam)",
-    ) * 2),
-    IdentityId.THM_C: Identity(_N_LAM, "thm", (
-        "fact(lam) binom(2lam,lam) binom(n,h) binom(2lam+n,lam+h)"
-        " /poch(1+n,lam)",
-        None,
-    )),
-    # lam!/(n)_lam is undefined at n = 0 for positive lam
+    IdentityId.TOUCHARD: Identity(
+        ("n",), "mikic", _lhs_touchard, ("catalan(n+1)",) * 2
+    ),
+    IdentityId.MIKIC1: Identity(
+        ("n",), "mikic", _lhs_mikic1, ("lin(2) binom(n,h)^2 /lin(n+2)", None),
+        lam0_of=IdentityId.THM_A,
+    ),
+    IdentityId.MIKIC2: Identity(
+        ("n",), "mikic", _lhs_mikic2, ("binom(n,h)^2",) * 2,
+        lam0_of=IdentityId.THM_B,
+    ),
+    IdentityId.THM_A: Identity(
+        _N_LAM, "thm", _lhs_thm_a,
+        (
+            "fact(lam) binom(2lam,lam) binom(n,h) catalan(lam+h)"
+            " /poch(2+n,lam)",
+            None,
+        ),
+        embedding=SpecializationRule(
+            IdentityId.PROP_A, ("1/2+lam", "2+lam"), ("1/2+lam", "2+lam"),
+            lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
+        ),
+    ),
+    IdentityId.THM_B: Identity(
+        _N_LAM, "thm", _lhs_thm_b,
+        (
+            "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
+            " /poch(2+n,lam)",
+        ) * 2,
+        embedding=SpecializationRule(
+            IdentityId.PROP_C, ("1/2+lam", "2+lam"), ("1/2+lam", "2+lam"),
+            lambda n, lam, mu: Fraction(4) ** n
+            * catalan(lam)
+            * binomial(2 * lam, lam),
+        ),
+    ),
+    IdentityId.THM_C: Identity(
+        _N_LAM, "thm", _lhs_thm_c,
+        (
+            "fact(lam) binom(2lam,lam) binom(n,h) binom(2lam+n,lam+h)"
+            " /poch(1+n,lam)",
+            None,
+        ),
+        embedding=SpecializationRule(
+            IdentityId.PROP_A, ("1/2+lam", "1+lam"), ("1/2+lam", "1+lam"),
+            lambda n, lam, mu: Fraction(4) ** n * binomial(2 * lam, lam) ** 2,
+        ),
+    ),
+    # lam!/(n)_lam is undefined at n = 0 for positive lam; the catalogue
+    # embeds thm-d at c = 1+mu, a parameter it does not have
     IdentityId.THM_D: Identity(
-        _N_LAM,
-        "thm",
+        _N_LAM, "thm", _lhs_thm_d,
         (_THM_D + " lin(n) lin(2lam+n)", _THM_D + " lin(n+1) lin(2lam+n+1)"),
         guards=(("n", "lam"),),
+        embedding=SpecializationRule(
+            IdentityId.PROP_C, ("1/2+lam", "1+lam"), ("1/2+lam", "1+mu"),
+            lambda n, lam, mu: Fraction(4) ** n
+            * binomial(2 * lam, lam) ** 2
+            * lam,
+            lam_min=1,
+        ),
     ),
-    IdentityId.THM_E: Identity(("n", "lam", "mu"), "thm", (
-        "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
-        None,
-    )),
+    # the catalogue embeds thm-e at c = 2+mu, which does not reproduce it
+    IdentityId.THM_E: Identity(
+        ("n", "lam", "mu"), "thm", _lhs_thm_e,
+        (
+            "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
+            None,
+        ),
+        embedding=SpecializationRule(
+            IdentityId.PROP_B, ("1/2+lam", "1/2+mu"), ("1/2+lam", "2+mu"),
+            lambda n, lam, mu: Fraction(4) ** n,
+        ),
+    ),
     IdentityId.PROP_A: Identity(
         ("n", "a", "c"),
         "prop",
+        _lhs_prop_a,
         ("fact(n) /poch(c,n) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h)", None),
         guards=(("c", "n"),),
     ),
     IdentityId.PROP_B: Identity(
         ("n", "a", "c"),
         "prop",
+        _lhs_prop_b,
         (
             "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
             " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
@@ -494,10 +560,11 @@ IDENTITIES: dict[IdentityId, Identity] = {
     IdentityId.PROP_C: Identity(
         ("n", "a", "c"),
         "prop",
+        _lhs_prop_c,
         (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
         guards=(("c-1", "n+1"),),
     ),
-    IdentityId.COR_1: Identity(_N_LAM, "cor", (
+    IdentityId.COR_1: Identity(_N_LAM, "cor", _lhs_cor_1, (
         "lin(3) catalan(lam) binom(2lam,lam) binom(n,h)"
         " /catalan(lam+h) /binom(lam+n,lam) /binom(2lam+2n,lam+n)",
         None,
@@ -505,11 +572,12 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # cor-2 disagrees with its sum as catalogued; it agrees everywhere
     # once the central binomial's row index is raised by one
     IdentityId.COR_2: Identity(
-        _N_LAM, "cor", _cor_2("2lam+2n"), corrected=_cor_2("1+2lam+2n")
+        _N_LAM, "cor", _lhs_cor_2, _cor_2("2lam+2n"),
+        corrected=_cor_2("1+2lam+2n"),
     ),
-    IdentityId.COR_3: Identity(_N_LAM, "cor", (_COR_3, None)),
+    IdentityId.COR_3: Identity(_N_LAM, "cor", _lhs_cor_3, (_COR_3, None)),
     IdentityId.COR_4: Identity(
-        _N_LAM, "cor", (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)")
+        _N_LAM, "cor", _lhs_cor_4, (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)")
     ),
 }
 
@@ -585,22 +653,7 @@ def closed_form(
 
 
 _LHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
-    IdentityId.RECURRENCE: _lhs_recurrence,
-    IdentityId.TOUCHARD: _lhs_touchard,
-    IdentityId.MIKIC1: _lhs_mikic1,
-    IdentityId.MIKIC2: _lhs_mikic2,
-    IdentityId.THM_A: _lhs_thm_a,
-    IdentityId.THM_B: _lhs_thm_b,
-    IdentityId.THM_C: _lhs_thm_c,
-    IdentityId.THM_D: _lhs_thm_d,
-    IdentityId.THM_E: _lhs_thm_e,
-    IdentityId.PROP_A: _lhs_prop_a,
-    IdentityId.PROP_B: _lhs_prop_b,
-    IdentityId.PROP_C: _lhs_prop_c,
-    IdentityId.COR_1: _lhs_cor_1,
-    IdentityId.COR_2: _lhs_cor_2,
-    IdentityId.COR_3: _lhs_cor_3,
-    IdentityId.COR_4: _lhs_cor_4,
+    ident: record.lhs for ident, record in IDENTITIES.items()
 }
 
 _RHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
@@ -807,106 +860,34 @@ def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
 
 # --- theorem-to-proposition specializations ----------------------------
 
-@dataclass(frozen=True)
-class SpecializationRule:
-    """How a two-parameter convolution theorem sits inside a proposition.
-
-    ``substitution`` is the (a, c) text, such as ``("1/2+lam", "1/2+mu")``,
-    that :func:`_parse_substitution` reads at each (lam, mu), and
-    ``printed`` the text as the source catalogue states it.  ``scale``
-    multiplies the proposition's sum to recover the theorem's sum after
-    substituting; the dictionary conversions above supply the factor.
-    """
-
-    proposition: IdentityId
-    substitution: tuple[str, str]
-    printed: tuple[str, str]
-    scale: Callable[[int, int, int | None], Fraction]
-    lam_min: int = 0
-
-
-VALIDATED_SPECIALIZATIONS: dict[IdentityId, SpecializationRule] = {
-    IdentityId.THM_A: SpecializationRule(
-        proposition=IdentityId.PROP_A,
-        substitution=("1/2+lam", "2+lam"),
-        printed=("1/2+lam", "2+lam"),
-        scale=lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
-    ),
-    IdentityId.THM_B: SpecializationRule(
-        proposition=IdentityId.PROP_C,
-        substitution=("1/2+lam", "2+lam"),
-        printed=("1/2+lam", "2+lam"),
-        scale=lambda n, lam, mu: Fraction(4) ** n
-        * catalan(lam)
-        * binomial(2 * lam, lam),
-    ),
-    IdentityId.THM_C: SpecializationRule(
-        proposition=IdentityId.PROP_A,
-        substitution=("1/2+lam", "1+lam"),
-        printed=("1/2+lam", "1+lam"),
-        scale=lambda n, lam, mu: Fraction(4) ** n * binomial(2 * lam, lam) ** 2,
-    ),
-    IdentityId.THM_D: SpecializationRule(
-        proposition=IdentityId.PROP_C,
-        substitution=("1/2+lam", "1+lam"),
-        printed=("1/2+lam", "1+mu"),
-        scale=lambda n, lam, mu: Fraction(4) ** n
-        * binomial(2 * lam, lam) ** 2
-        * lam,
-        lam_min=1,
-    ),
-    IdentityId.THM_E: SpecializationRule(
-        proposition=IdentityId.PROP_B,
-        substitution=("1/2+lam", "1/2+mu"),
-        printed=("1/2+lam", "2+mu"),
-        scale=lambda n, lam, mu: Fraction(4) ** n,
-    ),
-}
-
-
-def _record_specializations(
+def _record_embedding(
+    substitution: tuple[str, str],
     report: VerificationReport,
     theorem: IdentityId,
-    substitution: tuple[str, str],
-    ns: Sequence[int],
-    lam_max: int,
-    mu_max: int,
+    p: IdentityParams,
 ) -> None:
-    # Compare the theorem with its proposition under ``substitution`` at
-    # each (n, lam, mu), n outermost: a skip where either point leaves its
-    # domain, else a pass, or one failure for the first side (lhs, then
-    # rhs) that differs, at the theorem's point plus a, c and the side.
-    # A theorem without mu reads a stated mu as 0.
-    rule = VALIDATED_SPECIALIZATIONS[theorem]
-    has_mu = "mu" in IDENTITIES[theorem].params
-    for n in ns:
-        for lam in range(rule.lam_min, lam_max + 1):
-            for mu in range(mu_max + 1) if has_mu else (0,):
-                a, c = (_parse_substitution(t, lam, mu) for t in substitution)
-                thm_p = IdentityParams(n=n, lam=lam, mu=mu if has_mu else None)
-                prop_p = IdentityParams(n=n, a=a, c=c)
-                try:
-                    validate(theorem, thm_p)
-                    validate(rule.proposition, prop_p)
-                except DomainError:
-                    report.record_skip()
-                    continue
-                scale = rule.scale(n, lam, thm_p.mu)
-                params = thm_p.items_for(theorem) + (("a", a), ("c", c))
-                for side, get in (("lhs", lhs_value), ("rhs", rhs_value)):
-                    t_val = get(theorem, thm_p)
-                    p_val = scale * get(rule.proposition, prop_p)
-                    if t_val != p_val:
-                        report.record_failure(
-                            CaseRecord(
-                                params=params + (("side", side),),
-                                lhs=t_val,
-                                rhs=p_val,
-                            )
-                        )
-                        break
-                else:
-                    report.record_pass()
+    # Compare the theorem at p with its proposition at the (a, c) that
+    # ``substitution`` gives, rescaled: a pass, or one failure for the
+    # first side (lhs, then rhs) that differs, at p plus a, c and the
+    # side.  A theorem without mu reads a stated mu as 0.
+    rule = IDENTITIES[theorem].embedding
+    a, c = (_parse_substitution(t, p.lam, p.mu or 0) for t in substitution)
+    prop_p = IdentityParams(n=p.n, a=a, c=c)
+    validate(theorem, p)
+    validate(rule.proposition, prop_p)
+    scale = rule.scale(p.n, p.lam, p.mu)
+    params = p.items_for(theorem) + (("a", a), ("c", c))
+    for side, get in (("lhs", lhs_value), ("rhs", rhs_value)):
+        t_val = get(theorem, p)
+        p_val = scale * get(rule.proposition, prop_p)
+        if t_val != p_val:
+            report.record_failure(
+                CaseRecord(
+                    params=params + (("side", side),), lhs=t_val, rhs=p_val
+                )
+            )
+            return
+    report.record_pass()
 
 
 def specialization_check(
@@ -919,18 +900,16 @@ def specialization_check(
 
     For each grid point the proposition's sum and closed form are evaluated
     at the substituted (a, c) and multiplied by the dictionary scale; both
-    must equal the theorem's sum and closed form exactly.
+    must equal the theorem's sum and closed form exactly.  A point outside
+    either domain is a skip.
     """
     start = time.perf_counter()
+    rule = IDENTITIES[theorem].embedding
     report = VerificationReport(name=f"{theorem.value}-specialization")
-    _record_specializations(
-        report,
-        theorem,
-        VALIDATED_SPECIALIZATIONS[theorem].substitution,
-        range(n_max + 1),
-        lam_max,
-        mu_max,
-    )
+    check = functools.partial(_record_embedding, rule.substitution)
+    lams = (rule.lam_min, lam_max)
+    for p in case_points(theorem, (0, n_max), lams, (0, mu_max)):
+        capture_case(report, theorem, p, check)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -944,13 +923,19 @@ def specialization_findings() -> VerificationReport:
     lam in [lam_min, 3] and mu in [0, 3] where the left sides differ.
     """
     report = VerificationReport(name="specialization-catalog")
-    for theorem, rule in VALIDATED_SPECIALIZATIONS.items():
+    for theorem, record in IDENTITIES.items():
+        rule = record.embedding
+        if rule is None:
+            continue
         printed, validated = rule.printed, rule.substitution
         if printed == validated:
             report.record_pass()
             continue
         probe = VerificationReport(name=theorem.value)
-        _record_specializations(probe, theorem, printed, (2, 4, 6), 3, 3)
+        check = functools.partial(_record_embedding, printed)
+        for n in (2, 4, 6):
+            for p in case_points(theorem, (n, n), (rule.lam_min, 3), (0, 3)):
+                capture_case(probe, theorem, p, check)
         witness = next(
             (r for r in probe.failures if r.params[-1] == ("side", "lhs")),
             None,
@@ -968,7 +953,7 @@ def specialization_findings() -> VerificationReport:
                 "theorem exactly"
             )
             if any(
-                "mu" in text and "mu" not in IDENTITIES[theorem].params
+                "mu" in text and "mu" not in record.params
                 for text in printed
             ):
                 note += (
@@ -994,7 +979,7 @@ def specialization_findings() -> VerificationReport:
     return report
 
 
-def _parse_substitution(text: str, lam: int, mu: int | None) -> Fraction:
+def _parse_substitution(text: str, lam: int, mu: int) -> Fraction:
     base, _, shift = text.partition("+")
     offset = lam if shift == "lam" else mu
     return Fraction(base) + offset

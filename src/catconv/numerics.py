@@ -49,6 +49,7 @@ from .report import CaseRecord, VerificationReport
 
 __all__ = [
     "MIN_PRECISION",
+    "MAX_TERMS",
     "PoleError",
     "NonConvergent",
     "TailBoundExceeded",
@@ -62,17 +63,21 @@ __all__ = [
     "QuadratureRule",
     "jacobi_rule",
     "INTEGRAL_FAMILIES",
+    "INTEGRAL_N_CAP",
+    "INTEGRAL_LAM_CAP",
     "integral_value",
     "integral_check",
 ]
 
 MIN_PRECISION = 20
 _GUARD = 15
+# the default cap on the terms a Levin sum may take
+MAX_TERMS = 100000
 
 NUMERIC_FAMILIES = ("dixon", "dminus", "linear4f3")
 INTEGRAL_FAMILIES = ("thm-a", "thm-b")
-_INTEGRAL_N_CAP = 60
-_INTEGRAL_LAM_CAP = 12
+INTEGRAL_N_CAP = 60
+INTEGRAL_LAM_CAP = 12
 
 
 class PoleError(ValueError):
@@ -363,7 +368,7 @@ def dixon_check(
     c: RationalLike,
     e: RationalLike,
     precision: int = 40,
-    max_terms: int = 100000,
+    max_terms: int = MAX_TERMS,
 ) -> VerificationReport:
     """Well-poised 3F2 at unit argument against its Gamma closed form.
 
@@ -395,7 +400,7 @@ def dminus_check(
     c: RationalLike,
     e: RationalLike,
     precision: int = 40,
-    max_terms: int = 100000,
+    max_terms: int = MAX_TERMS,
 ) -> VerificationReport:
     """Contiguous 3F2 (first parameter raised) against its closed form.
 
@@ -439,7 +444,7 @@ def linear4f3_check(
     e: RationalLike,
     lam: RationalLike,
     precision: int = 40,
-    max_terms: int = 100000,
+    max_terms: int = MAX_TERMS,
 ) -> VerificationReport:
     """4F3 with the (1+lam, lam) linear column against its closed form.
 
@@ -691,10 +696,10 @@ def integral_check(which: str, n: int, lam: int) -> VerificationReport:
         raise ValueError(f"unknown integral family {which!r}")
     if n < 0 or lam < 0:
         raise ValueError("n and lam must be nonnegative")
-    if n > _INTEGRAL_N_CAP or lam > _INTEGRAL_LAM_CAP:
+    if n > INTEGRAL_N_CAP or lam > INTEGRAL_LAM_CAP:
         raise ValueError(
-            f"configured caps are n <= {_INTEGRAL_N_CAP}, "
-            f"lam <= {_INTEGRAL_LAM_CAP}"
+            f"configured caps are n <= {INTEGRAL_N_CAP}, "
+            f"lam <= {INTEGRAL_LAM_CAP}"
         )
     integral = _moment_sum(which, n, lam)
     closed = _integral_closed_form(which, n, lam)

@@ -260,11 +260,10 @@ def _record_specialization(
 def criterion_mikic(sizes: SuiteSizes) -> list[VerificationReport]:
     """Criterion 2: the base identities coincide with lam=0 throughout."""
     report = VerificationReport(name="mikic-specialization")
-    pairs = (
-        (IdentityId.MIKIC1, IdentityId.THM_A),
-        (IdentityId.MIKIC2, IdentityId.THM_B),
-    )
-    for base, general in pairs:
+    for base, record in IDENTITIES.items():
+        general = record.lam0_of
+        if general is None:
+            continue
         prefix = (("base", base.value), ("general", general.value))
         check = functools.partial(_record_specialization, general, prefix)
         for n in range(sizes.mikic_n + 1):
@@ -361,7 +360,7 @@ _NUMERIC_POINTS = {
 def numeric_sweep(
     family: str,
     precision: int = 40,
-    max_terms: int = 100000,
+    max_terms: int = numerics.MAX_TERMS,
     points: Iterable[tuple] | None = None,
 ) -> VerificationReport:
     """One family's series checks, by default over its table of points."""

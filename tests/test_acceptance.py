@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import itertools
 import json
+import math
 import pkgutil
 import re
 import subprocess
@@ -265,6 +266,44 @@ def test_tracer_finds_every_target_and_covers_the_per_layer_metrics():
     benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
     wanted = {entry["name"] for entry in benchmark["per_layer"]}
     assert wanted - names == set()
+
+
+def test_traced_benchmark_run_prints_a_complete_result(catconv_env):
+    # only the traced run rebinds catconv's names and prints per-layer
+    # metrics, and run.py needs its last stdout line to be a strict-JSON
+    # result with every target found and every metric a finite number
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), "--workload",
+         "suite-quick", "--seed", "0", "--trace", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=catconv_env,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    result = json.loads(proc.stdout.splitlines()[-1], parse_constant=reject)
+    assert result["missing"] == []
+    layers = result["layers"]
+    assert [
+        name for name, value in layers.items()
+        if type(value) not in (int, float) or not math.isfinite(value)
+    ] == []
+    # the names run.py derives itself from the child processes' records
+    run_source = (PERFBENCH / "run.py").read_text()
+    names = set(layers)
+    names |= set(re.findall(r'metrics\["([\w.]+)"\] =', run_source))
+    benchmark = json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())
+    wanted = {entry["name"] for entry in benchmark["per_layer"]}
+    assert wanted - names == set()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    digests = {
+        number: entry["digest"] for number, entry in result["criteria"].items()
+    }
+    assert digests == reference["suite-quick"]
 
 
 def test_seeded_exact_full_calls_verify_grid_as_the_benchmark_does():

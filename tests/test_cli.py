@@ -8,12 +8,17 @@ from fractions import Fraction
 
 import pytest
 
-from catconv import suite
+from catconv import numerics, suite
 from catconv.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERIC,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_F43_N,
+    MAX_N,
+    MAX_ORDER,
+    MAX_PREC,
+    MAX_SHIFT,
     build_parser,
     main,
 )
@@ -361,6 +366,48 @@ class TestJobsOption:
             main([*argv, "--jobs", "2"])
         assert excinfo.value.code == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+
+# each capped option, as argv with its value k past the cap
+CAPPED = {
+    "coeffs-order": lambda k: (
+        "coeffs", "--formula", "clausen", f"--order={MAX_ORDER + k}"),
+    "numeric-prec": lambda k: (
+        "numeric", "--family", "dixon", f"--prec={MAX_PREC + k}"),
+    "gamma-prec": lambda k: ("gamma-selftest", f"--prec={MAX_PREC + k}"),
+    "verify-n": lambda k: (
+        "verify", "--identity", "mikic-1", f"--n=0..{MAX_N + k}"),
+    "verify-lambda": lambda k: (
+        "verify", "--identity", "thm-e", f"--lambda=0..{MAX_SHIFT + k}",
+        "--mu=0"),
+    "verify-mu": lambda k: (
+        "verify", "--identity", "thm-e", "--lambda=0",
+        f"--mu=0..{MAX_SHIFT + k}"),
+    "fourf3-n": lambda k: ("fourf3", f"--n=0..{MAX_F43_N + k}"),
+    "fourf3-lambda-hi": lambda k: ("fourf3", f"--lambda=1..{MAX_SHIFT + k}"),
+    "fourf3-lambda-lo": lambda k: ("fourf3", f"--lambda=-{MAX_SHIFT + k}..1"),
+    "integral-n": lambda k: (
+        "integral", "--which", "thm-a",
+        f"--n=0..{numerics.INTEGRAL_N_CAP + k}"),
+    "integral-lambda": lambda k: (
+        "integral", "--which", "thm-a",
+        f"--lambda=0..{numerics.INTEGRAL_LAM_CAP + k}"),
+}
+
+
+class TestInputCaps:
+    # a work-sizing input over its cap is a usage error before any work
+    # starts; the cap itself is admitted
+    @pytest.mark.parametrize("name", list(CAPPED))
+    def test_one_past_the_cap_is_a_usage_error(self, capsys, name):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(CAPPED[name](1)))
+        assert excinfo.value.code == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("name", list(CAPPED))
+    def test_the_cap_itself_parses(self, name):
+        build_parser().parse_args(list(CAPPED[name](0)))
 
 
 class TestUnreadOptions:

@@ -16,7 +16,6 @@ from catconv.identities import (
     DomainError,
     IdentityId,
     IdentityParams,
-    VALIDATED_SPECIALIZATIONS,
     case_points,
     closed_form,
     dictionary_check,
@@ -509,12 +508,26 @@ class TestDomainValidation:
 
 
 class TestSpecializations:
-    @pytest.mark.parametrize("theorem", sorted(VALIDATED_SPECIALIZATIONS,
-                                               key=lambda i: i.value))
+    # (cases, skips) at n <= 12, lam <= 5, mu <= 4: thm-d starts at
+    # lam = 1 and skips n = 0, where its (n)_lam vanishes
+    EMBEDDED = {
+        IdentityId.THM_A: (78, 0),
+        IdentityId.THM_B: (78, 0),
+        IdentityId.THM_C: (78, 0),
+        IdentityId.THM_D: (60, 5),
+        IdentityId.THM_E: (390, 0),
+    }
+
+    @pytest.mark.parametrize("theorem", list(EMBEDDED))
     def test_theorem_is_rescaled_proposition(self, theorem):
         report = specialization_check(theorem, n_max=12, lam_max=5, mu_max=4)
         assert report.ok, report.failures[:2]
-        assert report.cases_run > 0
+        assert (report.cases_run, report.skipped) == self.EMBEDDED[theorem]
+
+    def test_only_the_theorems_embed(self):
+        assert [i for i, r in IDENTITIES.items() if r.embedding] == list(
+            self.EMBEDDED
+        )
 
     def test_findings_flag_exactly_the_two_bad_rows(self):
         report = specialization_findings()
@@ -587,13 +600,17 @@ class TestSpecializations:
     def test_a_wrong_scale_is_recorded_at_its_point(self, monkeypatch):
         # double thm-a's scale at (n, lam) = (4, 1) only: that one point
         # fails on its first side, at the theorem's point plus a and c
-        rule = VALIDATED_SPECIALIZATIONS[IdentityId.THM_A]
+        record = IDENTITIES[IdentityId.THM_A]
+        rule = record.embedding
         wrong = dataclasses.replace(
             rule,
             scale=lambda n, lam, mu: rule.scale(n, lam, mu)
             * (2 if (n, lam) == (4, 1) else 1),
         )
-        monkeypatch.setitem(VALIDATED_SPECIALIZATIONS, IdentityId.THM_A, wrong)
+        monkeypatch.setitem(
+            IDENTITIES, IdentityId.THM_A,
+            dataclasses.replace(record, embedding=wrong),
+        )
         report = specialization_check(IdentityId.THM_A, 6, 2, 0)
         theorem = lhs_value(IdentityId.THM_A, IdentityParams(n=4, lam=1))
         [case] = report.failures
@@ -601,6 +618,24 @@ class TestSpecializations:
             ("n", 4), ("lam", 1), ("a", F(3, 2)), ("c", F(3)), ("side", "lhs")
         )
         assert (case.lhs, case.rhs) == (theorem, 2 * theorem)
+        assert report.cases_run == 21 and report.skipped == 0
+
+    def test_an_arithmetic_error_is_recorded_at_its_point(self, monkeypatch):
+        # prop-a's sum raises at thm-a's embedding point (n, lam) = (4, 1)
+        # only: that point is a failure with null sides, and the rest runs
+        prop_a = identities._LHS[IdentityId.PROP_A]
+
+        def entry(p):
+            if (p.n, p.a) == (4, F(3, 2)):
+                raise ZeroDivisionError("raised at n=4")
+            return prop_a(p)
+
+        monkeypatch.setitem(identities._LHS, IdentityId.PROP_A, entry)
+        report = specialization_check(IdentityId.THM_A, 6, 2, 0)
+        [case] = report.failures
+        assert case.params == (("n", 4), ("lam", 1))
+        assert (case.lhs, case.rhs) == (None, None)
+        assert case.note == "ZeroDivisionError: raised at n=4"
         assert report.cases_run == 21 and report.skipped == 0
 
 
