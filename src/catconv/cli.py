@@ -48,13 +48,16 @@ _ERROR_EXITS = (
 )
 
 
-# Caps on the inputs that size a run, checked while parsing so a value
-# over one exits 2 before any work starts; README times a run at each.
+# Caps on the inputs that size a run, checked while parsing (the verify
+# point count right after) so a value over one exits 2 before any work
+# starts; README times a run at each.
 MAX_ORDER = 100  # coeffs --order
 MAX_PREC = 200  # --prec of numeric and gamma-selftest
 MAX_N = 200  # verify --n
 MAX_F43_N = 80  # fourf3 --n
 MAX_SHIFT = 60  # both ends of --lambda and --mu (verify, fourf3)
+MAX_POINTS = 100_000  # verify: n x lam x mu, or n x a x c, points
+# numeric --max-terms is capped at numerics.MAX_TERMS, its default
 
 
 def _range_type(cap: int, signed: bool = False) -> Callable[[str], tuple]:
@@ -218,7 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     numeric.add_argument("--prec", type=_int_type(high=MAX_PREC), default=40)
     numeric.add_argument(
-        "--max-terms", type=_int_type(low=1), default=numerics.MAX_TERMS
+        "--max-terms", type=_int_type(low=1, high=numerics.MAX_TERMS),
+        default=numerics.MAX_TERMS,
     )
 
     integral = sub.add_parser(
@@ -256,6 +260,22 @@ def _reject_unread(args, keys: Sequence[str], reason: str) -> None:
         if getattr(args, key) is not None:
             option = "--lambda" if key == "lam" else f"--{key}"
             raise ValueError(f"{option} {reason}")
+
+
+def _verify_points(args) -> int:
+    # the points a verify grid spans over the axes its identity reads; a
+    # missing range counts once, and is an error later
+    params = IDENTITIES[IdentityId(args.identity)].params
+    count = args.n[1] - args.n[0] + 1
+    for key in ("lam", "mu"):
+        span = getattr(args, key)
+        if key in params and span is not None:
+            count *= span[1] - span[0] + 1
+    if "a" in params:
+        grid = len(hyperseries.DEFAULT_RATIONAL_GRID)
+        count *= len(args.a or ()) or grid
+        count *= len(args.c or ()) or grid
+    return count
 
 
 def _cmd_verify(args) -> list[VerificationReport]:
@@ -497,6 +517,12 @@ def _render_text(payload, criteria, overall: str, include_timing: bool) -> str:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    points = _verify_points(args) if args.command == "verify" else 0
+    if points > MAX_POINTS:
+        parser.error(
+            f"the verify grid spans {points} points, over the cap of "
+            f"{MAX_POINTS}"
+        )
     start = time.perf_counter()
     results: list = []
     error = None

@@ -14,17 +14,20 @@ function mutates ambient precision.
 
 Nonterminating series at unit argument decay only algebraically, so the
 plain partial-sum tail bound would need astronomically many terms at 40
-digits.  They are summed with Levin u-acceleration instead, with the
-transform's own error estimate (cross-checked between consecutive
-iterations) as the stopping rule and ``max_terms`` as a hard cap.
+digits.  They are summed with Levin's u transform instead, computed
+exactly in integers: the sum is the first estimate L_n, n >= 17, that
+moves by less than 10^-(precision+5) from L_{n-1}, and ``max_terms`` is
+a hard cap.
 
 Every series check runs one path (``_series_check``).  The exact term
 ratio built from the series' upper and lower parameters drives one
-floating partial-sum recurrence.  Levin consumes it for nonterminating
-instances.  A terminating instance sums the same recurrence to its last
-term and compares it with the exact rational value, so that cross-check
-tests the arithmetic Levin runs on.  The three public checks supply only
-their parameters, convergence margin and Gamma closed form.
+exact term stream (``_partial_sums``).  Levin consumes it for
+nonterminating instances.  A terminating instance sums the same stream
+to its first zero term and compares it with a rational value computed
+independently, so that cross-check tests the term ratio, the only input
+Levin reads.  Both paths give a rational, converted to floating point
+once.  The three public checks supply only their parameters,
+convergence margin and Gamma closed form.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ __all__ = [
 MIN_PRECISION = 20
 _GUARD = 15
 # the default cap on the terms a Levin sum may take
-MAX_TERMS = 100000
+MAX_TERMS = 1000
 
 NUMERIC_FAMILIES = ("dixon", "dminus", "linear4f3")
 INTEGRAL_FAMILIES = ("thm-a", "thm-b")
@@ -249,50 +252,74 @@ def _term_ratio(
 
 
 def _partial_sums(ratio: Callable[[int], Fraction]):
-    # t_0 = 1 and t_{k+1} = ratio(k) t_k in the ambient context; a zero
-    # term is summed and then ends the series, before any later ratio
-    term = mp.mpf(1)
-    total = mp.mpf(0)
+    """The exact partial sums of t_0 = 1, t_{k+1} = ratio(k) t_k.
+
+    Yields ``(step, total, scale)`` for k = 0, 1, ...: s_k = total/scale,
+    where scale is the product of the denominators of ratio(0 .. k-1) and
+    ``step`` is the numerator of ratio(k-1), 1 for k = 0, so t_k is the
+    product of the steps over scale.  A zero term is summed and then ends
+    the series, before any later ratio.
+    """
+    step = term = total = scale = 1
     for k in itertools.count():
-        total += term
-        yield total
+        yield step, total, scale
         if term == 0:
             return
-        term = term * _to_mpf(ratio(k))
+        quotient = ratio(k)
+        step = quotient.numerator
+        term *= step
+        total = total * quotient.denominator + term
+        scale *= quotient.denominator
 
 
 def _levin_unity_sum(
     ratio: Callable[[int], Fraction],
     precision: int,
     max_terms: int,
-):
-    """Sum a series at unit argument by Levin u-acceleration.
+) -> Fraction:
+    """Sum a nonterminating series at unit argument by Levin u-acceleration.
 
-    ``ratio(k)`` is the exact term quotient t_{k+1}/t_k.  Works at double
-    the target precision; stops once the transform's error estimate and
-    the change between consecutive extrapolations both fall below
-    10^-(precision+5), never before 17 terms (the estimate is unreliable
-    early on).
+    ``ratio(k)`` is the exact term quotient t_{k+1}/t_k, called once per
+    term in order.  The estimate from s_0 .. s_n is Levin's u transform
+    with beta = 1,
+
+        L_n = sum_j w_j s_j/t_j / sum_j w_j/t_j,
+        w_j = (-1)^j C(n, j) (j + 1)^(n - 2),  j = 0 .. n,
+
+    computed exactly: both sums are put over the product of the steps
+    through t_n, which turns them into Horner sums over the integers of
+    :func:`_partial_sums`.  The sum is the first L_n, n >= 17, with
+    |L_n - L_{n-1}| < 10^-(precision+5), compared by cross-multiplication;
+    a zero denominator sum is never accepted.  Before n = 17 the estimate
+    is unreliable, so none is formed before n = 16.
     """
-    target = mp.mpf(10) ** -(precision + 5)
-    with mp.workdps(2 * precision + _GUARD):
-        transform = mp.levin(method="levin", variant="u")
-        partial_sums = []
-        previous = None
-        for k, total in zip(range(max_terms), _partial_sums(ratio)):
-            partial_sums.append(total)
-            value, err = transform.update_psum(partial_sums)
-            if (
-                k > 16
-                and err < target
-                and previous is not None
-                and abs(value - previous) <= target * (1 + abs(value))
-            ):
-                return +value
-            previous = value
-        raise TailBoundExceeded(
-            f"no convergence to {mp.nstr(target, 3)} within {max_terms} terms"
-        )
+    bound = 10 ** (precision + 5)
+    steps, totals, scales = [], [], []
+    previous = None
+    # range first, so the stream takes no ratio past the budget
+    stream = zip(range(max_terms), _partial_sums(ratio))
+    for n, (step, total, scale) in stream:
+        steps.append(step)
+        totals.append(total)
+        scales.append(scale)
+        if n < 16:
+            continue
+        num = den = 0
+        for j in range(n + 1):
+            weight = math.comb(n, j) * (j + 1) ** (n - 2)
+            if j % 2:
+                weight = -weight
+            num = num * steps[j] + weight * totals[j]
+            den = den * steps[j] + weight * scales[j]
+        if previous is not None:
+            prev_num, prev_den = previous
+            change = abs(num * prev_den - prev_num * den)
+            if change * bound < abs(den * prev_den):
+                return Fraction(num, den)
+        previous = num, den
+    raise TailBoundExceeded(
+        f"no convergence to 1e-{precision + 5} within {max_terms} terms"
+    )
 
 
 def _series_check(
@@ -311,9 +338,10 @@ def _series_check(
 
     The series terminates when one of the first ``enders`` upper
     parameters (all of them by default) is a nonpositive integer; its last
-    term is n, the smallest of their negatives.  Its floating sum, run to
-    the first zero term, must then match the exact rational sum over terms
-    0 .. n to 10^-(precision-5).  Where ``exact`` is given and the first
+    term is n, the smallest of their negatives.  Its sum over
+    :func:`_partial_sums`, run to the first zero term, must then match the
+    independently computed rational sum over terms 0 .. n to
+    10^-(precision-5).  Where ``exact`` is given and the first
     upper parameter is -m, m >= 0, ``exact(m)`` replaces that sum, and the
     point is skipped where it returns None.  Where a later upper ends the
     series, a lower parameter in [1-n, 0] is a pole.  Otherwise the lower
@@ -345,8 +373,8 @@ def _series_check(
         params += (("terminating", True),)
         closed_form = functools.partial(_to_mpf, reference)
         digits = precision - 5
-        with mp.workdps(precision + _GUARD):
-            *_, value = _partial_sums(ratio)
+        *_, (_, total, scale) = _partial_sums(ratio)
+        value = Fraction(total, scale)
     else:
         text, bound = margin
         if bound < Fraction(1, 2):
@@ -354,6 +382,7 @@ def _series_check(
         digits = precision // 2
         value = _levin_unity_sum(ratio, precision, max_terms)
     with mp.workdps(precision + _GUARD):
+        value = _to_mpf(value)
         closed = closed_form()
         residual = abs(value - closed) / (abs(closed) or mp.mpf(1))
         _record_residual(

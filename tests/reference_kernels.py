@@ -10,15 +10,21 @@ identities' factor tables replaced, and the per-identity domain checks
 that the records' stated guards replaced.
 They are kept only as oracles for the differential tests: every
 operation reduces by a gcd, which makes them slow but easy to read.
+The floating Levin loop over mpmath's transform, which the exact one in
+``catconv.numerics`` replaced, is kept here the same way.
 """
 
+import itertools
 import math
 from fractions import Fraction
+
+from mpmath import mp
 
 from catconv import exactnum
 from catconv.exactnum import ZeroLowerPochhammer, binomial, catalan
 from catconv.hyperseries import ARG_MINUS, ARG_SQUARED, TruncatedSeries
 from catconv.identities import DomainError, IdentityId
+from catconv.numerics import TailBoundExceeded
 from catconv.report import CaseRecord, VerificationReport
 
 
@@ -653,3 +659,45 @@ RHS = {
     IdentityId.COR_3: rhs_cor_3,
     IdentityId.COR_4: rhs_cor_4,
 }
+
+
+def _floating_partial_sums(ratio):
+    # t_0 = 1 and t_{k+1} = ratio(k) t_k in the ambient context; a zero
+    # term is summed and then ends the series, before any later ratio
+    term = mp.mpf(1)
+    total = mp.mpf(0)
+    for k in itertools.count():
+        total += term
+        yield total
+        if term == 0:
+            return
+        quotient = ratio(k)
+        term = term * (
+            mp.mpf(quotient.numerator) / mp.mpf(quotient.denominator)
+        )
+
+
+def levin_unity_sum(ratio, precision, max_terms):
+    # mpmath's Levin u transform over floating partial sums at double the
+    # target precision; stops once its error estimate and the change
+    # between consecutive extrapolations both fall below
+    # 10^-(precision+5), never before 17 terms
+    target = mp.mpf(10) ** -(precision + 5)
+    with mp.workdps(2 * precision + 15):
+        transform = mp.levin(method="levin", variant="u")
+        partial_sums = []
+        previous = None
+        for k, total in zip(range(max_terms), _floating_partial_sums(ratio)):
+            partial_sums.append(total)
+            value, err = transform.update_psum(partial_sums)
+            if (
+                k > 16
+                and err < target
+                and previous is not None
+                and abs(value - previous) <= target * (1 + abs(value))
+            ):
+                return +value
+            previous = value
+        raise TailBoundExceeded(
+            f"no convergence to {mp.nstr(target, 3)} within {max_terms} terms"
+        )

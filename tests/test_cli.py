@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from catconv import numerics, suite
+from catconv import cli, numerics, suite
 from catconv.cli import (
     EXIT_MISMATCH,
     EXIT_NUMERIC,
@@ -17,6 +17,7 @@ from catconv.cli import (
     MAX_F43_N,
     MAX_N,
     MAX_ORDER,
+    MAX_POINTS,
     MAX_PREC,
     MAX_SHIFT,
     build_parser,
@@ -392,6 +393,19 @@ CAPPED = {
     "integral-lambda": lambda k: (
         "integral", "--which", "thm-a",
         f"--lambda=0..{numerics.INTEGRAL_LAM_CAP + k}"),
+    "numeric-max-terms": lambda k: (
+        "numeric", "--family", "dixon",
+        f"--max-terms={numerics.MAX_TERMS + k}"),
+    # the point count of a verify grid: n x 40 x 25, and n x 25 x 20
+    "verify-points": lambda k: (
+        "verify", "--identity", "thm-e",
+        f"--n=0..{MAX_POINTS // 1000 - 1 + k}", "--lambda=0..39",
+        "--mu=0..24"),
+    "verify-points-rational": lambda k: (
+        "verify", "--identity", "prop-a",
+        f"--n={1 - k}..{MAX_POINTS // 500}",
+        "--a=" + ",".join(f"{i}/3" for i in range(1, 26)),
+        "--c=" + ",".join(f"{i}/7" for i in range(1, 21))),
 }
 
 
@@ -408,6 +422,22 @@ class TestInputCaps:
     @pytest.mark.parametrize("name", list(CAPPED))
     def test_the_cap_itself_parses(self, name):
         build_parser().parse_args(list(CAPPED[name](0)))
+
+    @pytest.mark.parametrize(
+        "name", ["verify-points", "verify-points-rational"]
+    )
+    def test_a_grid_at_the_point_cap_runs(self, monkeypatch, capsys, name):
+        # the point count is checked after parsing: a grid of exactly
+        # MAX_POINTS points reaches the grid runner, stubbed out here
+        grids = []
+
+        def stub(ident, *args, **kwargs):
+            grids.append(ident)
+            return VerificationReport(name=ident.value)
+
+        monkeypatch.setattr(cli, "verify_grid", stub)
+        assert main(list(CAPPED[name](0))) == EXIT_PASS
+        assert len(grids) == 1
 
 
 class TestUnreadOptions:

@@ -6,11 +6,13 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from catconv import numerics
+import reference_kernels as ref
+from catconv import numerics, suite
 from catconv.hyperseries import DegenerateLambda
 from catconv.numerics import (
     NonConvergent,
     PoleError,
+    TailBoundExceeded,
     dixon_check,
     dminus_check,
     gamma_quotient,
@@ -226,6 +228,77 @@ class TestSharedRecurrence:
         report = dixon_check(-6, -1, F(1, 5), precision=40)
         assert report.ok and report.cases_run == 1
         assert calls == [0, 1]
+
+
+# every nonterminating point of criterion 8's tables
+NONTERMINATING = [
+    (family, point)
+    for family, points in (
+        ("dixon", suite.DIXON_TRIPLES),
+        ("dminus", suite.DMINUS_TRIPLES),
+        ("linear4f3", suite.LINEAR4F3_TRIPLES),
+    )
+    for point in points
+]
+
+
+class TestExactLevin:
+    # the exact transform against mpmath's floating one, the loop it
+    # replaced: the same ratio calls, so the same stopping index, and the
+    # same sum to the stopping rule's 10^-(P+5)
+    @pytest.mark.parametrize("precision", [30, 40])
+    @pytest.mark.parametrize(
+        "family, point", NONTERMINATING,
+        ids=[f"{family}-{i}" for i, (family, _) in enumerate(NONTERMINATING)],
+    )
+    def test_matches_the_floating_transform(
+        self, monkeypatch, family, point, precision
+    ):
+        exact_levin = numerics._levin_unity_sum
+        sums = []
+
+        def both(ratio, precision, max_terms):
+            exact_calls, floating_calls = [], []
+            value = exact_levin(
+                lambda k: exact_calls.append(k) or ratio(k),
+                precision, max_terms,
+            )
+            reference = ref.levin_unity_sum(
+                lambda k: floating_calls.append(k) or ratio(k),
+                precision, max_terms,
+            )
+            sums.append((value, reference, exact_calls, floating_calls))
+            return value
+
+        monkeypatch.setattr(numerics, "_levin_unity_sum", both)
+        check = getattr(numerics, f"{family}_check")
+        assert check(*point, precision=precision).ok
+        [(value, reference, exact_calls, floating_calls)] = sums
+        assert type(value) is Fraction
+        assert exact_calls == floating_calls == list(range(len(exact_calls)))
+        with mp.workdps(2 * precision + 15):
+            bound = mp.mpf(10) ** -(precision + 5) * abs(reference)
+            assert abs(as_mpf(value) - reference) <= bound
+
+    def test_a_zero_denominator_is_never_accepted(self):
+        # t_k = 1/(k + 1): each denominator sum is an n-th difference of a
+        # polynomial of degree n - 1, so 0, and the transform runs out of
+        # terms instead of dividing by it
+        ratio = numerics._term_ratio([F(1), F(1)], [F(2)])
+        with pytest.raises(TailBoundExceeded):
+            numerics._levin_unity_sum(ratio, 200, 40)
+
+    def test_the_term_budget_bounds_the_ratio_calls(self):
+        calls = []
+        # Dixon's (1/2, 1/4, 1/4) needs more than 20 terms at 40 digits
+        ratio = numerics._term_ratio(
+            [F(1, 2), F(1, 4), F(1, 4)], [F(5, 4), F(5, 4)]
+        )
+        with pytest.raises(TailBoundExceeded):
+            numerics._levin_unity_sum(
+                lambda k: calls.append(k) or ratio(k), 40, 20
+            )
+        assert calls == list(range(19))
 
 
 class TestJacobiRule:
