@@ -28,7 +28,7 @@ from typing import Any, Callable, Sequence
 
 from . import hyperseries, numerics, suite
 from .exactnum import ZeroLowerPochhammer
-from .identities import IDENTITIES, IdentityId, verify_grid
+from .identities import IDENTITIES, MAX_SHIFT, IdentityId, verify_grid
 from .report import VerificationReport, encode_value
 
 __all__ = ["main", "build_parser"]
@@ -55,7 +55,7 @@ MAX_ORDER = 100  # coeffs --order
 MAX_PREC = 200  # --prec of numeric and gamma-selftest
 MAX_N = 200  # verify --n
 MAX_F43_N = 80  # fourf3 --n
-MAX_SHIFT = 60  # both ends of --lambda and --mu (verify, fourf3)
+# identities.MAX_SHIFT: both ends of --lambda and --mu (verify, fourf3)
 MAX_POINTS = 100_000  # verify: n x lam x mu, or n x a x c, points
 # numeric --max-terms is capped at numerics.MAX_TERMS, its default
 

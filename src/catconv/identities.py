@@ -14,32 +14,29 @@ is a hypergeometric term, written as data: per parity of n, a table of
 factorials, binomials, Catalan numbers, Pochhammer symbols and linear
 factors whose arguments are affine in n, h = n // 2 and the identity's
 parameters.  One evaluator turns a table into an integer numerator and
-denominator and builds one ``Fraction``.  The sums share nothing with it
-beyond ``math.comb`` and ``catalan``.
+denominator and builds one ``Fraction``; the sums share no row with it.
 
-The sums run on integers.  The integer-valued ones (thm-a..d and
-mikic-1/2) convolve a Catalan row ``catalan(j + lam)`` and a central
-row ``C(2j + 2lam, j + lam)``.  The rational-valued ones bring their
-summands to one common denominator, add them with alternating signs,
-and build one ``Fraction`` from the total.  Binomials come from
-``math.comb``, and a rational parameter's rising factorials from an
-integer row with ``(x)_k = row[k] / q**k`` over one shared ``q``, whose
-powers cancel in the balanced quotients of the propositions.  Where the
-sum is a binomial convolution ``sum (-1)^k C(n,k) x_k y_{n-k}``, the
-common denominator needs no lcm over the point's terms:
+The sums run on integers, from rows that depend on their parameters
+alone, each built once and sliced to the point's n; a sum is a dot
+product in C iterators, ``sum(map(mul, ...))``.  One growing list of
+``C(2m, m)``, extended by the exact step ``(4m - 2)/m``, gives the
+central rows as slices and the Catalan rows as slices divided exactly
+by ``m + 1``; the integer-valued sums (thm-a..d, mikic-1/2) convolve
+them against the signed Pascal row ``(-1)^k C(n, k)``.  The
+rational-valued sums put their terms over one common denominator and
+build one ``Fraction`` from the total, so the only gcd is the final
+reduction's.  That denominator needs no lcm over the point's terms:
 
 - thm-e: ``x`` depends only on lam and ``y`` only on mu.  Each is an
-  integer row over the lcm of its own denominators, built once per
-  (parameter, n) and kept, like the Pascal row ``C(n, .)``, in a cache
-  of fixed size; a point multiplies the two row denominators.
-- prop-a/b/c: a rising row divides its last entry, so every term's
-  denominator divides the product of the two lower rows' entries at
-  index n, and each term reaches it by exact division.
+  integer row over the lcm of its own denominators, kept per
+  (parameter, n), the lam row times the signed Pascal row.
+- prop-a/b/c: ``(u)_k / (l)_k`` is the integer ``q^k (u)_k`` times the
+  running product ``q^(n-k) (l+k)_(n-k)``, over ``q^n (l)_n``.  The
+  rising row ``q^k (u)_k`` is kept under ``(u q, q)`` and extended in
+  place.
 
-The corollaries bring their terms to the lcm of the denominators and
-convolve that row with a row of ones.  Adding ``Fraction`` values instead pays a gcd on ever larger operands at
-every step; here the only gcd of a thm-e or proposition sum is the final
-reduction's.
+The corollaries put their terms over the lcm of their denominators.
+The keyed row caches have fixed sizes and hand out copies or tuples.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
@@ -62,6 +59,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence
 
 from .exactnum import RationalLike, binomial, catalan, pochhammer, zero_offset
@@ -120,10 +118,10 @@ class IdentityParams:
     c: Fraction | None = None
 
     def __post_init__(self):
-        if self.a is not None:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if self.c is not None:
-            object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "c"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not Fraction:
+                object.__setattr__(self, name, Fraction(value))
 
     def items_for(self, ident: IdentityId) -> tuple[tuple[str, object], ...]:
         return tuple((k, getattr(self, k)) for k in IDENTITIES[ident].params)
@@ -145,6 +143,8 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
             raise DomainError(f"{ident.value} requires parameter {name}")
         if name in ("lam", "mu") and value < 0:
             raise DomainError(f"{name} must be nonnegative")
+    if not record.guards:
+        return
     q, ints, scaled = _values(p)
     for x, span in record.guards:
         top = _at(_affine(x), scaled)
@@ -154,72 +154,97 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
 
 # --- left sides: brute-force sums -------------------------------------
 
+# The largest lam or mu a caller may ask for (the CLI's cap); a thm-e row
+# cache holds one row per value up to it.
+MAX_SHIFT = 60
+
+# C(2m, m) for m = 0 .. len - 1, extended by C(2m, m) = C(2m-2, m-1)
+# (4m-2)/m.  It grows to the largest index asked for, which the CLI caps.
+_CENTRAL = [1]
+
+
+def _central_row(n: int, lam: int) -> list[int]:
+    # binomial(2j + 2lam, j + lam) for j = 0 .. n
+    for m in range(len(_CENTRAL), lam + n + 1):
+        _CENTRAL.append(_CENTRAL[-1] * (4 * m - 2) // m)
+    return _CENTRAL[lam : lam + n + 1]
+
+
+def _catalan_row(n: int, lam: int) -> list[int]:
+    # catalan(j + lam) = binomial(2j + 2lam, j + lam) / (j + lam + 1)
+    central = _central_row(n, lam)
+    return list(map(floordiv, central, range(lam + 1, lam + n + 2)))
+
+
 def _lhs_recurrence(p: IdentityParams) -> Fraction:
-    n = p.n
-    return Fraction(sum(catalan(k) * catalan(n - k) for k in range(n + 1)))
+    row = _catalan_row(p.n, 0)
+    return Fraction(sum(map(mul, row, reversed(row))))
 
 
 def _lhs_touchard(p: IdentityParams) -> Fraction:
     n = p.n
     total = 0
-    for k in range(n // 2 + 1):
-        total += 2 ** (n - 2 * k) * binomial(n, 2 * k) * catalan(k)
+    for k, c in enumerate(_catalan_row(n // 2, 0)):
+        total += 2 ** (n - 2 * k) * math.comb(n, 2 * k) * c
     return Fraction(total)
 
 
-def _rising_rows(params: Sequence[Fraction], n: int) -> list[list[int]]:
-    # integer rows with (x)_k = row[k] / q**k for every x, over one shared
-    # q = lcm of the denominators, so a balanced quotient loses its q's
-    q = math.lcm(*(x.denominator for x in params))
-    rows = []
-    for x in params:
-        start = x.numerator * (q // x.denominator)
-        row = [1]
-        for j in range(n):
-            row.append(row[-1] * (start + j * q))
-        rows.append(row)
-    return rows
-
-
-def _catalan_row(n: int, lam: int) -> list[int]:
-    # catalan(j + lam) for j = 0 .. n
-    return [catalan(j + lam) for j in range(n + 1)]
-
-
-def _central_row(n: int, lam: int) -> list[int]:
-    # binomial(2j + 2lam, j + lam) for j = 0 .. n
-    return [math.comb(2 * j + 2 * lam, j + lam) for j in range(n + 1)]
-
-
-# The caches below hold a fixed number of rows whatever the grid, so
-# memory does not grow with the parameter range.  The grids loop over n
-# outermost, so a few Pascal rows suffice, and a thm-e grid row needs one
-# entry per distinct lam or mu: up to 32 of them stay cached.
+# The keyed caches below have fixed sizes whatever the grid.  The grids
+# loop over n outermost, so a few Pascal rows suffice; a thm-e grid row
+# needs one entry per distinct lam or mu, and a proposition grid row one
+# per rising row of its (a, c) pairs: under 20 on the default grid.
 @functools.lru_cache(maxsize=8)
 def _pascal_row(n: int) -> tuple[int, ...]:
-    return tuple(math.comb(n, k) for k in range(n + 1))
+    # (-1)^k binomial(n, k) for k = 0 .. n
+    row = map(math.comb, itertools.repeat(n), range(n + 1))
+    return tuple(map(mul, itertools.cycle((1, -1)), row))
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=MAX_SHIFT + 1)
 def _thm_e_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
     # binomial(2k + 2lam, k + lam) / binomial(k + 2lam, lam) for
     # k = 0 .. n, as (den, numerators) over the lcm of the row
     dens = [math.comb(k + 2 * lam, lam) for k in range(n + 1)]
     den = math.lcm(*dens)
-    central = _central_row(n, lam)
-    return den, tuple(c * (den // d) for c, d in zip(central, dens))
+    scaled = map(floordiv, itertools.repeat(den), dens)
+    return den, tuple(map(mul, _central_row(n, lam), scaled))
+
+
+@functools.lru_cache(maxsize=MAX_SHIFT + 1)
+def _thm_e_signed_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
+    # _thm_e_row(lam, n) with its k-th numerator times (-1)^k C(n, k)
+    den, row = _thm_e_row(lam, n)
+    return den, tuple(map(mul, _pascal_row(n), row))
+
+
+@functools.lru_cache(maxsize=128)
+def _rising_store(start: int, q: int) -> list[int]:
+    # q^k (x)_k for x = start / q, k = 0 .. len - 1, extended in place
+    return [1]
+
+
+def _ratio_row(u: Fraction, l: Fraction, n: int) -> tuple[list[int], int]:
+    # (u)_k / (l)_k for k = 0 .. n as integers q^k (u)_k q^(n-k) (l+k)_(n-k)
+    # over den = q^n (l)_n, q the lcm of the two denominators; den is
+    # nonzero wherever validate admits the point
+    q = math.lcm(u.denominator, l.denominator)
+    upper = u.numerator * (q // u.denominator)
+    lower = l.numerator * (q // l.denominator)
+    row = _rising_store(upper, q)
+    for j in range(len(row) - 1, n):
+        row.append(row[-1] * (upper + j * q))
+    factors = range(lower + (n - 1) * q, lower - q, -q)
+    tail = list(itertools.accumulate(factors, mul, initial=1))
+    tail.reverse()
+    return list(map(mul, row, tail)), tail[0]
 
 
 def _convolution(
     x: Sequence[int], y: Sequence[int], den: int = 1
 ) -> Fraction:
     # sum_k (-1)^k binomial(n, k) x[k] y[n - k] / den, n = len(x) - 1
-    n = len(x) - 1
-    total = 0
-    for k, b in enumerate(_pascal_row(n)):
-        term = b * x[k] * y[n - k]
-        total += -term if k % 2 else term
-    return Fraction(total, den)
+    signed = map(mul, _pascal_row(len(x) - 1), x)
+    return Fraction(sum(map(mul, signed, reversed(y))), den)
 
 
 def _lhs_mikic1(p: IdentityParams) -> Fraction:
@@ -246,87 +271,74 @@ def _lhs_thm_c(p: IdentityParams) -> Fraction:
 
 
 def _lhs_thm_d(p: IdentityParams) -> Fraction:
-    row = _central_row(p.n, p.lam)
-    return _convolution(row, [(j + p.lam) * c for j, c in enumerate(row)])
+    lam = p.lam
+    row = _central_row(p.n, lam)
+    return _convolution(row, list(map(mul, range(lam, lam + p.n + 1), row)))
 
 
 def _lhs_thm_e(p: IdentityParams) -> Fraction:
-    den_lam, x = _thm_e_row(p.lam, p.n)
+    den_lam, x = _thm_e_signed_row(p.lam, p.n)
     den_mu, y = _thm_e_row(p.mu, p.n)
-    return _convolution(x, y, den_lam * den_mu)
-
-
-def _over_top(upper: list[int], lower: list[int]) -> list[int]:
-    # upper[k] * lower[-1] / lower[k]: a rising row divides its last
-    # entry, so every quotient is exact; lower[-1] is nonzero wherever
-    # validate admits the point
-    top = lower[-1]
-    return [u * (top // d) for u, d in zip(upper, lower)]
+    return Fraction(sum(map(mul, x, reversed(y))), den_lam * den_mu)
 
 
 def _lhs_prop_a(p: IdentityParams) -> Fraction:
-    pa, pc = _rising_rows((p.a, p.c), p.n)
-    x = _over_top(pa, pc)
-    return _convolution(x, x, pc[-1] ** 2)
+    x, den = _ratio_row(p.a, p.c, p.n)
+    return _convolution(x, x, den**2)
 
 
 def _lhs_prop_b(p: IdentityParams) -> Fraction:
-    pa, pc, p2a, p2c = _rising_rows((p.a, p.c, 2 * p.a, 2 * p.c), p.n)
-    return _convolution(
-        _over_top(pa, p2a), _over_top(pc, p2c), p2a[-1] * p2c[-1]
-    )
+    x, den_x = _ratio_row(p.a, 2 * p.a, p.n)
+    y, den_y = _ratio_row(p.c, 2 * p.c, p.n)
+    return _convolution(x, y, den_x * den_y)
 
 
 def _lhs_prop_c(p: IdentityParams) -> Fraction:
-    pa, pc, pcm = _rising_rows((p.a, p.c, p.c - 1), p.n)
-    return _convolution(
-        _over_top(pa, pc), _over_top(pa, pcm), pc[-1] * pcm[-1]
-    )
+    x, den_x = _ratio_row(p.a, p.c, p.n)
+    y, den_y = _ratio_row(p.a, p.c - 1, p.n)
+    return _convolution(x, y, den_x * den_y)
 
 
-# A corollary sums scale * (-1)^k binomial(n, k) / dens[k]: the summands
-# over their lcm, convolved with a row of ones.
-def _lhs_cor_1(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    row = _catalan_row(n, lam)
-    dens = [row[k] * row[n - k] for k in range(n + 1)]
-    scale = (n - 1) * (n - 3) * catalan(lam) ** 2
+def _reciprocal_sum(scale: int, dens: list[int]) -> Fraction:
+    # scale * sum_k (-1)^k binomial(n, k) / dens[k], over the lcm of dens
     lcm = math.lcm(*dens)
-    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
+    terms = map(floordiv, itertools.repeat(lcm), dens)
+    total = sum(map(mul, _pascal_row(len(dens) - 1), terms))
+    return Fraction(scale * total, lcm)
+
+
+# A corollary's k-th denominator pairs row entry k with row entry n - k.
+def _lhs_cor_1(p: IdentityParams) -> Fraction:
+    n = p.n
+    row = _catalan_row(n, p.lam)
+    scale = (n - 1) * (n - 3) * row[0] ** 2
+    return _reciprocal_sum(scale, list(map(mul, row, reversed(row))))
 
 
 def _lhs_cor_2(p: IdentityParams) -> Fraction:
+    # binomial(1 + 2m, m) = (1 + 2m) catalan(m)
     n, lam = p.n, p.lam
     row = _catalan_row(n, lam)
-    dens = [
-        math.comb(1 + 2 * k + 2 * lam, k + lam) * row[n - k]
-        for k in range(n + 1)
-    ]
-    scale = n * math.comb(1 + 2 * lam, lam) * catalan(lam)
-    lcm = math.lcm(*dens)
-    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
+    odd = range(1 + 2 * lam, 2 + 2 * lam + 2 * n, 2)
+    scale = n * (1 + 2 * lam) * row[0] ** 2
+    dens = map(mul, map(mul, odd, row), reversed(row))
+    return _reciprocal_sum(scale, list(dens))
 
 
 def _lhs_cor_3(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    central = _central_row(n, lam)
-    dens = [central[k] * central[n - k] for k in range(n + 1)]
-    scale = (1 - n) * math.comb(2 * lam, lam) ** 2
-    lcm = math.lcm(*dens)
-    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
+    n = p.n
+    central = _central_row(n, p.lam)
+    scale = (1 - n) * central[0] ** 2
+    return _reciprocal_sum(scale, list(map(mul, central, reversed(central))))
 
 
 def _lhs_cor_4(p: IdentityParams) -> Fraction:
     n, lam = p.n, p.lam
     central = _central_row(n, lam)
-    dens = [
-        (1 + 2 * k + 2 * lam) * central[k] * central[n - k]
-        for k in range(n + 1)
-    ]
-    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam)
-    scale *= math.comb(2 * lam, lam) ** 2
-    lcm = math.lcm(*dens)
-    return _convolution([scale * (lcm // d) for d in dens], [1] * (n + 1), lcm)
+    odd = range(1 + 2 * lam, 2 + 2 * lam + 2 * n, 2)
+    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * central[0] ** 2
+    dens = map(mul, map(mul, odd, central), reversed(central))
+    return _reciprocal_sum(scale, list(dens))
 
 
 # --- the catalogue: one record per identity ----------------------------

@@ -23,11 +23,11 @@ Every series check runs one path (``_series_check``).  The exact term
 ratio built from the series' upper and lower parameters drives one
 exact term stream (``_partial_sums``).  Levin consumes it for
 nonterminating instances.  A terminating instance sums the same stream
-to its first zero term and compares it with a rational value computed
+to its first zero term and asks it to equal a rational value computed
 independently, so that cross-check tests the term ratio, the only input
-Levin reads.  Both paths give a rational, converted to floating point
-once.  The three public checks supply only their parameters,
-convergence margin and Gamma closed form.
+Levin reads.  Levin's rational is converted to floating point once, a
+terminating sum only for a failure record.  The three public checks
+supply only their parameters, convergence margin and Gamma closed form.
 """
 
 from __future__ import annotations
@@ -339,11 +339,11 @@ def _series_check(
     The series terminates when one of the first ``enders`` upper
     parameters (all of them by default) is a nonpositive integer; its last
     term is n, the smallest of their negatives.  Its sum over
-    :func:`_partial_sums`, run to the first zero term, must then match the
-    independently computed rational sum over terms 0 .. n to
-    10^-(precision-5).  Where ``exact`` is given and the first
-    upper parameter is -m, m >= 0, ``exact(m)`` replaces that sum, and the
-    point is skipped where it returns None.  Where a later upper ends the
+    :func:`_partial_sums`, run to the first zero term, must then equal the
+    independently computed rational sum over terms 0 .. n exactly.  Where
+    ``exact`` is given and the first upper parameter is -m, m >= 0,
+    ``exact(m)`` replaces that sum, and the point is skipped where it
+    returns None.  Where a later upper ends the
     series, a lower parameter in [1-n, 0] is a pole.  Otherwise the lower
     parameters must avoid the poles, ``margin`` must be at least 1/2, and
     the Levin sum must match ``closed_form()`` to 10^-(precision/2).
@@ -371,23 +371,31 @@ def _series_check(
             report.record_skip()
             return report
         params += (("terminating", True),)
-        closed_form = functools.partial(_to_mpf, reference)
-        digits = precision - 5
         *_, (_, total, scale) = _partial_sums(ratio)
         value = Fraction(total, scale)
+        if value == reference:
+            report.record_pass()
+            return report
+        # any error fails, measured exactly
+        error = abs(value - reference) / (abs(reference) or 1)
+        closed_form = functools.partial(_to_mpf, reference)
     else:
         text, bound = margin
         if bound < Fraction(1, 2):
             raise NonConvergent(f"margin {text} = {bound} is below 1/2")
-        digits = precision // 2
+        error = None
         value = _levin_unity_sum(ratio, precision, max_terms)
     with mp.workdps(precision + _GUARD):
         value = _to_mpf(value)
         closed = closed_form()
-        residual = abs(value - closed) / (abs(closed) or mp.mpf(1))
+        if error is None:
+            residual = abs(value - closed) / (abs(closed) or mp.mpf(1))
+            threshold = mp.mpf(10) ** -(precision // 2)
+        else:
+            residual, threshold = _to_mpf(error), mp.mpf(0)
         _record_residual(
-            report, params, value, closed, residual,
-            mp.mpf(10) ** -digits, precision, "relative error",
+            report, params, value, closed, residual, threshold, precision,
+            "relative error",
         )
     return report
 
@@ -401,10 +409,10 @@ def dixon_check(
 ) -> VerificationReport:
     """Well-poised 3F2 at unit argument against its Gamma closed form.
 
-    Terminating instances (a a nonpositive integer) are cross-checked
-    against the exact rational sum at 10^-(precision-5); convergent
-    nonterminating instances need margin 1 + a/2 - c - e >= 1/2 and match
-    the four-over-four Gamma quotient to 10^-(precision/2).
+    Terminating instances (a a nonpositive integer) must equal the exact
+    rational sum; convergent nonterminating instances need margin
+    1 + a/2 - c - e >= 1/2 and match the four-over-four Gamma quotient to
+    10^-(precision/2).
     """
     _require_precision(precision)
     a, c, e = map(Fraction, (a, c, e))

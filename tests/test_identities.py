@@ -794,14 +794,38 @@ class TestAgainstHandWrittenReference:
         assert checked > 0
 
 
+# the keyed row caches of the sums, each of a fixed size
+ROW_CACHES = (
+    identities._pascal_row,
+    identities._thm_e_row,
+    identities._thm_e_signed_row,
+    identities._rising_store,
+)
+
+
+def clear_rows():
+    for cache in ROW_CACHES:
+        cache.cache_clear()
+    del identities._CENTRAL[1:]
+
+
+# descending, interleaved and repeated orders, over more distinct n than
+# the Pascal cache holds
+PAST_PASCAL = identities._pascal_row.cache_info().maxsize + 8
+N_ORDERS = (
+    list(range(PAST_PASCAL, -1, -1))
+    + [n for k in range(PAST_PASCAL // 2) for n in (k, PAST_PASCAL - k)]
+    + [5, 5, 0, 0, PAST_PASCAL, 1, PAST_PASCAL]
+)
+
+
 class TestRowCaches:
-    # thm-e reads its rows from bounded caches shared across points; a
-    # value must not depend on what was evaluated before it
+    # the sums read their rows from caches shared across points; a value
+    # must not depend on what was evaluated before it
     def test_thm_e_in_any_call_order_and_after_eviction(self):
-        rows, pascal = identities._thm_e_row, identities._pascal_row
-        rows.cache_clear()
-        pascal.cache_clear()
-        # more distinct lam/mu values than the row cache holds, at
+        clear_rows()
+        rows = identities._thm_e_row
+        # more distinct lam/mu values than the row caches hold, at
         # descending and repeated n, so rows are evicted and rebuilt
         span = rows.cache_info().maxsize + 8
         points = [
@@ -809,19 +833,73 @@ class TestRowCaches:
             for n in (20, 9, 20, 2, 0)
             for lam in range(span)
         ]
-        # more distinct n than the Pascal cache holds, descending
-        points += [
-            (n, n % 3, n % 5)
-            for n in range(pascal.cache_info().maxsize + 8, -1, -1)
-        ]
+        points += [(n, n % 3, n % 5) for n in N_ORDERS]
         for n, lam, mu in points:
             p = IdentityParams(n=n, lam=lam, mu=mu)
             value = lhs_value(IdentityId.THM_E, p)
             assert value == ref.lhs_thm_e(p), (n, lam, mu)
-        for cache in (rows, pascal):
+        for cache in ROW_CACHES[:3]:
             info = cache.cache_info()
-            assert info.maxsize is not None
             assert info.currsize == info.maxsize
+
+    def test_thm_e_caches_hold_a_row_per_shift_the_cli_accepts(self):
+        for cache in (identities._thm_e_row, identities._thm_e_signed_row):
+            assert cache.cache_info().maxsize == identities.MAX_SHIFT + 1
+
+    @pytest.mark.parametrize(
+        "ident",
+        [
+            IdentityId.THM_A, IdentityId.THM_B, IdentityId.THM_C,
+            IdentityId.THM_D, IdentityId.COR_1, IdentityId.COR_2,
+            IdentityId.COR_3, IdentityId.COR_4,
+        ],
+    )
+    def test_row_sums_in_any_n_order(self, ident):
+        clear_rows()
+        for n in N_ORDERS:
+            for lam in (n % 4, 3, 0):
+                p = IdentityParams(n=n, lam=lam)
+                if admitted(validate, ident, p):
+                    assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), p
+        info = identities._pascal_row.cache_info()
+        assert info.currsize == info.maxsize
+
+    @pytest.mark.parametrize(
+        "ident", [IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C]
+    )
+    def test_proposition_sums_past_the_rising_row_limit(self, ident):
+        clear_rows()
+        store = identities._rising_store
+        # more distinct a than the rising-row cache holds, at
+        # descending, interleaved and repeated n
+        limit = store.cache_info().maxsize
+        a_values = [F(k, 7) for k in range(1, limit + 9)]
+        for n in (6, 2, 6, 0, 4, 1, 4):
+            for a in a_values:
+                p = IdentityParams(n=n, a=a, c=F(5, 2))
+                assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), p
+        info = store.cache_info()
+        assert info.currsize == info.maxsize
+
+    def test_mutating_a_returned_row_changes_no_later_sum(self):
+        clear_rows()
+        for row in (
+            identities._central_row(12, 3),
+            identities._catalan_row(12, 3),
+            identities._ratio_row(F(1, 2), F(5, 2), 12)[0],
+        ):
+            row[:] = [0] * len(row)
+        for ident, p in (
+            (IdentityId.THM_C, IdentityParams(n=12, lam=3)),
+            (IdentityId.THM_A, IdentityParams(n=12, lam=3)),
+            (IdentityId.COR_3, IdentityParams(n=10, lam=4)),
+            (IdentityId.PROP_A, IdentityParams(n=12, a=F(1, 2), c=F(5, 2))),
+        ):
+            assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), ident
+        # the cached rows that the thm-e sums read are immutable
+        assert type(identities._thm_e_row(3, 12)[1]) is tuple
+        assert type(identities._thm_e_signed_row(3, 12)[1]) is tuple
+        assert type(identities._pascal_row(12)) is tuple
 
 
 class TestChainDenominatorEdges:

@@ -214,6 +214,25 @@ class TestSharedRecurrence:
         assert dict(case.params)["terminating"] is True
         assert close(case.rhs, F(112, 117), 1e-35)
 
+    @pytest.mark.parametrize("precision", [30, 40])
+    def test_terminating_sum_must_equal_its_reference(
+        self, monkeypatch, precision
+    ):
+        # a reference off by a relative 10^-P lies inside any floating
+        # tolerance at P digits, but two exact sums must agree exactly
+        original = numerics.pfq_unity_sum_exact
+        off = 1 + F(1, 10**precision)
+
+        def shifted(uppers, lowers, n):
+            return original(uppers, lowers, n) * off
+
+        monkeypatch.setattr(numerics, "pfq_unity_sum_exact", shifted)
+        report = dixon_check(-6, F(1, 3), F(1, 5), precision=precision)
+        [case] = report.failures
+        assert dict(case.params)["terminating"] is True
+        assert case.note.startswith("relative error 1.0e-")
+        assert case.note.endswith(" exceeds 0.0")
+
     def test_zero_term_ends_the_sum_before_a_lower_pole(self, monkeypatch):
         # c = -1 zeroes t_2; the pole of 1 + a - c = -4 at k = 4 is never
         # reached, so only the first two ratios are taken
