@@ -6,37 +6,18 @@ closed form (the right side, transcribed as stated).  Both are exact
 rationals, so verification is literal equality.
 
 Everything the catalogue states about an identity is one
-:class:`Identity` record in ``IDENTITIES``: its parameters, its domain
-guards, its suite grid family, its sum and its closed form, and where
-they apply the theorem whose lam = 0 case it is and the proposition a
-theorem embeds in.  Every closed form
-is a hypergeometric term, written as data: per parity of n, a table of
-factorials, binomials, Catalan numbers, Pochhammer symbols and linear
-factors whose arguments are affine in n, h = n // 2 and the identity's
-parameters.  One evaluator turns a table into an integer numerator and
-denominator and builds one ``Fraction``; the sums share no row with it.
-
-The sums run on integers, from rows that depend on their parameters
-alone, each built once and sliced to the point's n; a sum is a dot
-product in C iterators, ``sum(map(mul, ...))``.  One growing list of
-``C(2m, m)``, extended by the exact step ``(4m - 2)/m``, gives the
-central rows as slices and the Catalan rows as slices divided exactly
-by ``m + 1``; the integer-valued sums (thm-a..d, mikic-1/2) convolve
-them against the signed Pascal row ``(-1)^k C(n, k)``.  The
-rational-valued sums put their terms over one common denominator and
-build one ``Fraction`` from the total, so the only gcd is the final
-reduction's.  That denominator needs no lcm over the point's terms:
-
-- thm-e: ``x`` depends only on lam and ``y`` only on mu.  Each is an
-  integer row over the lcm of its own denominators, kept per
-  (parameter, n), the lam row times the signed Pascal row.
-- prop-a/b/c: ``(u)_k / (l)_k`` is the integer ``q^k (u)_k`` times the
-  running product ``q^(n-k) (l+k)_(n-k)``, over ``q^n (l)_n``.  The
-  rising row ``q^k (u)_k`` is kept under ``(u q, q)`` and extended in
-  place.
-
-The corollaries put their terms over the lcm of their denominators.
-The keyed row caches have fixed sizes and hand out copies or tuples.
+:class:`Identity` record in ``IDENTITIES``: its parameters, domain
+guards, suite grid family, summand and closed form, and where they apply
+the theorem whose lam = 0 case it is and the proposition a theorem
+embeds in.  Both sides are data.  A closed form is a hypergeometric term
+in n: per parity of n, a table of factorials, binomials, Catalan
+numbers, Pochhammer symbols and linear factors affine in n, h = n // 2
+and the parameters, which one evaluator turns into one ``Fraction``.  A
+:class:`Summand` is two rows and a weight, scale * sum_k w(n, k) X(k)
+Y(n - k), or that sum over X(0) Y(0) / (X(k) Y(n - k)) for the
+corollaries, and each row a hypergeometric term in k:
+X(k + 1) / X(k) = z (u + k) / (l + k).  One row kernel sums every record
+on integers and shares nothing with the closed forms' tables.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
@@ -62,7 +43,7 @@ from fractions import Fraction
 from operator import floordiv, mul
 from typing import Callable, Iterator, Sequence
 
-from .exactnum import RationalLike, binomial, catalan, pochhammer, zero_offset
+from .exactnum import RationalLike, binomial, catalan, zero_offset
 from .hyperseries import DEFAULT_RATIONAL_GRID
 from .report import CaseRecord, VerificationReport
 
@@ -146,53 +127,75 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
     if not record.guards:
         return
     q, ints, scaled = _values(p)
-    for x, span in record.guards:
-        top = _at(_affine(x), scaled)
-        if zero_offset(top, q, _at(_affine(span), ints)) is not None:
+    for (x, span), (top, length) in zip(record.guards, record._guards):
+        if zero_offset(_at(top, scaled), q, _at(length, ints)) is not None:
             raise DomainError(f"{ident.value} requires ({x})_({span}) nonzero")
 
 
-# --- left sides: brute-force sums -------------------------------------
+# --- left sides: one row kernel ----------------------------------------
 
-# The largest lam or mu a caller may ask for (the CLI's cap); a thm-e row
-# cache holds one row per value up to it.
+# The largest lam or mu a caller may ask for (the CLI's cap).
 MAX_SHIFT = 60
 
-# C(2m, m) for m = 0 .. len - 1, extended by C(2m, m) = C(2m-2, m-1)
-# (4m-2)/m.  It grows to the largest index asked for, which the CLI caps.
-_CENTRAL = [1]
+# each slice row's sequence t(m), grown in place by _row, and the first
+# row of each form of one-parameter row
+_SEQUENCES: dict[tuple, list[int]] = {}
+_FORMS: dict[tuple, "Row"] = {}
 
 
-def _central_row(n: int, lam: int) -> list[int]:
-    # binomial(2j + 2lam, j + lam) for j = 0 .. n
-    for m in range(len(_CENTRAL), lam + n + 1):
-        _CENTRAL.append(_CENTRAL[-1] * (4 * m - 2) // m)
-    return _CENTRAL[lam : lam + n + 1]
+@dataclass(frozen=True, eq=False)
+class Row:
+    """The row X(k) = X(0) z^k (u)_k / (l)_k for k = 0 .. n, on integers.
+
+    ``u`` and ``l`` are (const, coef, name): const + coef times the
+    point's parameter ``name``, or const alone when name is None.  When
+    both are const + lam (or mu), or both constant, the row is a slice of
+    the sequence t(m) = z^m (u0)_m / (l0)_m from m = lam on, grown by
+    exact division, so X(0) = t(lam); ``linear`` multiplies X(k) by
+    lam + k.  Any other row starts at X(0) = 1, over one denominator: a
+    row of one parameter over the lcm of its entries' denominators,
+    cached per (form, value, n), and any other over q^n (l)_n, built at
+    each point.
+    """
+
+    u: tuple
+    l: tuple
+    z: int = 1
+    linear: bool = False
+
+    def __post_init__(self):
+        (u0, du, by), (l0, dl, l_by) = self.u, self.l
+        terms = form = None
+        shifted = by is None or (du == dl == 1 and by in ("lam", "mu"))
+        if by == l_by and shifted:
+            terms = _SEQUENCES.setdefault((u0, l0, self.z), [1])
+        elif None in (by, l_by) or by == l_by:
+            key = (u0, du if by else 0, l0, dl if l_by else 0, self.z)
+            form = _FORMS.setdefault(key, self)
+        if self.linear and terms is None:
+            raise ValueError("only a row shifted by lam can be linear")
+        object.__setattr__(self, "_terms", terms)
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "_reads", by or l_by)
 
 
-def _catalan_row(n: int, lam: int) -> list[int]:
-    # catalan(j + lam) = binomial(2j + 2lam, j + lam) / (j + lam + 1)
-    central = _central_row(n, lam)
-    return list(map(floordiv, central, range(lam + 1, lam + n + 2)))
+@dataclass(frozen=True)
+class Summand:
+    """A left side: scale(n, lam) * sum_k w(n, k) X(k) Y(n - step k).
+
+    ``weight`` names w and its step: ``"alternating"`` is (-1)^k C(n, k),
+    ``"plain"`` is 1, and ``"even"`` is C(n, 2k) at step 2.  A
+    ``reciprocal`` summand sums X(0) Y(0) / (X(k) Y(n - k)) instead.  A
+    ``scale`` of None is 1.
+    """
+
+    x: Row
+    y: Row
+    scale: Callable[[int, int], int] | None = None
+    reciprocal: bool = False
+    weight: str = "alternating"
 
 
-def _lhs_recurrence(p: IdentityParams) -> Fraction:
-    row = _catalan_row(p.n, 0)
-    return Fraction(sum(map(mul, row, reversed(row))))
-
-
-def _lhs_touchard(p: IdentityParams) -> Fraction:
-    n = p.n
-    total = 0
-    for k, c in enumerate(_catalan_row(n // 2, 0)):
-        total += 2 ** (n - 2 * k) * math.comb(n, 2 * k) * c
-    return Fraction(total)
-
-
-# The keyed caches below have fixed sizes whatever the grid.  The grids
-# loop over n outermost, so a few Pascal rows suffice; a thm-e grid row
-# needs one entry per distinct lam or mu, and a proposition grid row one
-# per rising row of its (a, c) pairs: under 20 on the default grid.
 @functools.lru_cache(maxsize=8)
 def _pascal_row(n: int) -> tuple[int, ...]:
     # (-1)^k binomial(n, k) for k = 0 .. n
@@ -200,145 +203,105 @@ def _pascal_row(n: int) -> tuple[int, ...]:
     return tuple(map(mul, itertools.cycle((1, -1)), row))
 
 
-@functools.lru_cache(maxsize=MAX_SHIFT + 1)
-def _thm_e_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
-    # binomial(2k + 2lam, k + lam) / binomial(k + 2lam, lam) for
-    # k = 0 .. n, as (den, numerators) over the lcm of the row
-    dens = [math.comb(k + 2 * lam, lam) for k in range(n + 1)]
-    den = math.lcm(*dens)
-    scaled = map(floordiv, itertools.repeat(den), dens)
-    return den, tuple(map(mul, _central_row(n, lam), scaled))
-
-
-@functools.lru_cache(maxsize=MAX_SHIFT + 1)
-def _thm_e_signed_row(lam: int, n: int) -> tuple[int, tuple[int, ...]]:
-    # _thm_e_row(lam, n) with its k-th numerator times (-1)^k C(n, k)
-    den, row = _thm_e_row(lam, n)
-    return den, tuple(map(mul, _pascal_row(n), row))
+# weight -> (step, w(n, k) for k = 0, 1, ...)
+_WEIGHTS = {
+    "alternating": (1, _pascal_row),
+    "plain": (1, lambda n: itertools.repeat(1)),
+    "even": (2, lambda n: (math.comb(n, j) for j in range(0, n + 1, 2))),
+}
 
 
 @functools.lru_cache(maxsize=128)
-def _rising_store(start: int, q: int) -> list[int]:
-    # q^k (x)_k for x = start / q, k = 0 .. len - 1, extended in place
+def _rising_store(start: int, q: int, z: int) -> list[int]:
+    # (z q)^k (x)_k for x = start / q, k = 0 .. len - 1, extended in place
     return [1]
 
 
-def _ratio_row(u: Fraction, l: Fraction, n: int) -> tuple[list[int], int]:
-    # (u)_k / (l)_k for k = 0 .. n as integers q^k (u)_k q^(n-k) (l+k)_(n-k)
-    # over den = q^n (l)_n, q the lcm of the two denominators; den is
-    # nonzero wherever validate admits the point
+def _ratio_row(u, l, z: int, n: int) -> tuple[list[int], int]:
+    # z^k (u)_k / (l)_k for k = 0 .. n as integers (z q)^k (u)_k
+    # q^(n-k) (l+k)_(n-k) over den = q^n (l)_n, q the lcm of the two
+    # denominators; den is nonzero wherever validate admits the point
     q = math.lcm(u.denominator, l.denominator)
     upper = u.numerator * (q // u.denominator)
     lower = l.numerator * (q // l.denominator)
-    row = _rising_store(upper, q)
+    row = _rising_store(upper, q, z)
     for j in range(len(row) - 1, n):
-        row.append(row[-1] * (upper + j * q))
+        row.append(row[-1] * z * (upper + j * q))
     factors = range(lower + (n - 1) * q, lower - q, -q)
     tail = list(itertools.accumulate(factors, mul, initial=1))
     tail.reverse()
     return list(map(mul, row, tail)), tail[0]
 
 
-def _convolution(
-    x: Sequence[int], y: Sequence[int], den: int = 1
-) -> Fraction:
-    # sum_k (-1)^k binomial(n, k) x[k] y[n - k] / den, n = len(x) - 1
-    signed = map(mul, _pascal_row(len(x) - 1), x)
-    return Fraction(sum(map(mul, signed, reversed(y))), den)
+def _value(arg: tuple, p: IdentityParams) -> Fraction | int:
+    const, coef, name = arg
+    if name is None:
+        return const
+    value = getattr(p, name) if coef == 1 else coef * getattr(p, name)
+    return value + const if const else value
 
 
-def _lhs_mikic1(p: IdentityParams) -> Fraction:
-    row = _catalan_row(p.n, 0)
-    return _convolution(row, row)
+# Per n, a thm-e grid needs a plain row per value and a weighted one per
+# lam, a proposition grid under 30 rows on the default grid.
+@functools.lru_cache(maxsize=2 * (MAX_SHIFT + 1))
+def _one_parameter_row(form: Row, value, n: int, weight: str | None):
+    # den / gcd(den, nums) is the lcm of the entries' denominators
+    if weight is not None:
+        nums, den = _one_parameter_row(form, value, n, None)
+        return tuple(map(mul, _WEIGHTS[weight][1](n), nums)), den
+    p = IdentityParams(n=n, **{form._reads: value})
+    nums, den = _ratio_row(_value(form.u, p), _value(form.l, p), form.z, n)
+    g = math.gcd(den, *nums)
+    return tuple(map(floordiv, nums, itertools.repeat(g))), den // g
 
 
-def _lhs_mikic2(p: IdentityParams) -> Fraction:
-    return _convolution(_catalan_row(p.n, 0), _central_row(p.n, 0))
-
-
-def _lhs_thm_a(p: IdentityParams) -> Fraction:
-    row = _catalan_row(p.n, p.lam)
-    return _convolution(row, row)
-
-
-def _lhs_thm_b(p: IdentityParams) -> Fraction:
-    return _convolution(_catalan_row(p.n, p.lam), _central_row(p.n, p.lam))
-
-
-def _lhs_thm_c(p: IdentityParams) -> Fraction:
-    row = _central_row(p.n, p.lam)
-    return _convolution(row, row)
-
-
-def _lhs_thm_d(p: IdentityParams) -> Fraction:
-    lam = p.lam
-    row = _central_row(p.n, lam)
-    return _convolution(row, list(map(mul, range(lam, lam + p.n + 1), row)))
-
-
-def _lhs_thm_e(p: IdentityParams) -> Fraction:
-    den_lam, x = _thm_e_signed_row(p.lam, p.n)
-    den_mu, y = _thm_e_row(p.mu, p.n)
-    return Fraction(sum(map(mul, x, reversed(y))), den_lam * den_mu)
-
-
-def _lhs_prop_a(p: IdentityParams) -> Fraction:
-    x, den = _ratio_row(p.a, p.c, p.n)
-    return _convolution(x, x, den**2)
-
-
-def _lhs_prop_b(p: IdentityParams) -> Fraction:
-    x, den_x = _ratio_row(p.a, 2 * p.a, p.n)
-    y, den_y = _ratio_row(p.c, 2 * p.c, p.n)
-    return _convolution(x, y, den_x * den_y)
-
-
-def _lhs_prop_c(p: IdentityParams) -> Fraction:
-    x, den_x = _ratio_row(p.a, p.c, p.n)
-    y, den_y = _ratio_row(p.a, p.c - 1, p.n)
-    return _convolution(x, y, den_x * den_y)
-
-
-def _reciprocal_sum(scale: int, dens: list[int]) -> Fraction:
-    # scale * sum_k (-1)^k binomial(n, k) / dens[k], over the lcm of dens
-    lcm = math.lcm(*dens)
-    terms = map(floordiv, itertools.repeat(lcm), dens)
-    total = sum(map(mul, _pascal_row(len(dens) - 1), terms))
-    return Fraction(scale * total, lcm)
-
-
-# A corollary's k-th denominator pairs row entry k with row entry n - k.
-def _lhs_cor_1(p: IdentityParams) -> Fraction:
+def _row(row: Row, p: IdentityParams, weight: str | None = None):
+    # (w(n, k) X(k) for k = 0 .. p.n, den) over one integer den; without a
+    # weight, a list is the caller's own and a cached row a tuple
     n = p.n
-    row = _catalan_row(n, p.lam)
-    scale = (n - 1) * (n - 3) * row[0] ** 2
-    return _reciprocal_sum(scale, list(map(mul, row, reversed(row))))
+    if row._form is not None:
+        return _one_parameter_row(row._form, getattr(p, row._reads), n, weight)
+    if row._terms is None:
+        nums, den = _ratio_row(_value(row.u, p), _value(row.l, p), row.z, n)
+    else:
+        terms = row._terms
+        shift = getattr(p, row._reads) if row._reads else 0
+        stop = shift + n + 1
+        for m in range(len(terms) - 1, stop - 1):
+            t = Fraction(terms[-1] * row.z) * (row.u[0] + m) / (row.l[0] + m)
+            if t.denominator != 1:
+                raise ArithmeticError(f"row {row.u}, {row.l} is not integral")
+            terms.append(t.numerator)
+        nums, den = terms[shift:stop], 1
+        if row.linear:
+            nums = list(map(mul, range(shift, stop), nums))
+    if weight is not None:
+        nums = map(mul, _WEIGHTS[weight][1](n), nums)
+    return nums, den
 
 
-def _lhs_cor_2(p: IdentityParams) -> Fraction:
-    # binomial(1 + 2m, m) = (1 + 2m) catalan(m)
-    n, lam = p.n, p.lam
-    row = _catalan_row(n, lam)
-    odd = range(1 + 2 * lam, 2 + 2 * lam + 2 * n, 2)
-    scale = n * (1 + 2 * lam) * row[0] ** 2
-    dens = map(mul, map(mul, odd, row), reversed(row))
-    return _reciprocal_sum(scale, list(dens))
-
-
-def _lhs_cor_3(p: IdentityParams) -> Fraction:
+def _convolve(ident: IdentityId, p: IdentityParams) -> Fraction:
+    # ident's left side at p, from its record's summand
+    s = IDENTITIES[ident].summand
     n = p.n
-    central = _central_row(n, p.lam)
-    scale = (1 - n) * central[0] ** 2
-    return _reciprocal_sum(scale, list(map(mul, central, reversed(central))))
-
-
-def _lhs_cor_4(p: IdentityParams) -> Fraction:
-    n, lam = p.n, p.lam
-    central = _central_row(n, lam)
-    odd = range(1 + 2 * lam, 2 + 2 * lam + 2 * n, 2)
-    scale = n * (1 + 2 * lam) * (1 + 2 * n + 2 * lam) * central[0] ** 2
-    dens = map(mul, map(mul, odd, central), reversed(central))
-    return _reciprocal_sum(scale, list(dens))
+    step, weights = _WEIGHTS[s.weight]
+    y, den_y = _row(s.y, p)
+    y_back = y[n::-step]
+    if s.reciprocal:
+        # den_x and den_y cancel against X(0) Y(0)
+        x = y if s.x is s.y else _row(s.x, p)[0]
+        dens = list(map(mul, x, y_back))
+        den = math.lcm(*dens)
+        terms = map(floordiv, itertools.repeat(den), dens)
+        total = x[0] * y[0] * sum(map(mul, weights(n), terms))
+    elif s.x is s.y:
+        total, den = sum(map(mul, map(mul, weights(n), y), y_back)), den_y**2
+    else:
+        x, den_x = _row(s.x, p, s.weight)
+        total, den = sum(map(mul, x, y_back)), den_x * den_y
+    if s.scale is not None:
+        total *= s.scale(n, p.lam)
+    return Fraction(total, den)
 
 
 # --- the catalogue: one record per identity ----------------------------
@@ -426,24 +389,29 @@ class Identity:
 
     ``params`` are the parameters it reads, in reporting order, and
     ``family`` the prefix of the ``suite.SuiteSizes`` fields bounding its
-    suite grid.  ``lhs`` is its brute-force sum.  ``printed`` is the
-    closed form as catalogued, an (even n, odd n) pair of factor texts,
-    and ``corrected`` the variant the oracle matches where the printed one
-    is known wrong.  A guard ``(x, span)`` of affine texts states
+    suite grid.  ``summand`` is its left side.  ``printed`` is the closed
+    form as catalogued, an (even n, odd n) pair of factor texts, and
+    ``corrected`` the variant the oracle matches where the printed one is
+    known wrong.  A guard ``(x, span)`` of affine texts states
     ``(x)_span != 0``.  Guards are stated, not read off the tables, so a
-    wrong zero denominator fails, not skips.  ``lam0_of`` names the
-    theorem whose lam = 0 case the identity is, and ``embedding`` how a
-    theorem sits inside a proposition.
+    wrong zero denominator fails, not skips; their texts are parsed
+    once, here.  ``lam0_of`` names the theorem whose lam = 0 case the
+    identity is, and ``embedding`` how a theorem sits inside a
+    proposition.
     """
 
     params: tuple[str, ...]
     family: str
-    lhs: Callable[[IdentityParams], Fraction]
+    summand: Summand
     printed: Texts
     guards: tuple[tuple[str, str], ...] = ()
     corrected: Texts | None = None
     lam0_of: IdentityId | None = None
     embedding: SpecializationRule | None = None
+
+    def __post_init__(self):
+        parsed = tuple((_affine(x), _affine(span)) for x, span in self.guards)
+        object.__setattr__(self, "_guards", parsed)
 
 
 _N_LAM = ("n", "lam")
@@ -472,23 +440,46 @@ def _cor_2(central: str) -> Texts:
     return shell + " lin(n) /lin(1-n)", shell + " lin(1+n) /lin(2-n)"
 
 
+_HALF = Fraction(1, 2)
+
+
+def _shifted(u0: Fraction | int, l0: int, by: str | None = "lam", z=4, **kw):
+    # the row z^k (u0 + by)_k / (l0 + by)_k, X(0) = t(by)
+    return Row((u0, 1, by), (l0, 1, by), z, **kw)
+
+
+_CATALAN = _shifted(_HALF, 2)  # catalan(m), m = lam + k
+_CENTRAL = _shifted(_HALF, 1)  # binomial(2m, m)
+_ODD_CATALAN = _shifted(3 * _HALF, 2)  # binomial(2m + 1, m)
+_ODD_CENTRAL = _shifted(3 * _HALF, 1)  # (2m + 1) binomial(2m, m)
+# mikic's rows are the theorems' at lam = 0
+_CATALAN_0 = _shifted(_HALF, 2, None)
+_N_A_C, _A, _C = ("n", "a", "c"), (0, 1, "a"), (0, 1, "c")
+_A_OVER_C = Row(_A, _C)
+_reciprocal = functools.partial(Summand, reciprocal=True)
+
 IDENTITIES: dict[IdentityId, Identity] = {
     IdentityId.RECURRENCE: Identity(
-        ("n",), "mikic", _lhs_recurrence, ("catalan(n+1)",) * 2
+        ("n",), "mikic", Summand(_CATALAN_0, _CATALAN_0, weight="plain"),
+        ("catalan(n+1)",) * 2,
     ),
     IdentityId.TOUCHARD: Identity(
-        ("n",), "mikic", _lhs_touchard, ("catalan(n+1)",) * 2
+        ("n",), "mikic",
+        Summand(_CATALAN_0, _shifted(1, 1, None, z=2), weight="even"),
+        ("catalan(n+1)",) * 2,
     ),
     IdentityId.MIKIC1: Identity(
-        ("n",), "mikic", _lhs_mikic1, ("lin(2) binom(n,h)^2 /lin(n+2)", None),
+        ("n",), "mikic", Summand(_CATALAN_0, _CATALAN_0),
+        ("lin(2) binom(n,h)^2 /lin(n+2)", None),
         lam0_of=IdentityId.THM_A,
     ),
     IdentityId.MIKIC2: Identity(
-        ("n",), "mikic", _lhs_mikic2, ("binom(n,h)^2",) * 2,
+        ("n",), "mikic", Summand(_CATALAN_0, _shifted(_HALF, 1, None)),
+        ("binom(n,h)^2",) * 2,
         lam0_of=IdentityId.THM_B,
     ),
     IdentityId.THM_A: Identity(
-        _N_LAM, "thm", _lhs_thm_a,
+        _N_LAM, "thm", Summand(_CATALAN, _CATALAN),
         (
             "fact(lam) binom(2lam,lam) binom(n,h) catalan(lam+h)"
             " /poch(2+n,lam)",
@@ -500,7 +491,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
         ),
     ),
     IdentityId.THM_B: Identity(
-        _N_LAM, "thm", _lhs_thm_b,
+        _N_LAM, "thm", Summand(_CATALAN, _CENTRAL),
         (
             "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
             " /poch(2+n,lam)",
@@ -513,7 +504,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
         ),
     ),
     IdentityId.THM_C: Identity(
-        _N_LAM, "thm", _lhs_thm_c,
+        _N_LAM, "thm", Summand(_CENTRAL, _CENTRAL),
         (
             "fact(lam) binom(2lam,lam) binom(n,h) binom(2lam+n,lam+h)"
             " /poch(1+n,lam)",
@@ -527,7 +518,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # lam!/(n)_lam is undefined at n = 0 for positive lam; the catalogue
     # embeds thm-d at c = 1+mu, a parameter it does not have
     IdentityId.THM_D: Identity(
-        _N_LAM, "thm", _lhs_thm_d,
+        _N_LAM, "thm", Summand(_CENTRAL, _shifted(_HALF, 1, linear=True)),
         (_THM_D + " lin(n) lin(2lam+n)", _THM_D + " lin(n+1) lin(2lam+n+1)"),
         guards=(("n", "lam"),),
         embedding=SpecializationRule(
@@ -540,7 +531,11 @@ IDENTITIES: dict[IdentityId, Identity] = {
     ),
     # the catalogue embeds thm-e at c = 2+mu, which does not reproduce it
     IdentityId.THM_E: Identity(
-        ("n", "lam", "mu"), "thm", _lhs_thm_e,
+        ("n", "lam", "mu"), "thm",
+        Summand(
+            Row((_HALF, 1, "lam"), (1, 2, "lam"), 4),
+            Row((_HALF, 1, "mu"), (1, 2, "mu"), 4),
+        ),
         (
             "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
             None,
@@ -551,16 +546,12 @@ IDENTITIES: dict[IdentityId, Identity] = {
         ),
     ),
     IdentityId.PROP_A: Identity(
-        ("n", "a", "c"),
-        "prop",
-        _lhs_prop_a,
+        _N_A_C, "prop", Summand(_A_OVER_C, _A_OVER_C),
         ("fact(n) /poch(c,n) poch(a,h) poch(c-a,h) /fact(h) /poch(c,h)", None),
         guards=(("c", "n"),),
     ),
     IdentityId.PROP_B: Identity(
-        ("n", "a", "c"),
-        "prop",
-        _lhs_prop_b,
+        _N_A_C, "prop", Summand(Row(_A, (0, 2, "a")), Row(_C, (0, 2, "c"))),
         (
             "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
             " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
@@ -570,13 +561,13 @@ IDENTITIES: dict[IdentityId, Identity] = {
     ),
     # (c-1)_(n+1) != 0 also keeps (c)_n and (c)_h clear of zero
     IdentityId.PROP_C: Identity(
-        ("n", "a", "c"),
-        "prop",
-        _lhs_prop_c,
+        _N_A_C, "prop", Summand(_A_OVER_C, Row(_A, (-1, 1, "c"))),
         (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
         guards=(("c-1", "n+1"),),
     ),
-    IdentityId.COR_1: Identity(_N_LAM, "cor", _lhs_cor_1, (
+    IdentityId.COR_1: Identity(_N_LAM, "cor", _reciprocal(
+        _CATALAN, _CATALAN, lambda n, lam: (n - 1) * (n - 3)
+    ), (
         "lin(3) catalan(lam) binom(2lam,lam) binom(n,h)"
         " /catalan(lam+h) /binom(lam+n,lam) /binom(2lam+2n,lam+n)",
         None,
@@ -584,12 +575,20 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # cor-2 disagrees with its sum as catalogued; it agrees everywhere
     # once the central binomial's row index is raised by one
     IdentityId.COR_2: Identity(
-        _N_LAM, "cor", _lhs_cor_2, _cor_2("2lam+2n"),
+        _N_LAM, "cor", _reciprocal(_ODD_CATALAN, _CATALAN, lambda n, lam: n),
+        _cor_2("2lam+2n"),
         corrected=_cor_2("1+2lam+2n"),
     ),
-    IdentityId.COR_3: Identity(_N_LAM, "cor", _lhs_cor_3, (_COR_3, None)),
+    IdentityId.COR_3: Identity(
+        _N_LAM, "cor", _reciprocal(_CENTRAL, _CENTRAL, lambda n, lam: 1 - n),
+        (_COR_3, None),
+    ),
     IdentityId.COR_4: Identity(
-        _N_LAM, "cor", _lhs_cor_4, (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)")
+        _N_LAM, "cor",
+        _reciprocal(
+            _ODD_CENTRAL, _CENTRAL, lambda n, lam: n * (1 + 2 * n + 2 * lam)
+        ),
+        (_COR_4 + " lin(n)", _COR_4 + " lin(n+1)"),
     ),
 }
 
@@ -665,7 +664,7 @@ def closed_form(
 
 
 _LHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
-    ident: record.lhs for ident, record in IDENTITIES.items()
+    ident: functools.partial(_convolve, ident) for ident in IDENTITIES
 }
 
 _RHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
@@ -816,56 +815,38 @@ def verify_grid(
 
 # --- shifted-factorial / binomial dictionary ---------------------------
 
-def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
-    """Verify the four quotient-to-binomial conversions exactly.
+# Each shift row of the records, read from lam, and its entry at
+# m = lam + k as a binomial
+_CONVERSIONS = (
+    ("half-over-one", _CENTRAL, lambda m: binomial(2 * m, m)),
+    ("three-half-over-one", _ODD_CENTRAL,
+     lambda m: (1 + 2 * m) * binomial(2 * m, m)),
+    ("half-over-two", _CATALAN, catalan),
+    ("three-half-over-two", _ODD_CATALAN, lambda m: binomial(1 + 2 * m, m)),
+)
 
-    Each conversion rewrites a quotient of half-integer-shifted rising
-    factorials as a ratio of central-type binomials over powers of four.
+
+def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
+    """Verify the four shift rows of the sums against their binomials.
+
+    The kernel's row 4^k (u)_k / (l)_k from X(0) = t(lam), as the records
+    state it, must be the central-type binomial at m = lam + k: the
+    quotient-to-binomial dictionary, such as (1/2+lam)_k / (1+lam)_k =
+    C(2m, m) / (4^k C(2lam, lam)), with its start.
     """
     start = time.perf_counter()
-    half = Fraction(1, 2)
     report = VerificationReport(name="dictionary")
     for lam in range(lam_max + 1):
+        p = IdentityParams(n=k_max, lam=lam)
+        rows = [(tag, _row(row, p)[0], f) for tag, row, f in _CONVERSIONS]
         for k in range(k_max + 1):
-            four_k = Fraction(4) ** k
-            cases = (
-                (
-                    "half-over-one",
-                    pochhammer(half + lam, k) / pochhammer(1 + lam, k),
-                    Fraction(binomial(2 * k + 2 * lam, k + lam))
-                    / (four_k * binomial(2 * lam, lam)),
-                ),
-                (
-                    "three-half-over-one",
-                    pochhammer(Fraction(3, 2) + lam, k) / pochhammer(1 + lam, k),
-                    Fraction(
-                        binomial(2 * k + 2 * lam, k + lam) * (1 + 2 * k + 2 * lam)
-                    )
-                    / (four_k * binomial(2 * lam, lam) * (1 + 2 * lam)),
-                ),
-                (
-                    "half-over-two",
-                    pochhammer(half + lam, k) / pochhammer(2 + lam, k),
-                    Fraction(catalan(k + lam)) / (four_k * catalan(lam)),
-                ),
-                (
-                    "three-half-over-two",
-                    pochhammer(Fraction(3, 2) + lam, k) / pochhammer(2 + lam, k),
-                    Fraction(binomial(1 + 2 * k + 2 * lam, k + lam))
-                    / (four_k * binomial(1 + 2 * lam, lam)),
-                ),
-            )
-            for tag, lhs, rhs in cases:
+            for tag, row, formula in rows:
+                lhs, rhs = Fraction(row[k]), Fraction(formula(lam + k))
                 if lhs == rhs:
                     report.record_pass()
-                else:
-                    report.record_failure(
-                        CaseRecord(
-                            params=(("conversion", tag), ("k", k), ("lam", lam)),
-                            lhs=lhs,
-                            rhs=rhs,
-                        )
-                    )
+                    continue
+                params = (("conversion", tag), ("k", k), ("lam", lam))
+                report.record_failure(CaseRecord(params, lhs, rhs))
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 

@@ -4,8 +4,9 @@ These are the term-by-term ``fractions.Fraction`` loops that
 ``catconv.hyperseries``, ``catconv.exactnum`` and the brute-force sums of
 ``catconv.identities`` used before they moved to integer rows, the
 per-term integer loops of the integer-valued sums before they became
-row convolutions, the ``Fraction`` comparisons of the 4F3 block before it
-compared integer pairs, the hand-written closed forms that the
+row convolutions, direct sums of recurrence and touchard, which the row
+kernel now sums too, the ``Fraction`` comparisons of the 4F3 block
+before it compared integer pairs, the hand-written closed forms that the
 identities' factor tables replaced, and the per-identity domain checks
 that the records' stated guards replaced.
 They are kept only as oracles for the differential tests: every
@@ -256,6 +257,21 @@ def _alternating(terms):
     for k, term in enumerate(terms):
         total += -term if k % 2 else term
     return Fraction(total)
+
+
+def lhs_recurrence(p):
+    n = p.n
+    return Fraction(sum(catalan(k) * catalan(n - k) for k in range(n + 1)))
+
+
+def lhs_touchard(p):
+    n = p.n
+    return Fraction(
+        sum(
+            2 ** (n - 2 * k) * binomial(n, 2 * k) * catalan(k)
+            for k in range(n // 2 + 1)
+        )
+    )
 
 
 def lhs_mikic1(p):

@@ -312,6 +312,34 @@ class TestStructuralInvariants:
         assert report.ok
         assert report.cases_run == 41 * 13 * 4
 
+    def test_dictionary_fails_on_a_wrong_shift_row(self, monkeypatch):
+        # the Catalan conversion read off the central binomial row
+        conversions = list(identities._CONVERSIONS)
+        tag, _, formula = conversions[2]
+        conversions[2] = (tag, identities._CENTRAL, formula)
+        monkeypatch.setattr(identities, "_CONVERSIONS", tuple(conversions))
+        report = dictionary_check(k_max=3, lam_max=2)
+        assert len(report.failures) == 3 * 4 - 1
+        first = report.failures[0]
+        assert first.params == (
+            ("conversion", "half-over-two"), ("k", 1), ("lam", 0)
+        )
+        assert (first.lhs, first.rhs) == (F(2), F(1))
+
+    def test_rows_read_only_the_identity_parameters(self):
+        # a row that reads mu where it means lam, or lam in a one-variable
+        # identity, reads a parameter the point does not carry
+        for ident, record in IDENTITIES.items():
+            for row in (record.summand.x, record.summand.y):
+                names = {row.u[2], row.l[2]} - {None}
+                assert names <= set(record.params), ident
+
+    def test_only_a_row_shifted_by_lam_is_linear(self):
+        # the factor lam + k belongs to a slice of an integer sequence;
+        # any other row would silently drop it
+        with pytest.raises(ValueError, match="linear"):
+            identities.Row((0, 1, "a"), (0, 2, "a"), linear=True)
+
     def test_arity_covers_every_identity(self):
         assert list(IDENTITIES) == list(IdentityId)
 
@@ -326,8 +354,26 @@ def swap_factor(monkeypatch, ident, old, new):
     monkeypatch.setitem(IDENTITIES, ident, swapped)
 
 
+def swap_row(monkeypatch, ident, old, new):
+    # replace one row parameter, such as (2, 1, "lam") for 2+lam, in every
+    # row of an identity's summand that reads it
+    record = IDENTITIES[ident]
+    rows, swapped = {}, 0
+    for side in ("x", "y"):
+        row = getattr(record.summand, side)
+        fields = {k: new for k in ("u", "l") if getattr(row, k) == old}
+        rows[side] = dataclasses.replace(row, **fields)
+        swapped += len(fields)
+    assert swapped
+    summand = dataclasses.replace(record.summand, **rows)
+    monkeypatch.setitem(
+        IDENTITIES, ident, dataclasses.replace(record, summand=summand)
+    )
+
+
 class TestSeededFaults:
-    """One wrong factor in a table gives an exact failure witness."""
+    """One wrong factor in a table, or one wrong row parameter in a
+    summand, gives an exact failure witness."""
 
     @pytest.mark.parametrize(
         "ident, old, new, witness, lhs, rhs",
@@ -338,16 +384,36 @@ class TestSeededFaults:
              {"n": 0, "lam": 0, "mu": 1}, F(1), F(1, 2)),
             (IdentityId.PROP_C, "lin(2c+n-2)", "lin(2c+n)",
              {"n": 0, "a": F(1, 2), "c": F(1, 2)}, F(1), F(-1)),
+            # a summand's row parameter: thm-a's Catalan rows read as
+            # central binomial rows, and prop-b's (c)_k / (2c)_k as 1
+            (IdentityId.THM_A, (2, 1, "lam"), (1, 1, "lam"),
+             {"n": 0, "lam": 1}, F(4), F(1)),
+            (IdentityId.PROP_B, (0, 2, "c"), (0, 1, "c"),
+             {"n": 1, "a": F(1, 2), "c": F(1, 2)}, F(1, 2), F(0)),
         ],
     )
     def test_wrong_factor_fails_at_its_first_point(
         self, monkeypatch, ident, old, new, witness, lhs, rhs
     ):
-        swap_factor(monkeypatch, ident, old, new)
+        swap = swap_factor if isinstance(old, str) else swap_row
+        swap(monkeypatch, ident, old, new)
         grid = suite._suite_grid(ident, suite.QUICK_SIZES)
         first = verify_grid(ident, *grid).failures[0]
         assert dict(first.params) == witness
         assert (first.lhs, first.rhs) == (lhs, rhs)
+
+    def test_a_row_with_no_integer_sequence_is_a_captured_failure(
+        self, monkeypatch
+    ):
+        # 4^m (1/2)_m / (3)_m is 2/3 at m = 1, so thm-a's rows with
+        # l = 3+lam have no integer sequence to slice
+        swap_row(monkeypatch, IdentityId.THM_A, (2, 1, "lam"), (3, 1, "lam"))
+        report = verify_grid(IdentityId.THM_A, (0, 2), (0, 1))
+        assert (report.cases_run, len(report.failures)) == (6, 5)
+        first = report.failures[0]
+        assert dict(first.params) == {"n": 0, "lam": 1}
+        assert (first.lhs, first.rhs) == (None, None)
+        assert first.note.startswith("ArithmeticError: row ")
 
     def test_zero_denominator_is_a_captured_failure(self, monkeypatch):
         # binom(mu+h, lam) is 0 once lam > mu + h
@@ -419,6 +485,11 @@ class TestFactorTables:
     def test_malformed_factor_text_is_rejected(self, text):
         with pytest.raises(ValueError):
             identities._factor(text)
+
+    def test_malformed_guard_fails_when_its_record_is_built(self):
+        record = IDENTITIES[IdentityId.PROP_A]
+        with pytest.raises(ValueError, match="not an affine argument"):
+            dataclasses.replace(record, guards=(("c*", "n"),))
 
 
 def corrected_cor_2(p):
@@ -649,6 +720,8 @@ orders = st.one_of(st.just(0), st.integers(0, 30))
 shifts = st.integers(0, 12)
 
 REFERENCE_SUMS = {
+    IdentityId.RECURRENCE: ref.lhs_recurrence,
+    IdentityId.TOUCHARD: ref.lhs_touchard,
     IdentityId.MIKIC1: ref.lhs_mikic1,
     IdentityId.MIKIC2: ref.lhs_mikic2,
     IdentityId.THM_A: ref.lhs_thm_a,
@@ -765,6 +838,8 @@ class TestAgainstHandWrittenReference:
     @pytest.mark.parametrize(
         "ident, n_max, lam_max",
         [
+            (IdentityId.RECURRENCE, 60, None),
+            (IdentityId.TOUCHARD, 60, None),
             (IdentityId.MIKIC1, 60, None),
             (IdentityId.MIKIC2, 60, None),
             (IdentityId.THM_A, 30, 8),
@@ -794,11 +869,10 @@ class TestAgainstHandWrittenReference:
         assert checked > 0
 
 
-# the keyed row caches of the sums, each of a fixed size
+# the row kernel's keyed caches, each of a fixed size
 ROW_CACHES = (
     identities._pascal_row,
-    identities._thm_e_row,
-    identities._thm_e_signed_row,
+    identities._one_parameter_row,
     identities._rising_store,
 )
 
@@ -806,7 +880,8 @@ ROW_CACHES = (
 def clear_rows():
     for cache in ROW_CACHES:
         cache.cache_clear()
-    del identities._CENTRAL[1:]
+    for terms in identities._SEQUENCES.values():
+        del terms[1:]
 
 
 # descending, interleaved and repeated orders, over more distinct n than
@@ -820,12 +895,12 @@ N_ORDERS = (
 
 
 class TestRowCaches:
-    # the sums read their rows from caches shared across points; a value
-    # must not depend on what was evaluated before it
+    # the sums read their rows from caches and sequences shared across
+    # points; a value must not depend on what was evaluated before it
     def test_thm_e_in_any_call_order_and_after_eviction(self):
         clear_rows()
-        rows = identities._thm_e_row
-        # more distinct lam/mu values than the row caches hold, at
+        rows = identities._one_parameter_row
+        # more distinct lam/mu values than the row cache holds, at
         # descending and repeated n, so rows are evicted and rebuilt
         span = rows.cache_info().maxsize + 8
         points = [
@@ -838,20 +913,45 @@ class TestRowCaches:
             p = IdentityParams(n=n, lam=lam, mu=mu)
             value = lhs_value(IdentityId.THM_E, p)
             assert value == ref.lhs_thm_e(p), (n, lam, mu)
-        for cache in ROW_CACHES[:3]:
+        for cache in ROW_CACHES[:2]:
             info = cache.cache_info()
             assert info.currsize == info.maxsize
 
-    def test_thm_e_caches_hold_a_row_per_shift_the_cli_accepts(self):
-        for cache in (identities._thm_e_row, identities._thm_e_signed_row):
-            assert cache.cache_info().maxsize == identities.MAX_SHIFT + 1
+    def test_thm_e_row_cache_holds_a_grid_row_at_the_cli_caps(self):
+        # one n of thm-e over the CLI's whole lam and mu range builds each
+        # plain row once, shared by its lam and its mu use, and each
+        # weighted lam row once: nothing is evicted
+        clear_rows()
+        shifts = (0, identities.MAX_SHIFT)
+        assert verify_grid(IdentityId.THM_E, (3, 3), shifts, shifts).ok
+        info = identities._one_parameter_row.cache_info()
+        assert info.misses == info.currsize == 2 * (identities.MAX_SHIFT + 1)
+
+    def test_rows_of_one_form_share_their_cached_rows(self):
+        # (a)_k / (2a)_k and (c)_k / (2c)_k are one row at a = c; the
+        # same parameters at z = 3 are another
+        clear_rows()
+        p = IdentityParams(n=6, a=F(1, 3), c=F(1, 3))
+        rows = [
+            identities.Row((0, 1, by), (0, 2, by), z)
+            for by, z in (("a", 1), ("c", 1), ("a", 3))
+        ]
+        (nums, den), same, (nums_3, den_3) = (
+            identities._row(row, p) for row in rows
+        )
+        assert same == (nums, den)
+        assert [F(x, den_3) for x in nums_3] == [
+            3**k * F(x, den) for k, x in enumerate(nums)
+        ]
+        assert identities._one_parameter_row.cache_info().misses == 2
 
     @pytest.mark.parametrize(
         "ident",
         [
-            IdentityId.THM_A, IdentityId.THM_B, IdentityId.THM_C,
-            IdentityId.THM_D, IdentityId.COR_1, IdentityId.COR_2,
-            IdentityId.COR_3, IdentityId.COR_4,
+            IdentityId.RECURRENCE, IdentityId.TOUCHARD, IdentityId.MIKIC1,
+            IdentityId.MIKIC2, IdentityId.THM_A, IdentityId.THM_B,
+            IdentityId.THM_C, IdentityId.THM_D, IdentityId.COR_1,
+            IdentityId.COR_2, IdentityId.COR_3, IdentityId.COR_4,
         ],
     )
     def test_row_sums_in_any_n_order(self, ident):
@@ -861,8 +961,10 @@ class TestRowCaches:
                 p = IdentityParams(n=n, lam=lam)
                 if admitted(validate, ident, p):
                     assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), p
-        info = identities._pascal_row.cache_info()
-        assert info.currsize == info.maxsize
+        # recurrence and touchard weigh their terms without the Pascal row
+        if IDENTITIES[ident].summand.weight == "alternating":
+            info = identities._pascal_row.cache_info()
+            assert info.currsize == info.maxsize
 
     @pytest.mark.parametrize(
         "ident", [IdentityId.PROP_A, IdentityId.PROP_B, IdentityId.PROP_C]
@@ -870,25 +972,33 @@ class TestRowCaches:
     def test_proposition_sums_past_the_rising_row_limit(self, ident):
         clear_rows()
         store = identities._rising_store
-        # more distinct a than the rising-row cache holds, at
-        # descending, interleaved and repeated n
+        # more distinct a than the rising-row cache (and prop-b's
+        # one-parameter rows) hold, at descending, interleaved and
+        # repeated n
         limit = store.cache_info().maxsize
         a_values = [F(k, 7) for k in range(1, limit + 9)]
         for n in (6, 2, 6, 0, 4, 1, 4):
             for a in a_values:
                 p = IdentityParams(n=n, a=a, c=F(5, 2))
                 assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), p
-        info = store.cache_info()
-        assert info.currsize == info.maxsize
+        caches = [store]
+        if ident is IdentityId.PROP_B:
+            caches.append(identities._one_parameter_row)
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
 
     def test_mutating_a_returned_row_changes_no_later_sum(self):
         clear_rows()
-        for row in (
-            identities._central_row(12, 3),
-            identities._catalan_row(12, 3),
-            identities._ratio_row(F(1, 2), F(5, 2), 12)[0],
+        thm_e = IDENTITIES[IdentityId.THM_E].summand.x
+        prop_a = IDENTITIES[IdentityId.PROP_A].summand.x
+        for row, p in (
+            (identities._CENTRAL, IdentityParams(n=12, lam=3)),
+            (identities._CATALAN, IdentityParams(n=12, lam=3)),
+            (prop_a, IdentityParams(n=12, a=F(1, 2), c=F(5, 2))),
         ):
-            row[:] = [0] * len(row)
+            nums = identities._row(row, p)[0]
+            nums[:] = [0] * len(nums)
         for ident, p in (
             (IdentityId.THM_C, IdentityParams(n=12, lam=3)),
             (IdentityId.THM_A, IdentityParams(n=12, lam=3)),
@@ -897,8 +1007,9 @@ class TestRowCaches:
         ):
             assert lhs_value(ident, p) == REFERENCE_SUMS[ident](p), ident
         # the cached rows that the thm-e sums read are immutable
-        assert type(identities._thm_e_row(3, 12)[1]) is tuple
-        assert type(identities._thm_e_signed_row(3, 12)[1]) is tuple
+        p = IdentityParams(n=12, lam=3)
+        for weight in (None, "alternating"):
+            assert type(identities._row(thm_e, p, weight)[0]) is tuple
         assert type(identities._pascal_row(12)) is tuple
 
 
