@@ -2,11 +2,12 @@
 
 Everything exact arithmetic cannot reach lands here: Gamma-quotient
 closed forms for nonterminating series at unit argument, and reflection
-and duplication self-tests for the Gamma implementation.  The
-double-integral representations are checked exactly instead: each
-integral over pi^2 is a finite rational sum of Euler Beta moments.  A
-tensor Gauss-Jacobi quadrature (``integral_value``) stays as the
-floating reference that sum is tested against.
+and duplication self-tests for them.  The double-integral
+representations are checked exactly instead: each integral over pi^2 is
+a finite rational sum of Euler Beta moments.  A tensor Gauss-Jacobi
+quadrature (``integral_value``) stays as the floating reference that
+sum is tested against.  mpmath supplies the Gamma products and the
+Gauss-Jacobi rules (``gammaprod``, ``gauss_quadrature``).
 
 Precision is always an explicit argument (decimal digits, at least 20)
 and computations run in a local mpmath context with guard digits; no
@@ -25,14 +26,14 @@ exact term stream (``_partial_sums``).  Levin consumes it for
 nonterminating instances.  A terminating instance sums the same stream
 to its first zero term and asks it to equal a rational value computed
 independently, so that cross-check tests the term ratio, the only input
-Levin reads.  Levin's rational is converted to floating point once, a
-terminating sum only for a failure record.  The three public checks
-supply only their parameters, convergence margin and Gamma closed form.
+Levin reads.  Only Levin's rational is converted to floating point; a
+terminating mismatch records both exact rationals.  The three public
+checks supply only their parameters, convergence margin and Gamma
+closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -115,31 +116,15 @@ def _near_nonpositive_integer(x: Fraction, precision: int) -> bool:
     return abs(x - nearest) < Fraction(1, 10 ** (precision // 2))
 
 
-def _signed_log_gamma(x: Fraction):
-    # log|Gamma(x)| and the sign of Gamma(x), in the ambient context;
-    # negative non-integer arguments go through the reflection identity
-    # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-    if zero_offset(x.numerator, x.denominator) is not None:
-        raise PoleError(f"Gamma pole at {x}")
-    if x > 0:
-        return mp.loggamma(_to_mpf(x)), 1
-    floor = x.numerator // x.denominator
-    frac = x - floor
-    sin_frac = mp.sin(mp.pi * _to_mpf(frac))
-    log_abs = mp.log(mp.pi) - mp.log(sin_frac) - mp.loggamma(_to_mpf(1 - x))
-    sign = 1 if floor % 2 == 0 else -1
-    return log_abs, sign
-
-
 def gamma_quotient(
     numerators: Sequence[RationalLike],
     denominators: Sequence[RationalLike],
     precision: int = 40,
 ):
-    """Evaluate prod Gamma(num) / prod Gamma(den) in log space.
+    """Evaluate prod Gamma(num) / prod Gamma(den) by mpmath's ``gammaprod``.
 
     Arguments within 10^-(precision/2) of a nonpositive integer are
-    rejected; sign bookkeeping makes negative non-integer arguments safe.
+    rejected; all others, negative ones too, are evaluated directly.
     """
     _require_precision(precision)
     numerators = [Fraction(x) for x in numerators]
@@ -148,17 +133,10 @@ def gamma_quotient(
         if _near_nonpositive_integer(x, precision):
             raise PoleError(f"Gamma argument {x} is at or near a pole")
     with mp.workdps(precision + _GUARD):
-        total = mp.mpf(0)
-        sign = 1
-        for x in numerators:
-            log_abs, s = _signed_log_gamma(x)
-            total += log_abs
-            sign *= s
-        for x in denominators:
-            log_abs, s = _signed_log_gamma(x)
-            total -= log_abs
-            sign *= s
-        return sign * mp.exp(total)
+        return mp.gammaprod(
+            [_to_mpf(x) for x in numerators],
+            [_to_mpf(x) for x in denominators],
+        )
 
 
 _REFLECTION_POINTS = (
@@ -340,13 +318,14 @@ def _series_check(
     parameters (all of them by default) is a nonpositive integer; its last
     term is n, the smallest of their negatives.  Its sum over
     :func:`_partial_sums`, run to the first zero term, must then equal the
-    independently computed rational sum over terms 0 .. n exactly.  Where
-    ``exact`` is given and the first upper parameter is -m, m >= 0,
-    ``exact(m)`` replaces that sum, and the point is skipped where it
-    returns None.  Where a later upper ends the
-    series, a lower parameter in [1-n, 0] is a pole.  Otherwise the lower
-    parameters must avoid the poles, ``margin`` must be at least 1/2, and
-    the Levin sum must match ``closed_form()`` to 10^-(precision/2).
+    independently computed rational sum over terms 0 .. n exactly, or
+    the failure records both rationals.  Where ``exact`` is given and the
+    first upper parameter is -m, m >= 0, ``exact(m)`` replaces that sum,
+    and the point is skipped where it returns None.  Where a later upper
+    ends the series, a lower parameter in [1-n, 0] is a pole.  Otherwise
+    the lower parameters must avoid the poles, ``margin`` must be at least
+    1/2, and the Levin sum must match ``closed_form()`` to
+    10^-(precision/2).
     """
     params += (("precision", precision),)
     report = VerificationReport(name=name)
@@ -375,27 +354,23 @@ def _series_check(
         value = Fraction(total, scale)
         if value == reference:
             report.record_pass()
-            return report
-        # any error fails, measured exactly
-        error = abs(value - reference) / (abs(reference) or 1)
-        closed_form = functools.partial(_to_mpf, reference)
-    else:
-        text, bound = margin
-        if bound < Fraction(1, 2):
-            raise NonConvergent(f"margin {text} = {bound} is below 1/2")
-        error = None
-        value = _levin_unity_sum(ratio, precision, max_terms)
+        else:
+            report.record_failure(CaseRecord(
+                params=params, lhs=value, rhs=reference,
+                note="terminating sum and its exact reference differ",
+            ))
+        return report
+    text, bound = margin
+    if bound < Fraction(1, 2):
+        raise NonConvergent(f"margin {text} = {bound} is below 1/2")
+    value = _levin_unity_sum(ratio, precision, max_terms)
     with mp.workdps(precision + _GUARD):
         value = _to_mpf(value)
         closed = closed_form()
-        if error is None:
-            residual = abs(value - closed) / (abs(closed) or mp.mpf(1))
-            threshold = mp.mpf(10) ** -(precision // 2)
-        else:
-            residual, threshold = _to_mpf(error), mp.mpf(0)
         _record_residual(
-            report, params, value, closed, residual, threshold, precision,
-            "relative error",
+            report, params, value, closed,
+            abs(value - closed) / (abs(closed) or mp.mpf(1)),
+            mp.mpf(10) ** -(precision // 2), precision, "relative error",
         )
     return report
 
@@ -551,30 +526,6 @@ class QuadratureRule:
         return mp.fsum(self.weights)
 
 
-def _jacobi_recurrence(alpha: Fraction, beta: Fraction, m: int):
-    # monic three-term recurrence for the (-1, 1) Jacobi weight
-    # (1-t)^alpha (1+t)^beta; exact rational coefficients
-    ab = alpha + beta
-    diag = [Fraction(beta - alpha, 1) / (ab + 2)]
-    for k in range(1, m):
-        diag.append(
-            (beta * beta - alpha * alpha)
-            / ((2 * k + ab) * (2 * k + ab + 2))
-        )
-    offdiag_sq = []
-    if m > 1:
-        # cancelled form of the k=1 coefficient, finite at ab = -1
-        offdiag_sq.append(
-            4 * (1 + alpha) * (1 + beta) / ((2 + ab) ** 2 * (3 + ab))
-        )
-    for k in range(2, m):
-        offdiag_sq.append(
-            4 * k * (k + alpha) * (k + beta) * (k + ab)
-            / ((2 * k + ab) ** 2 * ((2 * k + ab) ** 2 - 1))
-        )
-    return diag, offdiag_sq
-
-
 def jacobi_rule(
     alpha: RationalLike,
     beta: RationalLike,
@@ -583,9 +534,12 @@ def jacobi_rule(
 ) -> QuadratureRule:
     """Gauss rule for weight x^beta (1-x)^alpha on (0, 1).
 
-    Built by symmetric tridiagonal eigendecomposition of the recurrence
-    matrix; exact for polynomials of degree <= 2m - 1 against the weight,
-    and the weights sum to Beta(beta+1, alpha+1).
+    mpmath's ``gauss_quadrature`` builds the Gauss-Jacobi rule for
+    (1-t)^alpha (1+t)^beta on (-1, 1) from the three-term recurrence by
+    a tridiagonal QL step; x = (1 + t)/2 maps it to (0, 1), and the
+    weights are scaled by 2^-(alpha+beta+1).  The rule is exact for
+    polynomials of degree <= 2m - 1 against the weight, and the weights
+    sum to Beta(beta+1, alpha+1).
     """
     _require_precision(precision)
     alpha = Fraction(alpha)
@@ -594,25 +548,19 @@ def jacobi_rule(
         raise ValueError("weight exponents must exceed -1")
     if m < 1:
         raise ValueError("node count must be positive")
-    diag, offdiag_sq = _jacobi_recurrence(alpha, beta, m)
     with mp.workdps(precision + 25):
-        matrix = mp.zeros(m, m)
-        for i in range(m):
-            matrix[i, i] = _to_mpf(diag[i])
-        for i, b in enumerate(offdiag_sq):
-            root = mp.sqrt(_to_mpf(b))
-            matrix[i, i + 1] = root
-            matrix[i + 1, i] = root
         try:
-            eigenvalues, eigenvectors = mp.eigsy(matrix)
+            points, raw_weights = mp.gauss_quadrature(
+                m, "jacobi", _to_mpf(alpha), _to_mpf(beta)
+            )
         except Exception as exc:
             raise RuleConstructionFailure(str(exc)) from exc
-        moment = mp.beta(_to_mpf(beta + 1), _to_mpf(alpha + 1))
+        scale = mp.power(2, -_to_mpf(alpha + beta + 1))
         nodes = []
         weights = []
-        for i in range(m):
-            node = (1 + eigenvalues[i]) / 2
-            weight = moment * eigenvectors[0, i] ** 2
+        for point, raw_weight in zip(points, raw_weights):
+            node = (1 + point) / 2
+            weight = raw_weight * scale
             if not 0 < node < 1:
                 raise RuleConstructionFailure(
                     f"node {mp.nstr(node, 10)} escaped (0, 1)"
