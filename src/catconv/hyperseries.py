@@ -17,13 +17,17 @@ rows by backward Horner into an unreduced pair ``p/q``.  Two values are
 compared by cross-multiplying their pairs, so the product formulae and
 the 4F3 block compare integers.
 
+A 4F3 block builds the rows of its plain 3F2 once.  Each lam's 4F3 takes
+those rows, times the one factor that depends on lam, its column's ratio
+(1+lam+k)/(lam+k), and folds them by the same Horner loop.
+
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
 (``pfq_truncate``, ``series_mul`` and ``pfq_unity_sum_exact``, which are
 views over the same kernels), for the closed form's Pochhammer factor
-once per 4F3 block, and for the two sides of a failure record.  A ``Fraction`` per term would pay a gcd on every
-product and sum; those gcds, not the big-integer products themselves,
-were most of the cost.
+once per 4F3 block, and for the two sides of a failure record.  A
+``Fraction`` per term would pay a gcd on every product and sum; those
+gcds, not the big-integer products themselves, were most of the cost.
 """
 
 from __future__ import annotations
@@ -407,20 +411,24 @@ def check_product_grid(
     return report
 
 
+def _horner(rows: Sequence[tuple[int, int]]) -> tuple[int, int]:
+    # backward Horner: 1 + r0 (1 + r1 (... (1 + r_{m-1}))), kept as an
+    # unreduced pair p/q
+    p = q = 1
+    for num, den in reversed(rows):
+        q *= den
+        p = p * num + q
+    return p, q
+
+
 def _unity_sum(
     uppers: Sequence[tuple[int, int]],
     lowers: Sequence[tuple[int, int]],
     last_index: int,
 ) -> tuple[int, int]:
-    # backward Horner: 1 + r0 (1 + r1 (... (1 + r_{m-1}))), kept as an
-    # unreduced pair p/q
     if last_index < 0:
         return 0, 1
-    p = q = 1
-    for num, den in reversed(_ratio_rows(uppers, lowers, last_index)):
-        q *= den
-        p = p * num + q
-    return p, q
+    return _horner(_ratio_rows(uppers, lowers, last_index))
 
 
 def pfq_unity_sum_exact(
@@ -438,10 +446,26 @@ def pfq_unity_sum_exact(
     return Fraction(*_unity_sum(ups, lows, last_index))
 
 
-def _f43_factor(n: int, c: Fraction, e: Fraction) -> Fraction:
-    # the lam-free half-order Pochhammer quotient of the closed form
+def _f43_params(
+    n: int, c: Fraction, e: Fraction
+) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    # the 3F2's uppers -n, c, e and lowers 1-c-n, 1-e-n as integer pairs;
+    # (1-n)*q - p over q stays reduced, as gcd((1-n)*q - p, q) = gcd(p, q)
+    uppers = [(-n, 1)] + _pairs([c, e])
+    lowers = [((1 - n) * q - p, q) for p, q in uppers[1:]]
+    return uppers, lowers
+
+
+def _f43_factor(
+    n: int, uppers: Sequence[tuple[int, int]], lowers: Sequence[tuple[int, int]]
+) -> Fraction:
+    # the lam-free half-order Pochhammer quotient of the closed form, from
+    # _f43_params' pairs: 1 - c - e - n is (1 - c - n) - e
+    (cl, cd), (en, ed) = lowers[0], uppers[2]
     return poch_quotient(
-        [Fraction(-n), 1 - c - e - n], [1 - c - n, 1 - e - n], n // 2
+        [-n, Fraction(cl * ed - en * cd, cd * ed)],
+        [Fraction(*lower) for lower in lowers],
+        n // 2,
     )
 
 
@@ -470,7 +494,8 @@ def terminating_4f3_closed_form(
     lam = _fraction(lam)
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    return _f43_factor(n, c, e) * Fraction(*_f43_tail(n, lam))
+    factor = _f43_factor(n, *_f43_params(n, c, e))
+    return factor * Fraction(*_f43_tail(n, lam))
 
 
 def _single_point(
@@ -539,6 +564,14 @@ def terminating_4f3_block(
     is summed once, and that brute-force sum is the left side of both
     checks.
 
+    The 4F3's term ratio is the plain 3F2's times (1+lam+k)/(lam+k), so
+    each lam's rows are the 3F2's rows, built once per block, each times
+    that column ratio.  Reusing rows changes no term: the 4F3 is still
+    summed term by term from its own ratio.  It is never telescoped by
+    (1+lam)_k/(lam)_k = (lam+k)/lam into the plain 3F2 plus a moment
+    sum, because that split is the contiguous relation under test, and
+    the left side must not lean on it.
+
     A point is skipped in both reports when lam is zero, or when a lower
     parameter of the 4F3 hits zero within its n + 1 terms: c or e an
     integer in [1-n, 0], or lam an integer in [1-n, -1].  The series is
@@ -558,26 +591,30 @@ def terminating_4f3_block(
         zero_offset(x.numerator, x.denominator, n) is not None for x in (c, e)
     )
     if not block_skipped:
-        uppers = [(-n, 1)] + _pairs([c, e])
-        lowers = _pairs([1 - c - n, 1 - e - n])
-        p, q = _unity_sum(uppers, lowers, n)
+        uppers, lowers = _f43_params(n, c, e)
+        rows = _ratio_rows(uppers, lowers, n)
+        p, q = _horner(rows)
         # at n = 0 the raised 3F2 does not terminate, but its weight n/lam
         # in the contiguous side vanishes
         raised = [(1 - n, 1)] + uppers[1:]
         r, s = _unity_sum(raised, lowers, n - 1) if n else (0, 1)
         ps, rq, qs = p * s, r * q, q * s
-        factor = _f43_factor(n, c, e)
+        factor = _f43_factor(n, uppers, lowers)
     for lam in lams:
         ln, ld = lam.numerator, lam.denominator
-        if block_skipped or lam == 0 or zero_offset(ln, ld, n) is not None:
+        if block_skipped or ln == 0 or zero_offset(ln, ld, n) is not None:
             evaluation.record_skip()
             contiguous.record_skip()
             continue
-        four, four_den = _unity_sum(
-            uppers + [(ln + ld, ld)], lowers + [(ln, ld)], n
+        # row k of the 4F3 is row k of the 3F2 times its own column ratio
+        # (1+lam+k)/(lam+k); at lam = -n the last one is zero and ends it
+        four, four_den = _horner(
+            [
+                (num * (ln + ld + k * ld), den * (ln + k * ld))
+                for k, (num, den) in enumerate(rows)
+            ]
         )
         tail, tail_den = _f43_tail(n, lam)
-        params = (("n", n), ("c", c), ("e", e), ("lam", lam))
         # factor * tail, and (lam - a)/lam P/Q + a/lam R/S at a = -n as
         # ((lam+n) P S - n R Q) / (lam Q S), each against the 4F3 sum
         for report, num, den in (
@@ -587,6 +624,7 @@ def terminating_4f3_block(
             if four * den == num * four_den:
                 report.record_pass()
             else:
+                params = (("n", n), ("c", c), ("e", e), ("lam", lam))
                 lhs, rhs = Fraction(four, four_den), Fraction(num, den)
                 report.record_failure(CaseRecord(params=params, lhs=lhs, rhs=rhs))
     return evaluation, contiguous

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catconv import hyperseries
@@ -385,21 +385,23 @@ class TestTerminating4F3Block:
                 assert (report.cases_run, report.skipped) == (0, 1)
                 assert report.elapsed_ms is not None
 
-    def test_records_mismatch_with_both_values(self, monkeypatch):
+    # lam = -3 = -n ends the 4F3 a term early, through its 1 + lam upper
+    @pytest.mark.parametrize("lam", [F(2), F(7, 3), F(-3)])
+    def test_records_mismatch_with_both_values(self, monkeypatch, lam):
         # a wrong closed-form tail must surface as a failure of the
         # evaluation check only, with the shared 4F3 sum as its lhs
         monkeypatch.setattr(
             "catconv.hyperseries._f43_tail", lambda n, lam: (n + 1, 1)
         )
         c, e = F(1, 3), F(1, 5)
-        evaluation, contiguous = terminating_4f3_block(3, c, e, [2])
+        evaluation, contiguous = terminating_4f3_block(3, c, e, [lam])
         assert contiguous.ok and contiguous.cases_run == 1
         [case] = evaluation.failures
-        assert dict(case.params) == {"n": 3, "c": c, "e": e, "lam": F(2)}
+        assert dict(case.params) == {"n": 3, "c": c, "e": e, "lam": lam}
         assert case.lhs == ref.pfq_unity_sum_exact(
-            [F(-3), c, e, F(3)], [1 - c - 3, 1 - e - 3, F(2)], 3
+            [F(-3), c, e, 1 + lam], [1 - c - 3, 1 - e - 3, lam], 3
         )
-        assert case.rhs == terminating_4f3_closed_form(3, c, e, 2)
+        assert case.rhs == terminating_4f3_closed_form(3, c, e, lam)
 
     def test_records_contiguous_mismatch_alone(self, monkeypatch):
         # a wrong raised 3F2 must fail the contiguous check only, with the
@@ -426,6 +428,23 @@ class TestTerminating4F3Block:
         assert case.rhs == (lam + 3) / lam * plain - 3 / lam * raised
         assert type(case.lhs) is type(case.rhs) is Fraction
 
+    @pytest.mark.parametrize("lams", [[F(2)], [F(k, 3) for k in range(1, 9)]])
+    def test_rows_are_built_once_per_block(self, monkeypatch, lams):
+        # every lam's 4F3 reuses the rows of the plain 3F2, so a block
+        # builds two row lists, for the plain and the raised 3F2, however
+        # many lams it covers
+        calls = []
+        original = hyperseries._ratio_rows
+
+        def ratio_rows(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hyperseries, "_ratio_rows", ratio_rows)
+        evaluation, contiguous = terminating_4f3_block(6, F(1, 3), F(1, 5), lams)
+        assert evaluation.ok and evaluation.cases_run == len(lams)
+        assert len(calls) == 2
+
     def test_undefined_parameters_are_skipped(self):
         # c = -1 lies in [1-n, 0]: its upper and the lower 1-c-n both hit
         # zero inside the sum, so the whole block is skipped
@@ -451,6 +470,12 @@ parameters = st.one_of(st.integers(-6, 0).map(F), rationals)
 # integers down to -10 reach every undefined c, e and lam at n <= 10
 block_parameters = st.one_of(
     st.integers(-10, 3).map(F),
+    st.fractions(min_value=-6, max_value=6, max_denominator=6),
+)
+
+# the criterion's grid, and fractions that at n >= 30 rarely skip a block
+criterion_parameters = st.one_of(
+    st.sampled_from(hyperseries.DEFAULT_RATIONAL_GRID),
     st.fractions(min_value=-6, max_value=6, max_denominator=6),
 )
 
@@ -508,6 +533,36 @@ class TestKernelsAgainstReference:
         st.lists(block_parameters, min_size=1, max_size=4),
     )
     def test_4f3_block(self, n, c, e, lams):
+        fast = terminating_4f3_block(n, c, e, lams)
+        slow = ref.terminating_4f3_block(n, c, e, lams)
+        assert [r.as_dict(include_timing=False) for r in fast] == [
+            r.as_dict(include_timing=False) for r in slow
+        ]
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(30, 40).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                criterion_parameters,
+                criterion_parameters,
+                st.lists(
+                    st.one_of(
+                        st.integers(1, 8).map(F),
+                        st.builds(F, st.integers(-60, 60), st.integers(2, 6)),
+                        st.sampled_from([F(-n), F(-2 * n - 1, 2)]),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+            )
+        )
+    )
+    @example((35, F(1, 3), F(5, 2), [F(-35), F(-71, 2), F(7, 6), F(4)]))
+    def test_4f3_block_at_criterion_sizes(self, point):
+        # the 4F3 rows of the criterion's larger n, where a lam of -n
+        # ends the series a term early and -n - 1/2 runs it to its end
+        n, c, e, lams = point
         fast = terminating_4f3_block(n, c, e, lams)
         slow = ref.terminating_4f3_block(n, c, e, lams)
         assert [r.as_dict(include_timing=False) for r in fast] == [
