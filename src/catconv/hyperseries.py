@@ -19,7 +19,16 @@ the 4F3 block compare integers.
 
 A 4F3 block builds the rows of its plain 3F2 once.  Each lam's 4F3 takes
 those rows, times the one factor that depends on lam, its column's ratio
-(1+lam+k)/(lam+k), and folds them by the same Horner loop.
+(1+lam+k)/(lam+k), and folds them by the same Horner loop.  The
+linear-factor lemma's grid runs in (a, c) blocks the same way: its first
+factor, the rows of its even part's lam-free base and its odd part are
+built once per block, and each lam's second factor and even part are
+those rows times the same column, expanded term by term.  Neither block
+telescopes (1+lam)_k/(lam)_k into (lam+k)/lam, which would split a
+series into a lam-free one plus a 1/lam moment series.  For the 4F3 that
+split is the contiguous relation under test, and the lemma follows from
+Kummer's product by it, so the side built term by term must not lean on
+it.
 
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
@@ -38,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
     RationalLike,
@@ -116,7 +125,11 @@ def _fraction(x: RationalLike) -> Fraction:
 
 
 class DegenerateLambda(ValueError):
-    """The extra linear factor's parameter is zero, so its series is undefined."""
+    """The extra linear factor's parameter leaves its series undefined.
+
+    It is zero, or, in a series truncated at an order, an integer in
+    [1-order, -1].
+    """
 
 
 @dataclass(frozen=True)
@@ -214,19 +227,36 @@ def _ratio_rows(
 _Series = tuple[list[int], int]
 
 
-def _expand(spec: SeriesSpec, order: int) -> _Series:
+def _rows(
+    uppers: Iterable[Fraction],
+    lowers: Iterable[Fraction],
+    order: int,
+    argument: str = ARG_PLUS,
+    power: int = 0,
+) -> list[tuple[int, int]]:
+    # the term-ratio rows of the terms that land at x^0 .. x^order, with
+    # the lowers checked one step further, past the last stored term
     if order < 0:
         raise ValueError("order must be nonnegative")
-    pref_coeff, pref_power = spec.prefactor
-    stride = 2 if spec.argument == ARG_SQUARED else 1
-    nums = [0] * (order + 1)
-    last = (order - pref_power) // stride
+    last = (order - power) // (2 if argument == ARG_SQUARED else 1)
     if last < 0:
+        return []
+    return _ratio_rows(_pairs(uppers), _pairs(lowers), last + 1)[:last]
+
+
+def _series(
+    rows: Sequence[tuple[int, int]],
+    order: int,
+    argument: str = ARG_PLUS,
+    prefactor: tuple[Fraction, int] = (Fraction(1), 0),
+) -> _Series:
+    pref_coeff, pref_power = prefactor
+    nums = [0] * (order + 1)
+    if pref_power > order:
         return nums, 1
-    rows = _ratio_rows(_pairs(spec.uppers), _pairs(spec.lowers), last + 1)
-    rows = rows[:last]
-    sign = -1 if spec.argument == ARG_MINUS else 1
-    quarter = 4 if spec.argument == ARG_SQUARED else 1
+    stride = 2 if argument == ARG_SQUARED else 1
+    sign = -1 if argument == ARG_MINUS else 1
+    quarter = 4 if argument == ARG_SQUARED else 1
     # over the product of every row's den, term k is heads[k] * tails[k]
     first = pref_coeff.numerator
     heads = accumulate((sign * num for num, _ in rows), mul, initial=first)
@@ -237,6 +267,23 @@ def _expand(spec: SeriesSpec, order: int) -> _Series:
     den = pref_coeff.denominator * tails[0]
     g = math.gcd(den, *nums)
     return [x // g for x in nums], den // g
+
+
+def _expand(spec: SeriesSpec, order: int) -> _Series:
+    power = spec.prefactor[1]
+    rows = _rows(spec.uppers, spec.lowers, order, spec.argument, power)
+    return _series(rows, order, spec.argument, spec.prefactor)
+
+
+def _column(
+    rows: Sequence[tuple[int, int]], lam: Fraction
+) -> list[tuple[int, int]]:
+    # row k times the ratio (1+lam+k)/(lam+k) of the (1+lam; lam) column
+    ln, ld = lam.numerator, lam.denominator
+    return [
+        (num * (ln + ld + k * ld), den * (ln + k * ld))
+        for k, (num, den) in enumerate(rows)
+    ]
 
 
 def _mul(a: _Series, b: _Series) -> _Series:
@@ -279,17 +326,83 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _view(_mul(_over_lcm(a), _over_lcm(b)))
 
 
+def _undefined_lam(lam: Fraction, order: int) -> bool:
+    # lam = 0 is a zero lower at once.  At an integer lam in [1-order, -1]
+    # the upper 1 + lam ends the series a step before the lower lam hits
+    # zero within the order, so every later term is 0/0 and the truncated
+    # series says nothing.
+    ln = lam.numerator
+    return ln == 0 or zero_offset(ln, lam.denominator, order) is not None
+
+
+def _lemma_block(
+    a: Fraction, c: Fraction, order: int
+) -> Callable[[Fraction], tuple[_Series, _Series] | None]:
+    """The lemma's lam-free series at (a, c), and each lam's sides from them.
+
+    Builds, once for the block and in this order: the first factor
+    (a; c; +x) and its term-ratio rows, the rows of the even part's
+    lam-free base (a, c-a; c, c/2, (1+c)/2; x^2/4), which is bailey-dixon's
+    right side, and the rows of the odd part, whose series with prefactor
+    a/c is expanded once, at the first lam that runs.  A zero lower
+    parameter in any of these rows raises :class:`ZeroLowerPochhammer` for
+    the whole block, the first factor's first.  The base decides for the
+    even part: a 1 + lam that would end that series sooner does so only at
+    a negative integer lam, by 0/0.
+
+    Returns ``sides(lam)``, the lemma's two sides at one lam, or ``None``
+    where lam is undefined (:func:`_undefined_lam`).  The second factor
+    (1+lam, a; lam, c; -x) and the even part are the first factor's and
+    the base's rows, each row times its own column ratio (1+lam+k)/(lam+k),
+    expanded term by term; the odd part is the block's times 1/lam.
+    Reusing rows changes no term.  No series is telescoped by
+    (1+lam)_k/(lam)_k = (lam+k)/lam into a lam-free series plus a 1/lam
+    moment series: that split is how the lemma follows from Kummer's
+    product, so the left side must not lean on it.
+    """
+    first_rows = _rows((a,), (c,), order)
+    first = _series(first_rows, order)
+    even_rows = _rows((a, c - a), (c, c / 2, (1 + c) / 2), order, ARG_SQUARED)
+    odd_rows = _rows(
+        (1 + a, c - a), (c, (1 + c) / 2, (2 + c) / 2), order, ARG_SQUARED, 1
+    )
+    odd = None
+
+    def sides(lam: Fraction) -> tuple[_Series, _Series] | None:
+        nonlocal odd
+        if _undefined_lam(lam, order):
+            return None
+        if odd is None:
+            # a/c is formed for a lam that runs: at a = c = 0, where the
+            # first factor ends at once, it divides by zero, and a block
+            # of undefined lams must still skip
+            odd = _series(odd_rows, order, ARG_SQUARED, (a / c, 1))
+        second = _series(_column(first_rows, lam), order, ARG_MINUS)
+        even = _series(_column(even_rows, lam), order, ARG_SQUARED)
+        odd_lam = [x * lam.denominator for x in odd[0]], odd[1] * lam.numerator
+        return _mul(first, second), _sub(even, odd_lam)
+
+    return sides
+
+
 def _product_sides(
     formula: str,
     a: Fraction,
     c: Fraction,
     lam: Fraction | None,
     order: int,
+    memo: dict[SeriesSpec, _Series] | None = None,
 ) -> tuple[_Series, _Series]:
     # Each series is built at its call, in the order below: the order
-    # decides which zero lower Pochhammer symbol a point raises.
+    # decides which zero lower Pochhammer symbol a point raises.  A memo
+    # keeps each series for the next point that builds it again.
     def series(uppers, lowers, argument, prefactor=(Fraction(1), 0)):
-        return _expand(SeriesSpec(uppers, lowers, argument, prefactor), order)
+        spec = SeriesSpec(uppers, lowers, argument, prefactor)
+        if memo is None:
+            return _expand(spec, order)
+        if spec not in memo:
+            memo[spec] = _expand(spec, order)
+        return memo[spec]
 
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
@@ -309,24 +422,27 @@ def _product_sides(
         return _mul(f, f), series(
             (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c), ARG_PLUS
         )
-    # the second factor's and the even part's (uppers, lowers)
     if formula == LEMMA_LINEAR:
+        # the one-lam block
         if lam is None or lam == 0:
             raise DegenerateLambda("linear-factor parameter must be nonzero")
-        second = (1 + lam, a), (lam, c)
-        even = (1 + lam, a, c - a), (lam, c, c / 2, (1 + c) / 2)
-    elif formula == VARIANT_LINEAR:
-        # The lemma specialized at lam = c - 1; the factor with lowered
-        # parameter takes the negated argument so odd coefficients agree.
-        lam = c - 1
-        if lam == 0:
-            raise DegenerateLambda("variant requires c != 1")
-        second = (a,), (lam,)
-        even = (a, c - a), (lam, c / 2, (1 + c) / 2)
-    else:
+        sides = _lemma_block(a, c, order)(lam)
+        if sides is None:
+            raise DegenerateLambda(
+                f"linear-factor parameter {lam} is an integer in "
+                f"[{1 - order}, -1]: 1 + lam ends the series before lam "
+                f"hits zero, so its later terms are 0/0"
+            )
+        return sides
+    if formula != VARIANT_LINEAR:
         raise ValueError(f"unknown product formula {formula!r}")
-    lhs = _mul(series((a,), (c,), ARG_PLUS), series(*second, ARG_MINUS))
-    even_part = series(*even, ARG_SQUARED)
+    # The lemma specialized at lam = c - 1; the factor with lowered
+    # parameter takes the negated argument so odd coefficients agree.
+    lam = c - 1
+    if lam == 0:
+        raise DegenerateLambda("variant requires c != 1")
+    lhs = _mul(series((a,), (c,), ARG_PLUS), series((a,), (lam,), ARG_MINUS))
+    even_part = series((a, c - a), (lam, c / 2, (1 + c) / 2), ARG_SQUARED)
     odd_part = series(
         (1 + a, c - a),
         (c, (1 + c) / 2, (2 + c) / 2),
@@ -334,6 +450,34 @@ def _product_sides(
         (a / (c * lam), 1),
     )
     return lhs, _sub(even_part, odd_part)
+
+
+def _record(
+    report: VerificationReport,
+    sides: tuple[_Series, _Series],
+    formula: str,
+    a: Fraction,
+    c: Fraction,
+    lam: Fraction | None,
+    order: int,
+) -> None:
+    # a pass, or a failure at the first mismatching coefficient index
+    (lhs, lhs_den), (rhs, rhs_den) = sides
+    for i, (x, y) in enumerate(zip(lhs, rhs)):
+        if x * rhs_den != y * lhs_den:
+            params = [("formula", formula), ("a", a), ("c", c)]
+            if formula == LEMMA_LINEAR:
+                params.append(("lam", lam))
+            params += [("order", order), ("coeff_index", i)]
+            report.record_failure(
+                CaseRecord(
+                    params=tuple(params),
+                    lhs=Fraction(x, lhs_den),
+                    rhs=Fraction(y, rhs_den),
+                )
+            )
+            return
+    report.record_pass()
 
 
 def check_product_formula(
@@ -348,33 +492,18 @@ def check_product_formula(
     Both sides are built independently (left by Cauchy product of the two
     factors, right from its own series) and compared exactly through
     ``order``.  The report's failure record, if any, names the first
-    mismatching coefficient index.
+    mismatching coefficient index.  ``lemma-linear`` is its one-lam
+    (a, c) block.  Its lam = 0 raises :class:`DegenerateLambda` at once,
+    and an integer lam in [1-order, -1] once the block's series are
+    built, so an inadmissible c is named first.
     """
     start = time.perf_counter()
     a = _fraction(a)
     c = _fraction(c)
     lam_f = None if lam is None else _fraction(lam)
-    (lhs, lhs_den), (rhs, rhs_den) = _product_sides(formula, a, c, lam_f, order)
-    params: list[tuple[str, object]] = [("formula", formula), ("a", a), ("c", c)]
-    if formula == LEMMA_LINEAR:
-        params.append(("lam", lam_f))
-    params.append(("order", order))
+    sides = _product_sides(formula, a, c, lam_f, order)
     report = VerificationReport(name=formula)
-    mismatch = None
-    for i, (x, y) in enumerate(zip(lhs, rhs)):
-        if x * rhs_den != y * lhs_den:
-            mismatch = i
-            break
-    if mismatch is None:
-        report.record_pass()
-    else:
-        report.record_failure(
-            CaseRecord(
-                params=tuple(params) + (("coeff_index", mismatch),),
-                lhs=Fraction(lhs[mismatch], lhs_den),
-                rhs=Fraction(rhs[mismatch], rhs_den),
-            )
-        )
+    _record(report, sides, formula, a, c, lam_f, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -388,25 +517,46 @@ def check_product_grid(
 
     Inadmissible parameter combinations (zero lower Pochhammer, degenerate
     linear factor) are counted as skipped, never silently dropped.
+
+    ``lemma-linear`` runs in (a, c) blocks (:func:`_lemma_block`): each
+    series that does not depend on lam is built once per block, and every
+    lam's second factor and even part reuse the block's term-ratio rows,
+    each row times its lam's column ratio.  The rows are reused, never
+    telescoped into a lam-free series plus a 1/lam moment series, which
+    would be the derivation of the lemma, not a check of it.  A block
+    whose lam-free series hits a zero lower parameter skips all its lams,
+    and lam = 0 or an integer in [1-order, -1] is skipped on its own.
+    ``bailey-watson``'s factors depend on a alone and on c alone, so its
+    grid builds each once.
     """
     start = time.perf_counter()
     grid = DEFAULT_RATIONAL_GRID
     report = VerificationReport(name=formula)
     if formula == LEMMA_LINEAR:
         lams = tuple(map(_fraction, lam_grid or DEFAULT_RATIONAL_GRID))
-        combos: Iterable[tuple] = (
-            (a, c, l) for a in grid for c in grid for l in lams
-        )
+        for a in grid:
+            for c in grid:
+                try:
+                    sides = _lemma_block(a, c, order)
+                except ZeroLowerPochhammer:
+                    report.skipped += len(lams)
+                    continue
+                for lam in lams:
+                    point = sides(lam)
+                    if point is None:
+                        report.record_skip()
+                    else:
+                        _record(report, point, formula, a, c, lam, order)
     else:
-        combos = ((a, c, None) for a in grid for c in grid)
-    for a, c, lam in combos:
-        try:
-            sub = check_product_formula(formula, a, c, lam, order)
-        except (ZeroLowerPochhammer, DegenerateLambda):
-            report.record_skip()
-            continue
-        sub.elapsed_ms = None
-        report.merge(sub)
+        memo = {} if formula == BAILEY_WATSON else None
+        for a in grid:
+            for c in grid:
+                try:
+                    point = _product_sides(formula, a, c, None, order, memo)
+                except (ZeroLowerPochhammer, DegenerateLambda):
+                    report.record_skip()
+                    continue
+                _record(report, point, formula, a, c, None, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -601,20 +751,15 @@ def terminating_4f3_block(
         ps, rq, qs = p * s, r * q, q * s
         factor = _f43_factor(n, uppers, lowers)
     for lam in lams:
-        ln, ld = lam.numerator, lam.denominator
-        if block_skipped or ln == 0 or zero_offset(ln, ld, n) is not None:
+        if block_skipped or _undefined_lam(lam, n):
             evaluation.record_skip()
             contiguous.record_skip()
             continue
         # row k of the 4F3 is row k of the 3F2 times its own column ratio
         # (1+lam+k)/(lam+k); at lam = -n the last one is zero and ends it
-        four, four_den = _horner(
-            [
-                (num * (ln + ld + k * ld), den * (ln + k * ld))
-                for k, (num, den) in enumerate(rows)
-            ]
-        )
+        four, four_den = _horner(_column(rows, lam))
         tail, tail_den = _f43_tail(n, lam)
+        ln, ld = lam.numerator, lam.denominator
         # factor * tail, and (lam - a)/lam P/Q + a/lam R/S at a = -n as
         # ((lam+n) P S - n R Q) / (lam Q S), each against the 4F3 sum
         for report, num, den in (

@@ -505,6 +505,51 @@ class TestOtherCommands:
         assert code == EXIT_USAGE
         assert payload["error"]["type"] == "DegenerateLambda"
 
+    @pytest.mark.parametrize("lam", ["-1", "-2", "-3", "-7"])
+    def test_coeffs_lemma_skips_or_rejects_an_undefined_lambda(self, capsys, lam):
+        # at an integer lam in [1-order, -1] the upper 1 + lam ends the
+        # series before the lower lam hits zero, so every later term is
+        # 0/0: a grid skips the lam, a single point is a usage error
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear", f"--lambda={lam}",
+            "--order", "8", "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (0, 64)
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear", f"--lambda={lam}",
+            "--a", "1/2", "--c", "2", "--order", "8", "--format", "json",
+        )
+        assert code == EXIT_USAGE
+        assert payload["error"]["type"] == "DegenerateLambda"
+
+    def test_coeffs_lemma_names_an_undefined_c_first(self, capsys):
+        # the first factor is built before lam is checked, so a point
+        # where c is inadmissible too still names c
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear", "--lambda=-3",
+            "--a", "1/2", "--c=-1", "--order", "8", "--format", "json",
+        )
+        assert code == EXIT_USAGE
+        assert payload["error"] == {
+            "type": "ZeroLowerPochhammer",
+            "message": "lower parameter -1 hits zero at offset 1",
+        }
+
+    @pytest.mark.parametrize("lam", ["-8", "-5/2"])
+    def test_coeffs_lemma_runs_a_defined_negative_lambda(self, capsys, lam):
+        # -8 = -order ends the series at its last term, and -5/2 never does
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear", f"--lambda={lam}",
+            "--order", "8", "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (64, 0)
+
     def test_coeffs_requires_both_or_neither(self, capsys):
         code, payload = run_json(
             capsys,

@@ -1,7 +1,9 @@
 """Truncated exact series, Cauchy products, and the product formulae."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +35,7 @@ from catconv.hyperseries import (
     terminating_4f3_closed_form,
 )
 from catconv.hyperseries import _product_sides, _view
+from catconv.report import CaseRecord, VerificationReport
 
 import reference_kernels as ref
 
@@ -211,6 +214,33 @@ class TestProductFormulae:
         assert report.ok, report.failures[:3]
         assert report.cases_run > 0
 
+    @pytest.mark.parametrize(
+        "formula, lams, builds",
+        [
+            (LEMMA_LINEAR, [F(2)], 3 * 64),
+            (LEMMA_LINEAR, list(hyperseries.DEFAULT_RATIONAL_GRID), 3 * 64),
+            (BAILEY_WATSON, None, 8 + 8 + 64),
+        ],
+    )
+    def test_series_are_built_once_per_block(
+        self, monkeypatch, formula, lams, builds
+    ):
+        # each (a, c) block of the lemma builds the rows of its first
+        # factor, of its even part's base and of its odd part once, however
+        # many lams it covers; bailey-watson builds its (a; 2a) factor once
+        # per a and its (c; 2c) factor once per c, beside each right side
+        calls = []
+        original = hyperseries._ratio_rows
+
+        def ratio_rows(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hyperseries, "_ratio_rows", ratio_rows)
+        report = check_product_grid(formula, order=16, lam_grid=lams)
+        assert report.ok and report.skipped == 0
+        assert len(calls) == builds
+
     def test_grid_counts_skips(self):
         # c = 1 is inadmissible for the variant, so the sweep must skip it.
         report = check_product_grid(VARIANT_LINEAR, order=8)
@@ -241,6 +271,130 @@ def reference_sides(formula, specs, order):
     return lhs, tuple(x - y for x, y in zip(even, odd))
 
 
+def product_specs(formula, a, c, lam=None):
+    # a formula's series at one point, each from its own spec: its two
+    # factors (one for Clausen), then the right series or its even and odd
+    # parts
+    half = F(1, 2)
+    if formula == BAILEY_DIXON:
+        return [
+            SeriesSpec((a,), (c,)),
+            SeriesSpec((a,), (c,), ARG_MINUS),
+            SeriesSpec((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED),
+        ]
+    if formula == BAILEY_WATSON:
+        return [
+            SeriesSpec((a,), (2 * a,)),
+            SeriesSpec((c,), (2 * c,), ARG_MINUS),
+            SeriesSpec(
+                ((a + c) / 2, (a + c + 1) / 2),
+                (a + c, a + half, c + half),
+                ARG_SQUARED,
+            ),
+        ]
+    if formula == CLAUSEN:
+        return [
+            SeriesSpec((a, c), (a + c + half,)),
+            SeriesSpec((a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c)),
+        ]
+    if formula == LEMMA_LINEAR:
+        second = (1 + lam, a), (lam, c)
+        even = (1 + lam, a, c - a), (lam, c, c / 2, (1 + c) / 2)
+    else:
+        lam = c - 1
+        second = (a,), (lam,)
+        even = (a, c - a), (lam, c / 2, (1 + c) / 2)
+    return [
+        SeriesSpec((a,), (c,)),
+        SeriesSpec(*second, ARG_MINUS),
+        SeriesSpec(*even, ARG_SQUARED),
+        SeriesSpec(
+            (1 + a, c - a),
+            (c, (1 + c) / 2, (2 + c) / 2),
+            ARG_SQUARED,
+            (a / (c * lam), 1),
+        ),
+    ]
+
+
+def first_mismatch(lhs, rhs):
+    return next((i for i, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+
+
+def assert_first_mismatch(report, lhs, rhs):
+    # the one failure record names the first differing coefficient and
+    # carries both values as the Fraction-per-term reference computes them
+    first = first_mismatch(lhs, rhs)
+    [case] = report.failures
+    assert dict(case.params)["coeff_index"] == first
+    assert (case.lhs, case.rhs) == (lhs[first], rhs[first])
+    assert type(case.lhs) is type(case.rhs) is Fraction
+
+
+def undefined_lam(lam, order):
+    # 1 + lam ends the series before the lower lam hits zero within the
+    # order, so every later term is 0/0
+    return lam == 0 or (lam.denominator == 1 and 1 - order <= lam <= -1)
+
+
+def reference_point(formula, a, c, lam, order):
+    """One point's two sides from its own specs, or None for a skip."""
+    if formula == LEMMA_LINEAR and undefined_lam(lam, order):
+        return None
+    if formula == VARIANT_LINEAR and c == 1:
+        return None
+    try:
+        if formula in (LEMMA_LINEAR, VARIANT_LINEAR):
+            # the first factor comes first: at c = 0 it names c before the
+            # odd part's a/c is formed, except at a = 0, where it ends at once
+            ref.pfq_truncate(SeriesSpec((a,), (c,)), order)
+        if formula == LEMMA_LINEAR:
+            # the even part's lam-free base must be defined: a 1 + lam that
+            # ends that series sooner does so only by 0/0
+            base = SeriesSpec((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
+            ref.pfq_truncate(base, order)
+        return reference_sides(formula, product_specs(formula, a, c, lam), order)
+    except ZeroLowerPochhammer:
+        return None
+
+
+def reference_report(formula, a, c, lam, order):
+    # check_product_formula's report at one point, or None for a skip
+    sides = reference_point(formula, a, c, lam, order)
+    if sides is None:
+        return None
+    report = VerificationReport(name=formula)
+    lhs, rhs = sides
+    first = first_mismatch(lhs, rhs)
+    if first is None:
+        report.record_pass()
+        return report
+    params = (("formula", formula), ("a", a), ("c", c))
+    if formula == LEMMA_LINEAR:
+        params += (("lam", lam),)
+    params += (("order", order), ("coeff_index", first))
+    report.record_failure(CaseRecord(params, lhs[first], rhs[first]))
+    return report
+
+
+def grid_points(formula, grid, lams):
+    for a, c in itertools.product(grid, grid):
+        for lam in lams if formula == LEMMA_LINEAR else [None]:
+            yield a, c, lam
+
+
+def reference_grid(formula, grid, lams, order):
+    # check_product_grid's report, point by point from the reference
+    report = VerificationReport(name=formula)
+    for a, c, lam in grid_points(formula, grid, lams):
+        point = reference_report(formula, a, c, lam, order)
+        if point is None:
+            report.record_skip()
+        else:
+            report.merge(point)
+    return report
+
+
 class TestProductFormulaFaults:
     @pytest.mark.parametrize(
         "formula, point, index",
@@ -248,7 +402,6 @@ class TestProductFormulaFaults:
             (BAILEY_DIXON, (F(1, 2), F(3, 2), None), 0),
             (BAILEY_WATSON, (F(1), F(2), None), 2),
             (CLAUSEN, (F(1), F(1, 3), None), 0),
-            (LEMMA_LINEAR, (F(2, 3), F(5, 2), F(2)), 1),
             (VARIANT_LINEAR, (F(3, 2), F(5, 2), None), 3),
         ],
     )
@@ -269,12 +422,70 @@ class TestProductFormulaFaults:
 
         monkeypatch.setattr(hyperseries, "SeriesSpec", spec)
         report = check_product_formula(formula, *point, order=order)
-        lhs, rhs = reference_sides(formula, made, order)
-        first = next(i for i in range(order + 1) if lhs[i] != rhs[i])
-        [case] = report.failures
-        assert dict(case.params)["coeff_index"] == first
+        assert_first_mismatch(report, *reference_sides(formula, made, order))
+
+    def test_a_perturbed_lemma_second_factor_is_recorded_at_its_first_mismatch(
+        self, monkeypatch
+    ):
+        # the lemma's second factor (1+lam, a; lam, c; -x) is the first
+        # factor's rows times the (1+lam; lam) column, the block's first;
+        # shift that column's upper 1 + lam by 1/7 there
+        order = 16
+        a, c, lam = F(2, 3), F(5, 2), F(2)
+        columns = []
+
+        def column(rows, lam):
+            upper = 1 + lam + (F(1, 7) if not columns else 0)
+            columns.append(lam)
+            ratios = [(upper + k) / (lam + k) for k in range(len(rows))]
+            return [
+                (num * r.numerator, den * r.denominator)
+                for (num, den), r in zip(rows, ratios)
+            ]
+
+        monkeypatch.setattr(hyperseries, "_column", column)
+        report = check_product_formula(LEMMA_LINEAR, a, c, lam, order=order)
+        specs = product_specs(LEMMA_LINEAR, a, c, lam)
+        specs[1] = SeriesSpec((1 + lam + F(1, 7), a), (lam, c), ARG_MINUS)
+        assert columns == [lam, lam]
+        assert_first_mismatch(
+            report, *reference_sides(LEMMA_LINEAR, specs, order)
+        )
+
+    def test_an_off_by_one_column_is_recorded_at_the_grids_first_mismatch(
+        self, monkeypatch
+    ):
+        # every lam's column ratio one off, (2+lam+k)/(1+lam+k) for
+        # (1+lam+k)/(lam+k), in both the second factor and the even part;
+        # the grid's first record is the reference's first mismatching
+        # point, in grid order, and coefficient
+        original = hyperseries._column
+        monkeypatch.setattr(
+            hyperseries, "_column", lambda rows, lam: original(rows, lam + 1)
+        )
+        order = 8
+        report = check_product_grid(LEMMA_LINEAR, order=order)
+        grid = hyperseries.DEFAULT_RATIONAL_GRID
+        for a, c, lam in itertools.product(grid, grid, grid):
+            specs = product_specs(LEMMA_LINEAR, a, c, lam)
+            for i in (1, 2):
+                spec = specs[i]
+                specs[i] = SeriesSpec(
+                    (2 + lam,) + spec.uppers[1:],
+                    (1 + lam,) + spec.lowers[1:],
+                    spec.argument,
+                )
+            lhs, rhs = reference_sides(LEMMA_LINEAR, specs, order)
+            first = next((i for i in range(order + 1) if lhs[i] != rhs[i]), None)
+            if first is not None:
+                break
+        assert report.failures, "the off-by-one column went unrecorded"
+        case = report.failures[0]
+        assert dict(case.params) == {
+            "formula": LEMMA_LINEAR, "a": a, "c": c, "lam": lam,
+            "order": order, "coeff_index": first,
+        }
         assert (case.lhs, case.rhs) == (lhs[first], rhs[first])
-        assert type(case.lhs) is type(case.rhs) is Fraction
 
 
 class TestTerminating4F3:
@@ -488,7 +699,54 @@ def outcome(fn, *args):
         return (type(exc), exc.parameter, exc.index, str(exc))
 
 
+# 0, negative integers past the largest order, halves and thirds: c,
+# c/2, (1+c)/2, 2a, 2c, a+1/2 and lam each reach zero within the order
+product_parameters = st.one_of(
+    st.integers(-31, 3).map(F),
+    st.fractions(min_value=-16, max_value=4, max_denominator=3),
+)
+
+
+def report_or_error(fn, *args):
+    """A report without its timing, None for a skip, or the error's type."""
+    try:
+        report = fn(*args)
+    except (ZeroLowerPochhammer, DegenerateLambda):
+        return None
+    except ZeroDivisionError as exc:
+        # a = c = 0 in the lemma and its variant: the odd part's a/c
+        return type(exc)
+    return None if report is None else report.as_dict(include_timing=False)
+
+
 class TestKernelsAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(PRODUCT_FORMULAE),
+        st.lists(product_parameters, min_size=1, max_size=3),
+        st.lists(product_parameters, min_size=1, max_size=3),
+        st.integers(0, 30),
+    )
+    @example(LEMMA_LINEAR, [F(1, 2), F(2)], [F(-3), F(-8), F(-5, 2)], 8)
+    @example(LEMMA_LINEAR, [F(1), F(-3)], [F(-2)], 2)
+    @example(LEMMA_LINEAR, [F(0)], [F(0), F(-1)], 8)
+    @example(LEMMA_LINEAR, [F(1), F(-1)], [F(-1)], 0)
+    @example(VARIANT_LINEAR, [F(1), F(0)], [F(1)], 5)
+    def test_product_grid(self, formula, grid, lams, order):
+        # the grid's (a, c) blocks, and check_product_formula at each of
+        # its points, against every point built from its own specs: the
+        # same passes, skips and failure records, in the same order
+        lam_grid = lams if formula == LEMMA_LINEAR else None
+        with mock.patch.object(hyperseries, "DEFAULT_RATIONAL_GRID", tuple(grid)):
+            fast = report_or_error(check_product_grid, formula, order, lam_grid)
+        slow = report_or_error(reference_grid, formula, grid, lams, order)
+        assert fast == slow
+        for a, c, lam in grid_points(formula, grid, lams):
+            point = (formula, a, c, lam, order)
+            assert report_or_error(check_product_formula, *point) == (
+                report_or_error(reference_report, *point)
+            ), point
+
     @settings(max_examples=300)
     @given(
         st.lists(parameters, max_size=4),
