@@ -127,8 +127,9 @@ def _fraction(x: RationalLike) -> Fraction:
 class DegenerateLambda(ValueError):
     """The extra linear factor's parameter leaves its series undefined.
 
-    It is zero, or, in a series truncated at an order, an integer in
-    [1-order, -1].
+    It is zero, or, in a series truncated at an order, a negative integer
+    that hits zero at a step the series reaches: before the order, and
+    before any other upper parameter ends the series.
     """
 
 
@@ -326,13 +327,15 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return _view(_mul(_over_lcm(a), _over_lcm(b)))
 
 
-def _undefined_lam(lam: Fraction, order: int) -> bool:
-    # lam = 0 is a zero lower at once.  At an integer lam in [1-order, -1]
-    # the upper 1 + lam ends the series a step before the lower lam hits
-    # zero within the order, so every later term is 0/0 and the truncated
-    # series says nothing.
+def _undefined_lam(lam: Fraction, steps: int) -> bool:
+    # lam = 0 is a zero lower at once.  At an integer lam in [1-steps, -1]
+    # the (1+lam; lam) column has a zero denominator on one of the series'
+    # first `steps` term-ratio rows: its upper 1 + lam ends the series a
+    # step before, so every later term is 0/0 and the truncated series
+    # says nothing.  Where another upper ends the series first, the rows
+    # stop sooner and a lam past them is defined.
     ln = lam.numerator
-    return ln == 0 or zero_offset(ln, lam.denominator, order) is not None
+    return ln == 0 or zero_offset(ln, lam.denominator, steps) is not None
 
 
 def _lemma_block(
@@ -351,10 +354,14 @@ def _lemma_block(
     a negative integer lam, by 0/0.
 
     Returns ``sides(lam)``, the lemma's two sides at one lam, or ``None``
-    where lam is undefined (:func:`_undefined_lam`).  The second factor
-    (1+lam, a; lam, c; -x) and the even part are the first factor's and
-    the base's rows, each row times its own column ratio (1+lam+k)/(lam+k),
-    expanded term by term; the odd part is the block's times 1/lam.
+    where lam is undefined (:func:`_undefined_lam`): lam = 0, or lam + k
+    = 0 on one of the first factor's rows.  Those rows stop where a
+    nonpositive integer a ends the series, and the even part's rows,
+    capped at half the order and also ended by a, are never longer.  The
+    second factor (1+lam, a; lam, c; -x) and the even part are the first
+    factor's and the base's rows, each row times its own column ratio
+    (1+lam+k)/(lam+k), expanded term by term; the odd part is the block's
+    times 1/lam.
     Reusing rows changes no term.  No series is telescoped by
     (1+lam)_k/(lam)_k = (lam+k)/lam into a lam-free series plus a 1/lam
     moment series: that split is how the lemma follows from Kummer's
@@ -370,7 +377,7 @@ def _lemma_block(
 
     def sides(lam: Fraction) -> tuple[_Series, _Series] | None:
         nonlocal odd
-        if _undefined_lam(lam, order):
+        if _undefined_lam(lam, len(first_rows)):
             return None
         if odd is None:
             # a/c is formed for a lam that runs: at a = c = 0, where the
@@ -391,18 +398,17 @@ def _product_sides(
     c: Fraction,
     lam: Fraction | None,
     order: int,
-    memo: dict[SeriesSpec, _Series] | None = None,
+    memo: dict[SeriesSpec, _Series],
 ) -> tuple[_Series, _Series]:
     # Each series is built at its call, in the order below: the order
-    # decides which zero lower Pochhammer symbol a point raises.  A memo
+    # decides which zero lower Pochhammer symbol a point raises.  The memo
     # keeps each series for the next point that builds it again.
     def series(uppers, lowers, argument, prefactor=(Fraction(1), 0)):
         spec = SeriesSpec(uppers, lowers, argument, prefactor)
-        if memo is None:
-            return _expand(spec, order)
-        if spec not in memo:
-            memo[spec] = _expand(spec, order)
-        return memo[spec]
+        built = memo.get(spec)
+        if built is None:
+            built = memo[spec] = _expand(spec, order)
+        return built
 
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
@@ -429,9 +435,9 @@ def _product_sides(
         sides = _lemma_block(a, c, order)(lam)
         if sides is None:
             raise DegenerateLambda(
-                f"linear-factor parameter {lam} is an integer in "
-                f"[{1 - order}, -1]: 1 + lam ends the series before lam "
-                f"hits zero, so its later terms are 0/0"
+                f"linear-factor parameter {lam} hits zero within the "
+                f"series: 1 + lam ends it a step before, so its later "
+                f"terms are 0/0"
             )
         return sides
     if formula != VARIANT_LINEAR:
@@ -494,14 +500,15 @@ def check_product_formula(
     ``order``.  The report's failure record, if any, names the first
     mismatching coefficient index.  ``lemma-linear`` is its one-lam
     (a, c) block.  Its lam = 0 raises :class:`DegenerateLambda` at once,
-    and an integer lam in [1-order, -1] once the block's series are
-    built, so an inadmissible c is named first.
+    and a negative integer lam that hits zero on one of the first
+    factor's term-ratio rows once the block's series are built, so an
+    inadmissible c is named first.
     """
     start = time.perf_counter()
     a = _fraction(a)
     c = _fraction(c)
     lam_f = None if lam is None else _fraction(lam)
-    sides = _product_sides(formula, a, c, lam_f, order)
+    sides = _product_sides(formula, a, c, lam_f, order, {})
     report = VerificationReport(name=formula)
     _record(report, sides, formula, a, c, lam_f, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -525,7 +532,10 @@ def check_product_grid(
     telescoped into a lam-free series plus a 1/lam moment series, which
     would be the derivation of the lemma, not a check of it.  A block
     whose lam-free series hits a zero lower parameter skips all its lams,
-    and lam = 0 or an integer in [1-order, -1] is skipped on its own.
+    and lam = 0 or a negative integer lam that hits zero on one of the
+    first factor's rows, which stop at the order or where a nonpositive
+    integer a ends the series, is skipped on its own.  The other formulas
+    keep each series they build in a memo for the grid's run:
     ``bailey-watson``'s factors depend on a alone and on c alone, so its
     grid builds each once.
     """
@@ -548,7 +558,7 @@ def check_product_grid(
                     else:
                         _record(report, point, formula, a, c, lam, order)
     else:
-        memo = {} if formula == BAILEY_WATSON else None
+        memo = {}
         for a in grid:
             for c in grid:
                 try:

@@ -507,8 +507,9 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("lam", ["-1", "-2", "-3", "-7"])
     def test_coeffs_lemma_skips_or_rejects_an_undefined_lambda(self, capsys, lam):
-        # at an integer lam in [1-order, -1] the upper 1 + lam ends the
-        # series before the lower lam hits zero, so every later term is
+        # at an integer lam in [1-order, -1], with no a <= 0 that ends the
+        # series sooner (the grid's a are positive), the upper 1 + lam ends
+        # the series before the lower lam hits zero, so every later term is
         # 0/0: a grid skips the lam, a single point is a usage error
         code, payload = run_json(
             capsys,
@@ -524,6 +525,19 @@ class TestOtherCommands:
         )
         assert code == EXIT_USAGE
         assert payload["error"]["type"] == "DegenerateLambda"
+
+    def test_coeffs_lemma_runs_a_lambda_past_where_a_ends_the_series(
+        self, capsys
+    ):
+        # a = -2 ends every series of the lemma after its x^2 term, before
+        # lam = -5 hits zero, so no term is 0/0 and the point is checked
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear", "--lambda=-5",
+            "--a=-2", "--c", "1/2", "--order", "8", "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert (payload["cases_run"], payload["skipped"]) == (1, 0)
 
     def test_coeffs_lemma_names_an_undefined_c_first(self, capsys):
         # the first factor is built before lam is checked, so a point

@@ -176,7 +176,7 @@ class TestProductFormulae:
         assert check_product_formula(BAILEY_DIXON, 1, 2, order=16).ok
 
     def test_clausen_square_constant_term(self):
-        sides = _product_sides(CLAUSEN, F(1, 2), F(1, 2), None, 12)
+        sides = _product_sides(CLAUSEN, F(1, 2), F(1, 2), None, 12, {})
         lhs, _ = map(_view, sides)
         assert lhs.coefficient(0) == 1
 
@@ -184,10 +184,10 @@ class TestProductFormulae:
         for a in (F(1, 2), F(1), F(5, 3)):
             for c in (F(2), F(5, 2), F(7, 3)):
                 lemma_l, lemma_r = map(
-                    _view, _product_sides(LEMMA_LINEAR, a, c, c - 1, 20)
+                    _view, _product_sides(LEMMA_LINEAR, a, c, c - 1, 20, {})
                 )
                 var_l, var_r = map(
-                    _view, _product_sides(VARIANT_LINEAR, a, c, None, 20)
+                    _view, _product_sides(VARIANT_LINEAR, a, c, None, 20, {})
                 )
                 assert lemma_l.coeffs == var_l.coeffs
                 assert lemma_r.coeffs == var_r.coeffs
@@ -331,15 +331,21 @@ def assert_first_mismatch(report, lhs, rhs):
     assert type(case.lhs) is type(case.rhs) is Fraction
 
 
-def undefined_lam(lam, order):
-    # 1 + lam ends the series before the lower lam hits zero within the
-    # order, so every later term is 0/0
-    return lam == 0 or (lam.denominator == 1 and 1 - order <= lam <= -1)
+def undefined_lam(lam, a, order):
+    # lam = 0, or lam + k = 0 at a step k that the first factor (a; c; x)
+    # takes: k < order, and k < -a where a nonpositive integer a ends the
+    # series.  There 1 + lam ends the series a step before the lower lam
+    # hits zero, so every later term is 0/0; where a ends it first, no
+    # term is.
+    steps = order
+    if a.denominator == 1 and a <= 0:
+        steps = min(steps, -a)
+    return lam == 0 or (lam.denominator == 1 and 1 - steps <= lam <= -1)
 
 
 def reference_point(formula, a, c, lam, order):
     """One point's two sides from its own specs, or None for a skip."""
-    if formula == LEMMA_LINEAR and undefined_lam(lam, order):
+    if formula == LEMMA_LINEAR and undefined_lam(lam, a, order):
         return None
     if formula == VARIANT_LINEAR and c == 1:
         return None
@@ -728,6 +734,7 @@ class TestKernelsAgainstReference:
         st.integers(0, 30),
     )
     @example(LEMMA_LINEAR, [F(1, 2), F(2)], [F(-3), F(-8), F(-5, 2)], 8)
+    @example(LEMMA_LINEAR, [F(-2), F(1, 2)], [F(-5), F(-2), F(-1)], 8)
     @example(LEMMA_LINEAR, [F(1), F(-3)], [F(-2)], 2)
     @example(LEMMA_LINEAR, [F(0)], [F(0), F(-1)], 8)
     @example(LEMMA_LINEAR, [F(1), F(-1)], [F(-1)], 0)
