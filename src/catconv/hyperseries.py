@@ -17,18 +17,19 @@ rows by backward Horner into an unreduced pair ``p/q``.  Two values are
 compared by cross-multiplying their pairs, so the product formulae and
 the 4F3 block compare integers.
 
-A 4F3 block builds the rows of its plain 3F2 once.  Each lam's 4F3 takes
-those rows, times the one factor that depends on lam, its column's ratio
-(1+lam+k)/(lam+k), and folds them by the same Horner loop.  The
-linear-factor lemma's grid runs in (a, c) blocks the same way: its first
-factor, the rows of its even part's lam-free base and its odd part are
-built once per block, and each lam's second factor and even part are
-those rows times the same column, expanded term by term.  Neither block
-telescopes (1+lam)_k/(lam)_k into (lam+k)/lam, which would split a
-series into a lam-free one plus a 1/lam moment series.  For the 4F3 that
-split is the contiguous relation under test, and the lemma follows from
-Kummer's product by it, so the side built term by term must not lean on
-it.
+The product formulae build their sides through one memo per grid, which
+keeps every list of term-ratio rows, keyed by the series' parameters and
+stride (so a +x and a -x series share theirs), and every series, keyed
+by its parameters, argument and prefactor.  A grid thus builds each of
+them once.  A 4F3 block builds the rows of its plain 3F2 once.  Where a
+series carries the extra (1+lam; lam) column, as the 4F3 and the
+linear-factor lemma's second factor and even part do, each lam takes the
+lam-free rows, times that column's ratio (1+lam+k)/(lam+k), and sums or
+expands them term by term.  None telescopes (1+lam)_k/(lam)_k into
+(lam+k)/lam, which would split a series into a lam-free one plus a 1/lam
+moment series.  For the 4F3 that split is the contiguous relation under
+test, and the lemma follows from Kummer's product by it, so the side
+built term by term must not lean on it.
 
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import mul
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .exactnum import (
     RationalLike,
@@ -137,7 +138,9 @@ class DegenerateLambda(ValueError):
 class SeriesSpec:
     """Parameter lists, argument tag and optional monomial prefactor.
 
-    ``prefactor=(q, p)`` multiplies the whole series by ``q * x**p``.
+    ``prefactor=(q, p)`` multiplies the whole series by ``q * x**p``.  It is
+    the input of :func:`pfq_truncate`; the product formulae key their
+    series by plain tuples instead.
     """
 
     uppers: tuple[Fraction, ...]
@@ -232,14 +235,14 @@ def _rows(
     uppers: Iterable[Fraction],
     lowers: Iterable[Fraction],
     order: int,
-    argument: str = ARG_PLUS,
+    stride: int = 1,
     power: int = 0,
 ) -> list[tuple[int, int]]:
     # the term-ratio rows of the terms that land at x^0 .. x^order, with
     # the lowers checked one step further, past the last stored term
     if order < 0:
         raise ValueError("order must be nonnegative")
-    last = (order - power) // (2 if argument == ARG_SQUARED else 1)
+    last = (order - power) // stride
     if last < 0:
         return []
     return _ratio_rows(_pairs(uppers), _pairs(lowers), last + 1)[:last]
@@ -268,12 +271,6 @@ def _series(
     den = pref_coeff.denominator * tails[0]
     g = math.gcd(den, *nums)
     return [x // g for x in nums], den // g
-
-
-def _expand(spec: SeriesSpec, order: int) -> _Series:
-    power = spec.prefactor[1]
-    rows = _rows(spec.uppers, spec.lowers, order, spec.argument, power)
-    return _series(rows, order, spec.argument, spec.prefactor)
 
 
 def _column(
@@ -319,7 +316,9 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     first raises :class:`ZeroLowerPochhammer`, also at the step past the
     last stored term.
     """
-    return _view(_expand(spec, order))
+    stride = 2 if spec.argument == ARG_SQUARED else 1
+    rows = _rows(spec.uppers, spec.lowers, order, stride, spec.prefactor[1])
+    return _view(_series(rows, order, spec.argument, spec.prefactor))
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -338,124 +337,93 @@ def _undefined_lam(lam: Fraction, steps: int) -> bool:
     return ln == 0 or zero_offset(ln, lam.denominator, steps) is not None
 
 
-def _lemma_block(
-    a: Fraction, c: Fraction, order: int
-) -> Callable[[Fraction], tuple[_Series, _Series] | None]:
-    """The lemma's lam-free series at (a, c), and each lam's sides from them.
-
-    Builds, once for the block and in this order: the first factor
-    (a; c; +x) and its term-ratio rows, the rows of the even part's
-    lam-free base (a, c-a; c, c/2, (1+c)/2; x^2/4), which is bailey-dixon's
-    right side, and the rows of the odd part, whose series with prefactor
-    a/c is expanded once, at the first lam that runs.  A zero lower
-    parameter in any of these rows raises :class:`ZeroLowerPochhammer` for
-    the whole block, the first factor's first.  The base decides for the
-    even part: a 1 + lam that would end that series sooner does so only at
-    a negative integer lam, by 0/0.
-
-    Returns ``sides(lam)``, the lemma's two sides at one lam, or ``None``
-    where lam is undefined (:func:`_undefined_lam`): lam = 0, or lam + k
-    = 0 on one of the first factor's rows.  Those rows stop where a
-    nonpositive integer a ends the series, and the even part's rows,
-    capped at half the order and also ended by a, are never longer.  The
-    second factor (1+lam, a; lam, c; -x) and the even part are the first
-    factor's and the base's rows, each row times its own column ratio
-    (1+lam+k)/(lam+k), expanded term by term; the odd part is the block's
-    times 1/lam.
-    Reusing rows changes no term.  No series is telescoped by
-    (1+lam)_k/(lam)_k = (lam+k)/lam into a lam-free series plus a 1/lam
-    moment series: that split is how the lemma follows from Kummer's
-    product, so the left side must not lean on it.
-    """
-    first_rows = _rows((a,), (c,), order)
-    first = _series(first_rows, order)
-    even_rows = _rows((a, c - a), (c, c / 2, (1 + c) / 2), order, ARG_SQUARED)
-    odd_rows = _rows(
-        (1 + a, c - a), (c, (1 + c) / 2, (2 + c) / 2), order, ARG_SQUARED, 1
-    )
-    odd = None
-
-    def sides(lam: Fraction) -> tuple[_Series, _Series] | None:
-        nonlocal odd
-        if _undefined_lam(lam, len(first_rows)):
-            return None
-        if odd is None:
-            # a/c is formed for a lam that runs: at a = c = 0, where the
-            # first factor ends at once, it divides by zero, and a block
-            # of undefined lams must still skip
-            odd = _series(odd_rows, order, ARG_SQUARED, (a / c, 1))
-        second = _series(_column(first_rows, lam), order, ARG_MINUS)
-        even = _series(_column(even_rows, lam), order, ARG_SQUARED)
-        odd_lam = [x * lam.denominator for x in odd[0]], odd[1] * lam.numerator
-        return _mul(first, second), _sub(even, odd_lam)
-
-    return sides
-
-
 def _product_sides(
     formula: str,
     a: Fraction,
     c: Fraction,
     lam: Fraction | None,
     order: int,
-    memo: dict[SeriesSpec, _Series],
+    memo: dict[tuple, list | _Series],
 ) -> tuple[_Series, _Series]:
-    # Each series is built at its call, in the order below: the order
-    # decides which zero lower Pochhammer symbol a point raises.  The memo
-    # keeps each series for the next point that builds it again.
-    def series(uppers, lowers, argument, prefactor=(Fraction(1), 0)):
-        spec = SeriesSpec(uppers, lowers, argument, prefactor)
-        built = memo.get(spec)
+    # Each series and row list is looked up at its call, in the order
+    # below, and built on a miss: the order decides which zero lower
+    # Pochhammer symbol a point raises.  The memo keeps both for the next
+    # point that needs them again.
+    def rows(uppers, lowers, stride=1, power=0):
+        # keyed by the stride, not the sign: +x and -x share their rows
+        key = (uppers, lowers, stride, power)
+        built = memo.get(key)
         if built is None:
-            built = memo[spec] = _expand(spec, order)
+            built = memo[key] = _rows(uppers, lowers, order, stride, power)
+        return built
+
+    def series(uppers, lowers, argument=ARG_PLUS, prefactor=(Fraction(1), 0)):
+        key = (uppers, lowers, argument, prefactor)
+        built = memo.get(key)
+        if built is None:
+            stride = 2 if argument == ARG_SQUARED else 1
+            found = rows(uppers, lowers, stride, prefactor[1])
+            built = memo[key] = _series(found, order, argument, prefactor)
         return built
 
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
-        lhs = _mul(series((a,), (c,), ARG_PLUS), series((a,), (c,), ARG_MINUS))
+        lhs = _mul(series((a,), (c,)), series((a,), (c,), ARG_MINUS))
         return lhs, series((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
     if formula == BAILEY_WATSON:
-        lhs = _mul(
-            series((a,), (2 * a,), ARG_PLUS), series((c,), (2 * c,), ARG_MINUS)
-        )
+        lhs = _mul(series((a,), (2 * a,)), series((c,), (2 * c,), ARG_MINUS))
         return lhs, series(
             ((a + c) / 2, (a + c + 1) / 2),
             (a + c, a + half, c + half),
             ARG_SQUARED,
         )
     if formula == CLAUSEN:
-        f = series((a, c), (a + c + half,), ARG_PLUS)
+        f = series((a, c), (a + c + half,))
         return _mul(f, f), series(
-            (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c), ARG_PLUS
+            (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c)
         )
-    if formula == LEMMA_LINEAR:
-        # the one-lam block
-        if lam is None or lam == 0:
-            raise DegenerateLambda("linear-factor parameter must be nonzero")
-        sides = _lemma_block(a, c, order)(lam)
-        if sides is None:
-            raise DegenerateLambda(
-                f"linear-factor parameter {lam} hits zero within the "
-                f"series: 1 + lam ends it a step before, so its later "
-                f"terms are 0/0"
-            )
-        return sides
-    if formula != VARIANT_LINEAR:
+    if formula == VARIANT_LINEAR:
+        # The lemma specialized at lam = c - 1; the factor with lowered
+        # parameter takes the negated argument so odd coefficients agree.
+        lam = c - 1
+        if lam == 0:
+            raise DegenerateLambda("variant requires c != 1")
+    elif formula != LEMMA_LINEAR:
         raise ValueError(f"unknown product formula {formula!r}")
-    # The lemma specialized at lam = c - 1; the factor with lowered
-    # parameter takes the negated argument so odd coefficients agree.
-    lam = c - 1
-    if lam == 0:
-        raise DegenerateLambda("variant requires c != 1")
-    lhs = _mul(series((a,), (c,), ARG_PLUS), series((a,), (lam,), ARG_MINUS))
-    even_part = series((a, c - a), (lam, c / 2, (1 + c) / 2), ARG_SQUARED)
-    odd_part = series(
-        (1 + a, c - a),
-        (c, (1 + c) / 2, (2 + c) / 2),
-        ARG_SQUARED,
-        (a / (c * lam), 1),
-    )
-    return lhs, _sub(even_part, odd_part)
+    # The first factor (a; c; x) comes first, so an inadmissible c is
+    # named before anything else.  At a = 0 it ends at once instead of
+    # raising, so c = 0 is named here, before the odd part divides by it.
+    first_rows = rows((a,), (c,))
+    if c == 0:
+        raise ZeroLowerPochhammer(c, 0)
+    first = series((a,), (c,))
+    c_a, c_1 = c - a, (1 + c) / 2
+    odd_params = (1 + a, c_a), (c, c_1, (2 + c) / 2)
+    if formula == VARIANT_LINEAR:
+        lhs = _mul(first, series((a,), (lam,), ARG_MINUS))
+        even = series((a, c_a), (lam, c / 2, c_1), ARG_SQUARED)
+        odd = series(*odd_params, ARG_SQUARED, (a / (c * lam), 1))
+        return lhs, _sub(even, odd)
+    # The lemma's second factor (1+lam, a; lam, c; -x) and even part are
+    # the first factor's rows and those of the even part's lam-free base
+    # (bailey-dixon's right side), each row times its own column ratio;
+    # the odd part is the lam-free one with prefactor a/c, times 1/lam.
+    # The base decides for the even part: a 1 + lam that would end it
+    # sooner does so only at a negative integer lam, by 0/0.
+    even_rows = rows((a, c_a), (c, c / 2, c_1), 2)
+    odd = series(*odd_params, ARG_SQUARED, (a / c, 1))
+    # the first factor's rows stop where a nonpositive integer a ends the
+    # series, and the even part's, at half the order, are never longer
+    if _undefined_lam(lam, len(first_rows)):
+        raise DegenerateLambda(
+            f"linear-factor parameter {lam} hits zero within the "
+            f"series: 1 + lam ends it a step before, so its later "
+            f"terms are 0/0"
+        )
+    second = _series(_column(first_rows, lam), order, ARG_MINUS)
+    even = _series(_column(even_rows, lam), order, ARG_SQUARED)
+    odd_lam = [x * lam.denominator for x in odd[0]], odd[1] * lam.numerator
+    return _mul(first, second), _sub(even, odd_lam)
 
 
 def _record(
@@ -498,16 +466,18 @@ def check_product_formula(
     Both sides are built independently (left by Cauchy product of the two
     factors, right from its own series) and compared exactly through
     ``order``.  The report's failure record, if any, names the first
-    mismatching coefficient index.  ``lemma-linear`` is its one-lam
-    (a, c) block.  Its lam = 0 raises :class:`DegenerateLambda` at once,
-    and a negative integer lam that hits zero on one of the first
-    factor's term-ratio rows once the block's series are built, so an
-    inadmissible c is named first.
+    mismatching coefficient index.  ``lemma-linear`` raises
+    :class:`DegenerateLambda` at once where lam is missing or zero, and
+    where a negative integer lam hits zero on one of the first factor's
+    term-ratio rows once the lam-free rows are built, so an inadmissible c
+    is named first.
     """
     start = time.perf_counter()
     a = _fraction(a)
     c = _fraction(c)
     lam_f = None if lam is None else _fraction(lam)
+    if formula == LEMMA_LINEAR and not lam_f:
+        raise DegenerateLambda("linear-factor parameter must be nonzero")
     sides = _product_sides(formula, a, c, lam_f, order, {})
     report = VerificationReport(name=formula)
     _record(report, sides, formula, a, c, lam_f, order)
@@ -522,51 +492,36 @@ def check_product_grid(
 ) -> VerificationReport:
     """Sweep a product formula over the default rational grid.
 
-    Inadmissible parameter combinations (zero lower Pochhammer, degenerate
-    linear factor) are counted as skipped, never silently dropped.
+    ``lemma-linear`` runs each (a, c) at every lam of ``lam_grid`` (the
+    default grid if none); the other formulas have no lam.  Every point's
+    sides come from one memo for the grid's run, so each series and each
+    list of term-ratio rows is built once: bailey-dixon's ±x factors
+    share their rows, bailey-watson builds its (x; 2x) rows once per value
+    for both its factors, and the lemma builds its three lam-free row
+    lists once per (a, c), each lam's column then expanded term by term.
 
-    ``lemma-linear`` runs in (a, c) blocks (:func:`_lemma_block`): each
-    series that does not depend on lam is built once per block, and every
-    lam's second factor and even part reuse the block's term-ratio rows,
-    each row times its lam's column ratio.  The rows are reused, never
-    telescoped into a lam-free series plus a 1/lam moment series, which
-    would be the derivation of the lemma, not a check of it.  A block
-    whose lam-free series hits a zero lower parameter skips all its lams,
-    and lam = 0 or a negative integer lam that hits zero on one of the
-    first factor's rows, which stop at the order or where a nonpositive
-    integer a ends the series, is skipped on its own.  The other formulas
-    keep each series they build in a memo for the grid's run:
-    ``bailey-watson``'s factors depend on a alone and on c alone, so its
-    grid builds each once.
+    Inadmissible points are counted as skipped, never silently dropped: a
+    zero lower parameter (c = 0 included, for the lemma and its variant),
+    the variant's c = 1, and the lemma's lam = 0 or a negative integer lam
+    that hits zero on one of the first factor's rows, which stop at the
+    order or where a nonpositive integer a ends the series.
     """
     start = time.perf_counter()
     grid = DEFAULT_RATIONAL_GRID
-    report = VerificationReport(name=formula)
+    lams = (None,)
     if formula == LEMMA_LINEAR:
         lams = tuple(map(_fraction, lam_grid or DEFAULT_RATIONAL_GRID))
-        for a in grid:
-            for c in grid:
+    report = VerificationReport(name=formula)
+    memo = {}
+    for a in grid:
+        for c in grid:
+            for lam in lams:
                 try:
-                    sides = _lemma_block(a, c, order)
-                except ZeroLowerPochhammer:
-                    report.skipped += len(lams)
-                    continue
-                for lam in lams:
-                    point = sides(lam)
-                    if point is None:
-                        report.record_skip()
-                    else:
-                        _record(report, point, formula, a, c, lam, order)
-    else:
-        memo = {}
-        for a in grid:
-            for c in grid:
-                try:
-                    point = _product_sides(formula, a, c, None, order, memo)
+                    point = _product_sides(formula, a, c, lam, order, memo)
                 except (ZeroLowerPochhammer, DegenerateLambda):
                     report.record_skip()
                     continue
-                _record(report, point, formula, a, c, None, order)
+                _record(report, point, formula, a, c, lam, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -727,10 +682,8 @@ def terminating_4f3_block(
     The 4F3's term ratio is the plain 3F2's times (1+lam+k)/(lam+k), so
     each lam's rows are the 3F2's rows, built once per block, each times
     that column ratio.  Reusing rows changes no term: the 4F3 is still
-    summed term by term from its own ratio.  It is never telescoped by
-    (1+lam)_k/(lam)_k = (lam+k)/lam into the plain 3F2 plus a moment
-    sum, because that split is the contiguous relation under test, and
-    the left side must not lean on it.
+    summed term by term from its own ratio, never telescoped into the
+    plain 3F2 plus a moment sum (the module docstring says why).
 
     A point is skipped in both reports when lam is zero, or when a lower
     parameter of the 4F3 hits zero within its n + 1 terms: c or e an

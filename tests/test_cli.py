@@ -553,6 +553,26 @@ class TestOtherCommands:
             "message": "lower parameter -1 hits zero at offset 1",
         }
 
+    @pytest.mark.parametrize(
+        "formula, extra",
+        [("lemma-linear", ("--lambda", "1")), ("variant-linear", ())],
+    )
+    def test_coeffs_c_zero_names_c_at_a_zero_too(self, capsys, formula, extra):
+        # at a = 0 the first factor (0; 0; x) ends at once instead of
+        # raising, so c = 0 is named as at every other a, before the odd
+        # part's prefactor divides by it
+        for a in ("0", "1/2"):
+            code, payload = run_json(
+                capsys,
+                "coeffs", "--formula", formula, "--a", a, "--c", "0", *extra,
+                "--order", "8", "--format", "json",
+            )
+            assert code == EXIT_USAGE, a
+            assert payload["error"] == {
+                "type": "ZeroLowerPochhammer",
+                "message": "lower parameter 0 hits zero at offset 0",
+            }
+
     @pytest.mark.parametrize("lam", ["-8", "-5/2"])
     def test_coeffs_lemma_runs_a_defined_negative_lambda(self, capsys, lam):
         # -8 = -order ends the series at its last term, and -5/2 never does

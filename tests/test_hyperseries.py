@@ -219,16 +219,20 @@ class TestProductFormulae:
         [
             (LEMMA_LINEAR, [F(2)], 3 * 64),
             (LEMMA_LINEAR, list(hyperseries.DEFAULT_RATIONAL_GRID), 3 * 64),
-            (BAILEY_WATSON, None, 8 + 8 + 64),
+            (BAILEY_DIXON, None, 64 + 64),
+            (BAILEY_WATSON, None, 8 + 64),
         ],
     )
     def test_series_are_built_once_per_block(
         self, monkeypatch, formula, lams, builds
     ):
-        # each (a, c) block of the lemma builds the rows of its first
-        # factor, of its even part's base and of its odd part once, however
-        # many lams it covers; bailey-watson builds its (a; 2a) factor once
-        # per a and its (c; 2c) factor once per c, beside each right side
+        # the grid's one memo keys rows by parameters and stride: each
+        # (a, c) of the lemma builds the rows of its first factor, of its
+        # even part's base and of its odd part once, however many lams it
+        # covers; bailey-dixon's +x and -x factors share their (a; c) rows;
+        # bailey-watson's (x; 2x) rows serve its (a; 2a) factor and its
+        # (c; 2c) factor alike, so each of the 8 values builds them once,
+        # beside each point's right side
         calls = []
         original = hyperseries._ratio_rows
 
@@ -351,9 +355,12 @@ def reference_point(formula, a, c, lam, order):
         return None
     try:
         if formula in (LEMMA_LINEAR, VARIANT_LINEAR):
-            # the first factor comes first: at c = 0 it names c before the
-            # odd part's a/c is formed, except at a = 0, where it ends at once
+            # the first factor comes first, and c = 0 is inadmissible at
+            # every a: at a = 0 the factor ends at once instead of raising,
+            # but the odd part's prefactor a/c still divides by c
             ref.pfq_truncate(SeriesSpec((a,), (c,)), order)
+            if c == 0:
+                return None
         if formula == LEMMA_LINEAR:
             # the even part's lam-free base must be defined: a 1 + lam that
             # ends that series sooner does so only by 0/0
@@ -403,32 +410,48 @@ def reference_grid(formula, grid, lams, order):
 
 class TestProductFormulaFaults:
     @pytest.mark.parametrize(
-        "formula, point, index",
+        "formula, point, index, perturbed",
         [
-            (BAILEY_DIXON, (F(1, 2), F(3, 2), None), 0),
-            (BAILEY_WATSON, (F(1), F(2), None), 2),
-            (CLAUSEN, (F(1), F(1, 3), None), 0),
-            (VARIANT_LINEAR, (F(3, 2), F(5, 2), None), 3),
+            (BAILEY_DIXON, (F(1, 2), F(3, 2), None), 0, 2),
+            (BAILEY_DIXON, (F(1, 2), F(3, 2), None), 1, 1),
+            (BAILEY_WATSON, (F(1), F(2), None), 2, 1),
+            (CLAUSEN, (F(1), F(1, 3), None), 0, 1),
+            (VARIANT_LINEAR, (F(3, 2), F(5, 2), None), 3, 1),
         ],
     )
     def test_a_perturbed_side_is_recorded_at_its_first_mismatch(
-        self, monkeypatch, formula, point, index
+        self, monkeypatch, formula, point, index, perturbed
     ):
-        # shift the first upper parameter of one series by 1/7; the record
-        # must name the first differing coefficient and carry both values
-        # as the Fraction-per-term reference computes them
+        # shift the first upper parameter of the index-th row list built by
+        # 1/7, and so every series built from it: one series, or both of
+        # bailey-dixon's factors, which share their (a; c) rows.  The
+        # record must name the first differing coefficient and carry both
+        # values as the Fraction-per-term reference computes them from the
+        # same shift
         order = 16
-        made = []
+        built = []
+        original = hyperseries._rows
 
-        def spec(uppers, lowers, argument=ARG_PLUS, prefactor=(F(1), 0)):
-            if len(made) == index:
+        def rows(uppers, lowers, order, stride=1, power=0):
+            built.append((uppers, lowers, stride, power))
+            if len(built) - 1 == index:
                 uppers = (uppers[0] + F(1, 7),) + tuple(uppers[1:])
-            made.append(SeriesSpec(uppers, lowers, argument, prefactor))
-            return made[-1]
+            return original(uppers, lowers, order, stride, power)
 
-        monkeypatch.setattr(hyperseries, "SeriesSpec", spec)
+        monkeypatch.setattr(hyperseries, "_rows", rows)
         report = check_product_formula(formula, *point, order=order)
-        assert_first_mismatch(report, *reference_sides(formula, made, order))
+        specs = product_specs(formula, *point)
+        for i, spec in enumerate(specs):
+            stride = 2 if spec.argument == ARG_SQUARED else 1
+            key = (spec.uppers, spec.lowers, stride, spec.prefactor[1])
+            if key == built[index]:
+                uppers = (spec.uppers[0] + F(1, 7),) + spec.uppers[1:]
+                specs[i] = SeriesSpec(
+                    uppers, spec.lowers, spec.argument, spec.prefactor
+                )
+                perturbed -= 1
+        assert perturbed == 0
+        assert_first_mismatch(report, *reference_sides(formula, specs, order))
 
     def test_a_perturbed_lemma_second_factor_is_recorded_at_its_first_mismatch(
         self, monkeypatch
@@ -714,14 +737,11 @@ product_parameters = st.one_of(
 
 
 def report_or_error(fn, *args):
-    """A report without its timing, None for a skip, or the error's type."""
+    """A report without its timing, or None for a skip."""
     try:
         report = fn(*args)
     except (ZeroLowerPochhammer, DegenerateLambda):
         return None
-    except ZeroDivisionError as exc:
-        # a = c = 0 in the lemma and its variant: the odd part's a/c
-        return type(exc)
     return None if report is None else report.as_dict(include_timing=False)
 
 
@@ -740,8 +760,8 @@ class TestKernelsAgainstReference:
     @example(LEMMA_LINEAR, [F(1), F(-1)], [F(-1)], 0)
     @example(VARIANT_LINEAR, [F(1), F(0)], [F(1)], 5)
     def test_product_grid(self, formula, grid, lams, order):
-        # the grid's (a, c) blocks, and check_product_formula at each of
-        # its points, against every point built from its own specs: the
+        # the grid through its one memo, and check_product_formula at each
+        # of its points, against every point built from its own specs: the
         # same passes, skips and failure records, in the same order
         lam_grid = lams if formula == LEMMA_LINEAR else None
         with mock.patch.object(hyperseries, "DEFAULT_RATIONAL_GRID", tuple(grid)):
