@@ -50,7 +50,8 @@ _ERROR_EXITS = (
 
 # Caps on the inputs that size a run, checked while parsing (the verify
 # point count right after) so a value over one exits 2 before any work
-# starts; README times a run at each.
+# starts; README times a run at each.  --order and --prec have floors
+# too, 0 and numerics.MIN_PRECISION, checked the same way.
 MAX_ORDER = 100  # coeffs --order
 MAX_PREC = 200  # --prec of numeric and gamma-selftest
 MAX_N = 200  # verify --n
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="lam", type=_parse_fraction, default=None
     )
     coeffs.add_argument(
-        "--order", type=_int_type(high=MAX_ORDER),
+        "--order", type=_int_type(low=0, high=MAX_ORDER),
         default=hyperseries.DEFAULT_ORDER,
     )
 
@@ -200,11 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     fourf3.add_argument("--c", type=_parse_fraction_list, default=None)
     fourf3.add_argument("--e", type=_parse_fraction_list, default=None)
 
+    prec_type = _int_type(low=numerics.MIN_PRECISION, high=MAX_PREC)
     gamma = sub.add_parser(
         "gamma-selftest", parents=[common],
         help="reflection and duplication identities at one precision",
     )
-    gamma.add_argument("--prec", type=_int_type(high=MAX_PREC), default=40)
+    gamma.add_argument("--prec", type=prec_type, default=40)
 
     numeric = sub.add_parser(
         "numeric", parents=[common],
@@ -219,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     numeric.add_argument(
         "--lambda", dest="lam", type=_parse_fraction, default=None
     )
-    numeric.add_argument("--prec", type=_int_type(high=MAX_PREC), default=40)
+    numeric.add_argument("--prec", type=prec_type, default=40)
     numeric.add_argument(
         "--max-terms", type=_int_type(low=1, high=numerics.MAX_TERMS),
         default=numerics.MAX_TERMS,
@@ -303,6 +305,8 @@ def _cmd_coeffs(args) -> list[VerificationReport]:
     if args.formula != hyperseries.LEMMA_LINEAR:
         _reject_unread(args, ("lam",), "is read only by lemma-linear")
     if args.a is not None:
+        if args.formula == hyperseries.LEMMA_LINEAR and args.lam is None:
+            raise ValueError("lemma-linear needs --lambda")
         report = hyperseries.check_product_formula(
             args.formula, args.a, args.c, args.lam, args.order
         )

@@ -17,19 +17,18 @@ rows by backward Horner into an unreduced pair ``p/q``.  Two values are
 compared by cross-multiplying their pairs, so the product formulae and
 the 4F3 block compare integers.
 
-The product formulae build their sides through one memo per grid, which
-keeps every list of term-ratio rows, keyed by the series' parameters and
-stride (so a +x and a -x series share theirs), and every series, keyed
-by its parameters, argument and prefactor.  A grid thus builds each of
-them once.  A 4F3 block builds the rows of its plain 3F2 once.  Where a
-series carries the extra (1+lam; lam) column, as the 4F3 and the
-linear-factor lemma's second factor and even part do, each lam takes the
-lam-free rows, times that column's ratio (1+lam+k)/(lam+k), and sums or
-expands them term by term.  None telescopes (1+lam)_k/(lam)_k into
-(lam+k)/lam, which would split a series into a lam-free one plus a 1/lam
-moment series.  For the 4F3 that split is the contiguous relation under
-test, and the lemma follows from Kummer's product by it, so the side
-built term by term must not lean on it.
+A product formula builds each series and list of term-ratio rows of one
+(a, c) point once, as locals, and then takes the point's lams; nothing is
+kept from one point to the next.  A 4F3 block builds the rows of its
+plain 3F2 once.  Where a series carries the extra (1+lam; lam) column, as
+the 4F3 and the linear-factor lemma's second factor and even part do,
+each lam takes the lam-free rows, times that column's ratio
+(1+lam+k)/(lam+k), and sums or expands them term by term.  None
+telescopes (1+lam)_k/(lam)_k into (lam+k)/lam, which would split a series
+into a lam-free one plus a 1/lam moment series.  For the 4F3 that split
+is the contiguous relation under test, and the lemma follows from
+Kummer's product by it, so the side built term by term must not lean on
+it.
 
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
@@ -139,8 +138,8 @@ class SeriesSpec:
     """Parameter lists, argument tag and optional monomial prefactor.
 
     ``prefactor=(q, p)`` multiplies the whole series by ``q * x**p``.  It is
-    the input of :func:`pfq_truncate`; the product formulae key their
-    series by plain tuples instead.
+    the input of :func:`pfq_truncate`; the product formulae pass their
+    parameters as plain tuples instead.
     """
 
     uppers: tuple[Fraction, ...]
@@ -341,47 +340,34 @@ def _product_sides(
     formula: str,
     a: Fraction,
     c: Fraction,
-    lam: Fraction | None,
+    lams: Sequence[Fraction | None],
     order: int,
-    memo: dict[tuple, list | _Series],
-) -> tuple[_Series, _Series]:
-    # Each series and row list is looked up at its call, in the order
-    # below, and built on a miss: the order decides which zero lower
-    # Pochhammer symbol a point raises.  The memo keeps both for the next
-    # point that needs them again.
-    def rows(uppers, lowers, stride=1, power=0):
-        # keyed by the stride, not the sign: +x and -x share their rows
-        key = (uppers, lowers, stride, power)
-        built = memo.get(key)
-        if built is None:
-            built = memo[key] = _rows(uppers, lowers, order, stride, power)
-        return built
-
+) -> list[tuple[_Series, _Series] | None]:
+    # One point's two sides at each lam, None at a lam that leaves the
+    # lemma's series undefined.  Each series and row list of the point is
+    # built once, in the order below: the order decides which zero lower
+    # Pochhammer symbol a point raises.
     def series(uppers, lowers, argument=ARG_PLUS, prefactor=(Fraction(1), 0)):
-        key = (uppers, lowers, argument, prefactor)
-        built = memo.get(key)
-        if built is None:
-            stride = 2 if argument == ARG_SQUARED else 1
-            found = rows(uppers, lowers, stride, prefactor[1])
-            built = memo[key] = _series(found, order, argument, prefactor)
-        return built
+        stride = 2 if argument == ARG_SQUARED else 1
+        rows = _rows(uppers, lowers, order, stride, prefactor[1])
+        return _series(rows, order, argument, prefactor)
 
     half = Fraction(1, 2)
     if formula == BAILEY_DIXON:
-        lhs = _mul(series((a,), (c,)), series((a,), (c,), ARG_MINUS))
-        return lhs, series((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
+        # the +x and -x factors share their rows
+        rows = _rows((a,), (c,), order)
+        lhs = _mul(_series(rows, order), _series(rows, order, ARG_MINUS))
+        rhs = series((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
+        return [(lhs, rhs)] * len(lams)
     if formula == BAILEY_WATSON:
         lhs = _mul(series((a,), (2 * a,)), series((c,), (2 * c,), ARG_MINUS))
-        return lhs, series(
-            ((a + c) / 2, (a + c + 1) / 2),
-            (a + c, a + half, c + half),
-            ARG_SQUARED,
-        )
+        uppers = (a + c) / 2, (a + c + 1) / 2
+        rhs = series(uppers, (a + c, a + half, c + half), ARG_SQUARED)
+        return [(lhs, rhs)] * len(lams)
     if formula == CLAUSEN:
         f = series((a, c), (a + c + half,))
-        return _mul(f, f), series(
-            (a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c)
-        )
+        rhs = series((a + c, 2 * a, 2 * c), (a + c + half, 2 * a + 2 * c))
+        return [(_mul(f, f), rhs)] * len(lams)
     if formula == VARIANT_LINEAR:
         # The lemma specialized at lam = c - 1; the factor with lowered
         # parameter takes the negated argument so odd coefficients agree.
@@ -393,37 +379,38 @@ def _product_sides(
     # The first factor (a; c; x) comes first, so an inadmissible c is
     # named before anything else.  At a = 0 it ends at once instead of
     # raising, so c = 0 is named here, before the odd part divides by it.
-    first_rows = rows((a,), (c,))
+    first_rows = _rows((a,), (c,), order)
     if c == 0:
         raise ZeroLowerPochhammer(c, 0)
-    first = series((a,), (c,))
+    first = _series(first_rows, order)
     c_a, c_1 = c - a, (1 + c) / 2
     odd_params = (1 + a, c_a), (c, c_1, (2 + c) / 2)
     if formula == VARIANT_LINEAR:
         lhs = _mul(first, series((a,), (lam,), ARG_MINUS))
         even = series((a, c_a), (lam, c / 2, c_1), ARG_SQUARED)
         odd = series(*odd_params, ARG_SQUARED, (a / (c * lam), 1))
-        return lhs, _sub(even, odd)
+        return [(lhs, _sub(even, odd))] * len(lams)
     # The lemma's second factor (1+lam, a; lam, c; -x) and even part are
     # the first factor's rows and those of the even part's lam-free base
     # (bailey-dixon's right side), each row times its own column ratio;
     # the odd part is the lam-free one with prefactor a/c, times 1/lam.
     # The base decides for the even part: a 1 + lam that would end it
     # sooner does so only at a negative integer lam, by 0/0.
-    even_rows = rows((a, c_a), (c, c / 2, c_1), 2)
-    odd = series(*odd_params, ARG_SQUARED, (a / c, 1))
-    # the first factor's rows stop where a nonpositive integer a ends the
-    # series, and the even part's, at half the order, are never longer
-    if _undefined_lam(lam, len(first_rows)):
-        raise DegenerateLambda(
-            f"linear-factor parameter {lam} hits zero within the "
-            f"series: 1 + lam ends it a step before, so its later "
-            f"terms are 0/0"
-        )
-    second = _series(_column(first_rows, lam), order, ARG_MINUS)
-    even = _series(_column(even_rows, lam), order, ARG_SQUARED)
-    odd_lam = [x * lam.denominator for x in odd[0]], odd[1] * lam.numerator
-    return _mul(first, second), _sub(even, odd_lam)
+    even_rows = _rows((a, c_a), (c, c / 2, c_1), order, 2)
+    odd, odd_den = series(*odd_params, ARG_SQUARED, (a / c, 1))
+    sides = []
+    for lam in lams:
+        # the first factor's rows stop where a nonpositive integer a ends
+        # the series, and the even part's, at half the order, are never
+        # longer
+        if _undefined_lam(lam, len(first_rows)):
+            sides.append(None)
+            continue
+        second = _series(_column(first_rows, lam), order, ARG_MINUS)
+        even = _series(_column(even_rows, lam), order, ARG_SQUARED)
+        odd_lam = [x * lam.denominator for x in odd], odd_den * lam.numerator
+        sides.append((_mul(first, second), _sub(even, odd_lam)))
+    return sides
 
 
 def _record(
@@ -469,8 +456,8 @@ def check_product_formula(
     mismatching coefficient index.  ``lemma-linear`` raises
     :class:`DegenerateLambda` at once where lam is missing or zero, and
     where a negative integer lam hits zero on one of the first factor's
-    term-ratio rows once the lam-free rows are built, so an inadmissible c
-    is named first.
+    term-ratio rows once the lam-free series are built, so an inadmissible
+    c is named first.
     """
     start = time.perf_counter()
     a = _fraction(a)
@@ -478,7 +465,12 @@ def check_product_formula(
     lam_f = None if lam is None else _fraction(lam)
     if formula == LEMMA_LINEAR and not lam_f:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    sides = _product_sides(formula, a, c, lam_f, order, {})
+    [sides] = _product_sides(formula, a, c, (lam_f,), order)
+    if sides is None:
+        raise DegenerateLambda(
+            f"linear-factor parameter {lam_f} hits zero within the series: "
+            "1 + lam ends it a step before, so its later terms are 0/0"
+        )
     report = VerificationReport(name=formula)
     _record(report, sides, formula, a, c, lam_f, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -493,18 +485,18 @@ def check_product_grid(
     """Sweep a product formula over the default rational grid.
 
     ``lemma-linear`` runs each (a, c) at every lam of ``lam_grid`` (the
-    default grid if none); the other formulas have no lam.  Every point's
-    sides come from one memo for the grid's run, so each series and each
-    list of term-ratio rows is built once: bailey-dixon's ±x factors
-    share their rows, bailey-watson builds its (x; 2x) rows once per value
-    for both its factors, and the lemma builds its three lam-free row
-    lists once per (a, c), each lam's column then expanded term by term.
+    default grid if none); the other formulas have no lam.  Each (a, c)
+    builds its series and term-ratio rows once, as locals, and then takes
+    its lams: bailey-dixon's ±x factors share their rows, and the lemma
+    builds its three lam-free row lists once, each lam's column then
+    expanded term by term.  Nothing is kept from one (a, c) to the next.
 
     Inadmissible points are counted as skipped, never silently dropped: a
-    zero lower parameter (c = 0 included, for the lemma and its variant),
-    the variant's c = 1, and the lemma's lam = 0 or a negative integer lam
-    that hits zero on one of the first factor's rows, which stop at the
-    order or where a nonpositive integer a ends the series.
+    zero lower parameter (c = 0 included, for the lemma and its variant)
+    or the variant's c = 1 skips every lam of its (a, c), and the lemma's
+    lam = 0 or a negative integer lam that hits zero on one of the first
+    factor's rows, which stop at the order or where a nonpositive integer
+    a ends the series, skips that lam.
     """
     start = time.perf_counter()
     grid = DEFAULT_RATIONAL_GRID
@@ -512,16 +504,17 @@ def check_product_grid(
     if formula == LEMMA_LINEAR:
         lams = tuple(map(_fraction, lam_grid or DEFAULT_RATIONAL_GRID))
     report = VerificationReport(name=formula)
-    memo = {}
     for a in grid:
         for c in grid:
-            for lam in lams:
-                try:
-                    point = _product_sides(formula, a, c, lam, order, memo)
-                except (ZeroLowerPochhammer, DegenerateLambda):
+            try:
+                points = _product_sides(formula, a, c, lams, order)
+            except (ZeroLowerPochhammer, DegenerateLambda):
+                points = [None] * len(lams)
+            for lam, sides in zip(lams, points):
+                if sides is None:
                     report.record_skip()
-                    continue
-                _record(report, point, formula, a, c, lam, order)
+                else:
+                    _record(report, sides, formula, a, c, lam, order)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 

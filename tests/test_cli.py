@@ -369,7 +369,8 @@ class TestJobsOption:
         assert capsys.readouterr().out == ""
 
 
-# each capped option, as argv with its value k past the cap
+# each capped option, as argv with its value k past the cap, and each
+# option with a floor, with its value k below the floor
 CAPPED = {
     "coeffs-order": lambda k: (
         "coeffs", "--formula", "clausen", f"--order={MAX_ORDER + k}"),
@@ -406,12 +407,19 @@ CAPPED = {
         f"--n={1 - k}..{MAX_POINTS // 500}",
         "--a=" + ",".join(f"{i}/3" for i in range(1, 26)),
         "--c=" + ",".join(f"{i}/7" for i in range(1, 21))),
+    "coeffs-order-floor": lambda k: (
+        "coeffs", "--formula", "clausen", f"--order={-k}"),
+    "numeric-prec-floor": lambda k: (
+        "numeric", "--family", "dixon",
+        f"--prec={numerics.MIN_PRECISION - k}"),
+    "gamma-prec-floor": lambda k: (
+        "gamma-selftest", f"--prec={numerics.MIN_PRECISION - k}"),
 }
 
 
 class TestInputCaps:
-    # a work-sizing input over its cap is a usage error before any work
-    # starts; the cap itself is admitted
+    # a work-sizing input over its cap, or under its floor, is a usage
+    # error before any work starts; the cap or floor itself is admitted
     @pytest.mark.parametrize("name", list(CAPPED))
     def test_one_past_the_cap_is_a_usage_error(self, capsys, name):
         with pytest.raises(SystemExit) as excinfo:
@@ -496,6 +504,8 @@ class TestOtherCommands:
         assert payload["cases_run"] > 30
 
     def test_coeffs_lemma_needs_lambda(self, capsys):
+        # a missing lam is a usage error of its own, as for numeric's
+        # linear4f3, not the lam = 0 of the formula
         code, payload = run_json(
             capsys,
             "coeffs", "--formula", "lemma-linear",
@@ -503,7 +513,20 @@ class TestOtherCommands:
             "--format", "json",
         )
         assert code == EXIT_USAGE
-        assert payload["error"]["type"] == "DegenerateLambda"
+        assert payload["error"] == {
+            "type": "ValueError", "message": "lemma-linear needs --lambda",
+        }
+        code, payload = run_json(
+            capsys,
+            "coeffs", "--formula", "lemma-linear",
+            "--a", "1/2", "--c", "2", "--lambda", "0",
+            "--format", "json",
+        )
+        assert code == EXIT_USAGE
+        assert payload["error"] == {
+            "type": "DegenerateLambda",
+            "message": "linear-factor parameter must be nonzero",
+        }
 
     @pytest.mark.parametrize("lam", ["-1", "-2", "-3", "-7"])
     def test_coeffs_lemma_skips_or_rejects_an_undefined_lambda(self, capsys, lam):
