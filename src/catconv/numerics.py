@@ -21,15 +21,16 @@ moves by less than 10^-(precision+5) from L_{n-1}, and ``max_terms`` is
 a hard cap.
 
 Every series check runs one path (``_series_check``).  The exact term
-ratio built from the series' upper and lower parameters drives one
-exact term stream (``_partial_sums``).  Levin consumes it for
-nonterminating instances.  A terminating instance sums the same stream
-to its first zero term and asks it to equal a rational value computed
-independently, so that cross-check tests the term ratio, the only input
-Levin reads.  Only Levin's rational is converted to floating point; a
-terminating mismatch records both exact rationals.  The three public
-checks supply only their parameters, convergence margin and Gamma
-closed form.
+ratio built from the series' upper and lower parameters drives one exact
+term stream (``_partial_sums``).  Levin consumes it for nonterminating
+instances.  A terminating instance sums the same stream to its first
+zero term and asks it to equal a rational value computed independently,
+so that cross-check tests the term ratio, the only input Levin reads.  A
+lower parameter that hits zero before the last term is a
+:class:`PoleError`, unless a family's own exact value decides the point
+(linear4f3 at a = -n).  Only Levin's rational is converted to floating
+point; a terminating mismatch records both exact rationals.  The three
+public checks supply their parameters, margin and Gamma closed form.
 """
 
 from __future__ import annotations
@@ -316,16 +317,15 @@ def _series_check(
 
     The series terminates when one of the first ``enders`` upper
     parameters (all of them by default) is a nonpositive integer; its last
-    term is n, the smallest of their negatives.  Its sum over
-    :func:`_partial_sums`, run to the first zero term, must then equal the
-    independently computed rational sum over terms 0 .. n exactly, or
-    the failure records both rationals.  Where ``exact`` is given and the
-    first upper parameter is -m, m >= 0, ``exact(m)`` replaces that sum,
-    and the point is skipped where it returns None.  Where a later upper
-    ends the series, a lower parameter in [1-n, 0] is a pole.  Otherwise
-    the lower parameters must avoid the poles, ``margin`` must be at least
-    1/2, and the Levin sum must match ``closed_form()`` to
-    10^-(precision/2).
+    term is n, the smallest of their negatives.  Where ``exact`` is given
+    and the first upper parameter is -m, m >= 0, ``exact(m)`` decides,
+    and the point is skipped where it returns None.  Everywhere else a
+    lower parameter that hits zero before the last term is a pole, and
+    the reference is the exact rational sum over terms 0 .. n.  The sum
+    over :func:`_partial_sums`, run to the first zero term, must equal
+    the reference exactly, or the failure records both rationals.  A
+    nonterminating series needs ``margin`` at least 1/2, and its Levin
+    sum must match ``closed_form()`` to 10^-(precision/2).
     """
     params += (("precision", precision),)
     report = VerificationReport(name=name)
@@ -334,18 +334,18 @@ def _series_check(
         zero_offset(u.numerator, u.denominator) for u in uppers[:enders]
     ]
     n = min((j for j in offsets if j is not None), default=None)
-    if offsets[0] is None:
+    if offsets[0] is not None and exact is not None:
+        reference = exact(offsets[0])
+    else:
         # poles: a lower parameter hits zero before the series ends
         for l in lowers:
             if zero_offset(l.numerator, l.denominator, n) is not None:
                 raise PoleError(
                     f"lower parameter {l} makes the series undefined"
                 )
-    if n is not None:
-        if offsets[0] is not None and exact is not None:
-            reference = exact(offsets[0])
-        else:
+        if n is not None:
             reference = pfq_unity_sum_exact(uppers, lowers, n)
+    if n is not None:
         if reference is None:
             report.record_skip()
             return report

@@ -670,15 +670,24 @@ class TestOtherCommands:
         assert payload["error"]["type"] == "NonConvergent"
         assert set(payload["error"]) == {"type", "message"}
 
-    def test_numeric_pole_exit_code(self, capsys):
-        code, payload = run_json(
-            capsys,
-            "numeric", "--family", "dixon",
-            "--a", "1", "--c", "2", "--e", "2",
-            "--format", "json",
-        )
+    @pytest.mark.parametrize(
+        "point, lower",
+        [
+            (["--family", "dixon", "--a", "1", "--c", "2", "--e", "2"], "0"),
+            (["--family", "dixon", "--a=-4", "--c", "1/3", "--e=-2"], "-1"),
+            (["--family", "dminus", "--a=-4", "--c", "1/3", "--e=-2"], "-1"),
+        ],
+        ids=["dixon", "dixon-first", "dminus-first"],
+    )
+    def test_numeric_pole_exit_code(self, capsys, point, lower):
+        # where a is a nonpositive integer too, 1 + a - e = -1 hits zero
+        # within e = -2's terms: the same pole, not a domain error
+        code, payload = run_json(capsys, "numeric", *point, "--format", "json")
         assert code == EXIT_NUMERIC
-        assert payload["error"]["type"] == "PoleError"
+        assert payload["error"] == {
+            "type": "PoleError",
+            "message": f"lower parameter {lower} makes the series undefined",
+        }
 
     def test_numeric_zero_term_ends_the_sum(self, capsys):
         # c = -1 zeroes the second term, so the lower pole of 1 + a - c

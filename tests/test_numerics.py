@@ -1,6 +1,7 @@
 """High-precision checks: Gamma quotients, accelerated series, quadrature;
 and the exact Beta-moment integrals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from mpmath import mp
 
 import reference_kernels as ref
 from catconv import numerics, suite
-from catconv.hyperseries import DegenerateLambda
+from catconv.hyperseries import DegenerateLambda, terminating_4f3_block
 from catconv.numerics import (
     NonConvergent,
     PoleError,
@@ -134,10 +135,24 @@ class TestSeriesChecks:
         report = dixon_check(a, F(1, 3), F(1, 5), precision=40)
         assert report.ok, report.failures
 
-    def test_dixon_pole_in_lower_parameter(self):
-        # 1 + a - c = 0
+    @pytest.mark.parametrize(
+        "check, point",
+        [
+            (dixon_check, (1, 2, 2)),
+            (dixon_check, (-4, F(1, 3), -2)),
+            (dminus_check, (-4, F(1, 3), -2)),
+            (dixon_check, (-2, -1, -2)),
+            (dminus_check, (-2, -1, -2)),
+        ],
+        ids=["dixon", "dixon-first", "dminus-first", "dixon-zero",
+             "dminus-zero"],
+    )
+    def test_dixon_pole_in_lower_parameter(self, check, point):
+        # 1 + a - c = 0; or, where the first upper is a nonpositive
+        # integer too, 1 + a - e = -1 within e = -2's terms, or 1 + a - c
+        # = 0 within c = -1's: the same pole, whichever upper ends the sum
         with pytest.raises(PoleError):
-            dixon_check(1, 2, 2, precision=40)
+            check(*point, precision=40)
 
     def test_dixon_nonconvergent_margin(self):
         with pytest.raises(NonConvergent):
@@ -176,14 +191,17 @@ class TestSeriesChecks:
             (linear4f3_check, (F(5, 2), -1, F(1, 4), -1)),
             (linear4f3_check, (F(5, 2), -2, F(1, 4), -2)),
             (linear4f3_check, (F(5, 2), -2, F(1, 4), -5)),
+            (dixon_check, (-4, F(1, 3), -1)),
+            (dminus_check, (-5, F(1, 3), -1)),
         ],
         ids=["dixon", "dminus", "linear4f3", "dixon-e",
-             "lam-1", "lam-2", "lam-5"],
+             "lam-1", "lam-2", "lam-5", "dixon-first", "dminus-first"],
     )
     def test_a_later_upper_terminates_the_series(self, check, point):
         # c = -1 or e = -2 ends the sum although a is not an integer; the
         # finite sum is checked exactly instead of being handed to Levin.
-        # lam <= c = -n zeroes (lam)_k only past the last term, k = n
+        # lam <= c = -n zeroes (lam)_k only past the last term, k = n, and
+        # so does 1 + a - e where e = -1 ends the sum before a does
         report = check(*point, precision=40)
         assert report.ok and report.cases_run == 1, report.failures
 
@@ -195,6 +213,49 @@ class TestSeriesChecks:
         # does not end the series: lam is a pole, within c's terms if any
         with pytest.raises(PoleError):
             linear4f3_check(F(5, 2), c, F(1, 4), lam, precision=40)
+
+    parameters = st.one_of(
+        st.integers(-6, 2).map(F), st.sampled_from([F(1, 3), F(1, 2), F(5, 2)])
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["dixon", "dminus"]), parameters, parameters,
+           parameters)
+    def test_a_pole_is_raised_exactly_where_a_lower_hits_zero(
+        self, family, a, c, e
+    ):
+        # the last term is the smallest -u over the nonpositive-integer
+        # uppers, unbounded if there are none; a lower -j is a pole where
+        # j is below it, whichever upper ends the sum
+        uppers = [a if family == "dixon" else 1 + a, c, e]
+        last = min(
+            (-u for u in uppers if u.denominator == 1 and u <= 0),
+            default=None,
+        )
+        pole = any(
+            l.denominator == 1 and l <= 0 and (last is None or -l < last)
+            for l in (1 + a - c, 1 + a - e)
+        )
+        check = getattr(numerics, f"{family}_check")
+        raised = False
+        try:
+            check(a, c, e, precision=20, max_terms=60)
+        except PoleError:
+            raised = True
+        except (NonConvergent, TailBoundExceeded):
+            pass
+        assert raised == pole
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_linear4f3_skips_where_the_4f3_block_does(self, n):
+        # criteria 6 and 8 share one undefined set for the terminating 4F3
+        values = [F(k) for k in range(-4, 2)] + [F(1, 3), F(-1, 2), F(5, 2)]
+        lams = [F(k) for k in range(-9, 3) if k] + [F(1, 2), F(-3, 2)]
+        for c, e, lam in itertools.product(values, values, lams):
+            report = linear4f3_check(-n, c, e, lam, precision=20)
+            evaluation, _ = terminating_4f3_block(n, c, e, [lam])
+            assert report.skipped == evaluation.skipped, (c, e, lam)
+            assert report.skipped or report.ok, report.failures
 
     def test_linear4f3_zero_lambda_rejected(self):
         with pytest.raises(DegenerateLambda):
