@@ -7,7 +7,6 @@ symbols) and their quotients.  Everything returns Python ``int`` or
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -65,14 +64,9 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@functools.lru_cache(maxsize=512)
 def catalan(n: int) -> int:
-    """Catalan number ``binomial(2n, n) // (n + 1)``.
-
-    The 512 most recently used values are memoized, because grid sweeps
-    reuse them heavily; the bound keeps the memo's size fixed.  The
-    division is exact.
-    """
+    """Catalan number ``binomial(2n, n) // (n + 1)``.  The division is
+    exact."""
     if n < 0:
         raise ValueError(f"catalan requires n >= 0, got n={n}")
     return math.comb(2 * n, n) // (n + 1)

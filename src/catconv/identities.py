@@ -7,17 +7,19 @@ rationals, so verification is literal equality.
 
 Everything the catalogue states about an identity is one
 :class:`Identity` record in ``IDENTITIES``: its parameters, domain
-guards, suite grid family, summand and closed form, and where they apply
-the theorem whose lam = 0 case it is and the proposition a theorem
-embeds in.  Both sides are data.  A closed form is a hypergeometric term
-in n: per parity of n, a table of factorials, binomials, Catalan
-numbers, Pochhammer symbols and linear factors affine in n, h = n // 2
-and the parameters, which one evaluator turns into one ``Fraction``.  A
-:class:`Summand` is two rows and a weight, scale * sum_k w(n, k) X(k)
-Y(n - k), or that sum over X(0) Y(0) / (X(k) Y(n - k)) for the
-corollaries, and each row a hypergeometric term in k:
+guards, suite grid family, summand and closed form, and where it applies
+its :class:`Link` to the identity it is a special case of: a base
+identity is its theorem at lam = 0, and a theorem its proposition at a
+substituted (a, c).  Both sides are data.  A closed form is a
+hypergeometric term in n: per parity of n, a table of factorials,
+binomials, Catalan numbers, Pochhammer symbols and linear factors affine
+in n, h = n // 2 and the parameters, which one evaluator turns into one
+``Fraction``.  A :class:`Summand` is two rows and a weight, scale *
+sum_k w(n, k) X(k) Y(n - k), or that sum over X(0) Y(0) / (X(k) Y(n -
+k)) for the corollaries, and each row a hypergeometric term in k:
 X(k + 1) / X(k) = z (u + k) / (l + k).  One row kernel sums every record
-on integers and shares nothing with the closed forms' tables.
+on integers and shares nothing with the closed forms' tables.  A link's
+scale is read off the two summands, z^n X(0) Y(0) of each.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
@@ -41,7 +43,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exactnum import RationalLike, binomial, catalan, zero_offset
 from .hyperseries import DEFAULT_RATIONAL_GRID
@@ -61,6 +63,7 @@ __all__ = [
     "case_points",
     "capture_case",
     "dictionary_check",
+    "link_sweep",
     "specialization_check",
     "specialization_findings",
     "CHI_BEARING",
@@ -137,8 +140,8 @@ def validate(ident: IdentityId, p: IdentityParams) -> None:
 # The largest lam or mu a caller may ask for (the CLI's cap).
 MAX_SHIFT = 60
 
-# each slice row's sequence t(m), grown in place by _row, and the first
-# row of each form of one-parameter row
+# each slice row's sequence t(m), grown in place by _sequence, and the
+# first row of each form of one-parameter row
 _SEQUENCES: dict[tuple, list[int]] = {}
 _FORMS: dict[tuple, "Row"] = {}
 
@@ -255,6 +258,17 @@ def _one_parameter_row(form: Row, value, n: int, weight: str | None):
     return tuple(map(floordiv, nums, itertools.repeat(g))), den // g
 
 
+def _sequence(row: Row, stop: int) -> list[int]:
+    # a slice row's sequence t(m), grown in place to m = stop - 1
+    terms = row._terms
+    for m in range(len(terms) - 1, stop - 1):
+        t = Fraction(terms[-1] * row.z) * (row.u[0] + m) / (row.l[0] + m)
+        if t.denominator != 1:
+            raise ArithmeticError(f"row {row.u}, {row.l} is not integral")
+        terms.append(t.numerator)
+    return terms
+
+
 def _row(row: Row, p: IdentityParams, weight: str | None = None):
     # (w(n, k) X(k) for k = 0 .. p.n, den) over one integer den; without a
     # weight, a list is the caller's own and a cached row a tuple
@@ -264,15 +278,9 @@ def _row(row: Row, p: IdentityParams, weight: str | None = None):
     if row._terms is None:
         nums, den = _ratio_row(_value(row.u, p), _value(row.l, p), row.z, n)
     else:
-        terms = row._terms
         shift = getattr(p, row._reads) if row._reads else 0
         stop = shift + n + 1
-        for m in range(len(terms) - 1, stop - 1):
-            t = Fraction(terms[-1] * row.z) * (row.u[0] + m) / (row.l[0] + m)
-            if t.denominator != 1:
-                raise ArithmeticError(f"row {row.u}, {row.l} is not integral")
-            terms.append(t.numerator)
-        nums, den = terms[shift:stop], 1
+        nums, den = _sequence(row, stop)[shift:stop], 1
         if row.linear:
             nums = list(map(mul, range(shift, stop), nums))
     if weight is not None:
@@ -365,22 +373,47 @@ def _tables(texts: Texts) -> tuple[Table, Table | None]:
     )
 
 
-@dataclass(frozen=True)
-class SpecializationRule:
-    """How a two-parameter convolution theorem sits inside a proposition.
+# a substitution text: const, const+lam or const+mu
+_SHIFT = re.compile(r"(-?\d+(?:/\d+)?)(?:\+(lam|mu))?")
+Substitution = tuple[tuple[str, str], ...]
+Parsed = tuple[tuple[str, int | Fraction, str | None], ...]
 
-    ``substitution`` is the (a, c) text, such as ``("1/2+lam", "1/2+mu")``,
-    that :func:`_parse_substitution` reads at each (lam, mu), and
-    ``printed`` the text as the source catalogue states it.  ``scale``
-    multiplies the proposition's sum to recover the theorem's sum after
-    substituting; the dictionary conversions below supply the factor.
+
+def _substitution(texts: Substitution) -> Parsed:
+    # (name, text) pairs -> (name, const, shift) triples; const is an int
+    # where it is whole, so lam and mu stay integers
+    parsed = []
+    for name, text in texts:
+        match = _SHIFT.fullmatch(text)
+        if match is None:
+            raise ValueError(f"not a substitution: {name} = {text!r}")
+        const = Fraction(match[1])
+        const = const.numerator if const.denominator == 1 else const
+        parsed.append((name, const, match[2]))
+    return tuple(parsed)
+
+
+@dataclass(frozen=True)
+class Link:
+    """How an identity is a special case of ``general``.
+
+    ``substitution`` gives each parameter of ``general`` as a text in the
+    identity's own, such as ``(("a", "1/2+lam"), ("c", "2+lam"))``: a
+    constant, or a constant plus lam or mu, where a parameter the point
+    does not have reads as 0.  ``printed`` is the substitution as the
+    source catalogue states it, where it states a different one, and
+    ``lam_min`` the least lam checked.  The texts are parsed once, here.
+    The scale between the two sums is read off the summands.
     """
 
-    proposition: IdentityId
-    substitution: tuple[str, str]
-    printed: tuple[str, str]
-    scale: Callable[[int, int, int | None], Fraction]
+    general: IdentityId
+    substitution: Substitution
+    printed: Substitution | None = None
     lam_min: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "_texts", _substitution(self.substitution))
+        object.__setattr__(self, "_printed", _substitution(self.printed or ()))
 
 
 @dataclass(frozen=True)
@@ -395,9 +428,7 @@ class Identity:
     known wrong.  A guard ``(x, span)`` of affine texts states
     ``(x)_span != 0``.  Guards are stated, not read off the tables, so a
     wrong zero denominator fails, not skips; their texts are parsed
-    once, here.  ``lam0_of`` names the theorem whose lam = 0 case the
-    identity is, and ``embedding`` how a theorem sits inside a
-    proposition.
+    once, here.  ``link`` states which identity it is a special case of.
     """
 
     params: tuple[str, ...]
@@ -406,8 +437,7 @@ class Identity:
     printed: Texts
     guards: tuple[tuple[str, str], ...] = ()
     corrected: Texts | None = None
-    lam0_of: IdentityId | None = None
-    embedding: SpecializationRule | None = None
+    link: Link | None = None
 
     def __post_init__(self):
         parsed = tuple((_affine(x), _affine(span)) for x, span in self.guards)
@@ -471,12 +501,12 @@ IDENTITIES: dict[IdentityId, Identity] = {
     IdentityId.MIKIC1: Identity(
         ("n",), "mikic", Summand(_CATALAN_0, _CATALAN_0),
         ("lin(2) binom(n,h)^2 /lin(n+2)", None),
-        lam0_of=IdentityId.THM_A,
+        link=Link(IdentityId.THM_A, (("lam", "0"),)),
     ),
     IdentityId.MIKIC2: Identity(
         ("n",), "mikic", Summand(_CATALAN_0, _shifted(_HALF, 1, None)),
         ("binom(n,h)^2",) * 2,
-        lam0_of=IdentityId.THM_B,
+        link=Link(IdentityId.THM_B, (("lam", "0"),)),
     ),
     IdentityId.THM_A: Identity(
         _N_LAM, "thm", Summand(_CATALAN, _CATALAN),
@@ -485,10 +515,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
             " /poch(2+n,lam)",
             None,
         ),
-        embedding=SpecializationRule(
-            IdentityId.PROP_A, ("1/2+lam", "2+lam"), ("1/2+lam", "2+lam"),
-            lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
-        ),
+        link=Link(IdentityId.PROP_A, (("a", "1/2+lam"), ("c", "2+lam"))),
     ),
     IdentityId.THM_B: Identity(
         _N_LAM, "thm", Summand(_CATALAN, _CENTRAL),
@@ -496,12 +523,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
             "fact(lam) binom(2lam,lam) binom(n,h) binom(n+2lam,lam+h)"
             " /poch(2+n,lam)",
         ) * 2,
-        embedding=SpecializationRule(
-            IdentityId.PROP_C, ("1/2+lam", "2+lam"), ("1/2+lam", "2+lam"),
-            lambda n, lam, mu: Fraction(4) ** n
-            * catalan(lam)
-            * binomial(2 * lam, lam),
-        ),
+        link=Link(IdentityId.PROP_C, (("a", "1/2+lam"), ("c", "2+lam"))),
     ),
     IdentityId.THM_C: Identity(
         _N_LAM, "thm", Summand(_CENTRAL, _CENTRAL),
@@ -510,10 +532,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
             " /poch(1+n,lam)",
             None,
         ),
-        embedding=SpecializationRule(
-            IdentityId.PROP_A, ("1/2+lam", "1+lam"), ("1/2+lam", "1+lam"),
-            lambda n, lam, mu: Fraction(4) ** n * binomial(2 * lam, lam) ** 2,
-        ),
+        link=Link(IdentityId.PROP_A, (("a", "1/2+lam"), ("c", "1+lam"))),
     ),
     # lam!/(n)_lam is undefined at n = 0 for positive lam; the catalogue
     # embeds thm-d at c = 1+mu, a parameter it does not have
@@ -521,12 +540,9 @@ IDENTITIES: dict[IdentityId, Identity] = {
         _N_LAM, "thm", Summand(_CENTRAL, _shifted(_HALF, 1, linear=True)),
         (_THM_D + " lin(n) lin(2lam+n)", _THM_D + " lin(n+1) lin(2lam+n+1)"),
         guards=(("n", "lam"),),
-        embedding=SpecializationRule(
-            IdentityId.PROP_C, ("1/2+lam", "1+lam"), ("1/2+lam", "1+mu"),
-            lambda n, lam, mu: Fraction(4) ** n
-            * binomial(2 * lam, lam) ** 2
-            * lam,
-            lam_min=1,
+        link=Link(
+            IdentityId.PROP_C, (("a", "1/2+lam"), ("c", "1+lam")),
+            printed=(("a", "1/2+lam"), ("c", "1+mu")), lam_min=1,
         ),
     ),
     # the catalogue embeds thm-e at c = 2+mu, which does not reproduce it
@@ -540,9 +556,9 @@ IDENTITIES: dict[IdentityId, Identity] = {
             "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
             None,
         ),
-        embedding=SpecializationRule(
-            IdentityId.PROP_B, ("1/2+lam", "1/2+mu"), ("1/2+lam", "2+mu"),
-            lambda n, lam, mu: Fraction(4) ** n,
+        link=Link(
+            IdentityId.PROP_B, (("a", "1/2+lam"), ("c", "1/2+mu")),
+            printed=(("a", "1/2+lam"), ("c", "2+mu")),
         ),
     ),
     IdentityId.PROP_A: Identity(
@@ -851,36 +867,81 @@ def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
     return report
 
 
-# --- theorem-to-proposition specializations ----------------------------
+# --- links: one identity as another's special case --------------------
 
-def _record_embedding(
-    substitution: tuple[str, str],
+def _scale(base: IdentityId, p: IdentityParams, q: IdentityParams):
+    # base's sides at p over its general identity's at q: z^n X(0) Y(0)
+    # of base's summand over that of the general's, z shared by both rows
+    starts = []
+    for ident, point in ((base, p), (IDENTITIES[base].link.general, q)):
+        s = IDENTITIES[ident].summand
+        start = s.x.z**p.n
+        for row in (s.x, s.y):
+            if row._terms is not None:
+                shift = getattr(point, row._reads) if row._reads else 0
+                start *= _sequence(row, shift + 1)[shift]
+                start *= shift if row.linear else 1
+        starts.append(start)
+    num, den = starts
+    return 1 if num == den else Fraction(num, den)
+
+
+def _record_link(
+    prefix: tuple[tuple[str, object], ...],
+    texts: Parsed,
     report: VerificationReport,
-    theorem: IdentityId,
+    base: IdentityId,
     p: IdentityParams,
 ) -> None:
-    # Compare the theorem at p with its proposition at the (a, c) that
-    # ``substitution`` gives, rescaled: a pass, or one failure for the
-    # first side (lhs, then rhs) that differs, at p plus a, c and the
-    # side.  A theorem without mu reads a stated mu as 0.
-    rule = IDENTITIES[theorem].embedding
-    a, c = (_parse_substitution(t, p.lam, p.mu or 0) for t in substitution)
-    prop_p = IdentityParams(n=p.n, a=a, c=c)
-    validate(theorem, p)
-    validate(rule.proposition, prop_p)
-    scale = rule.scale(p.n, p.lam, p.mu)
-    params = p.items_for(theorem) + (("a", a), ("c", c))
-    for side, get in (("lhs", lhs_value), ("rhs", rhs_value)):
-        t_val = get(theorem, p)
-        p_val = scale * get(rule.proposition, prop_p)
-        if t_val != p_val:
-            report.record_failure(
-                CaseRecord(
-                    params=params + (("side", side),), lhs=t_val, rhs=p_val
-                )
-            )
-            return
-    report.record_pass()
+    # base's lhs and rhs at p, and its general identity's lhs and rhs at
+    # the point ``texts`` give, times the scale, must all four agree
+    general = IDENTITIES[base].link.general
+    validate(base, p)
+    q = IdentityParams(n=p.n, **{
+        name: const + (getattr(p, by) or 0) if by else const
+        for name, const, by in texts
+    })
+    validate(general, q)
+    values = (_LHS[base](p), _RHS[base](p), _LHS[general](q), _RHS[general](q))
+    scale = _scale(base, p, q)
+    if scale != 1:
+        values = values[:2] + tuple(scale * v for v in values[2:])
+    if all(v == values[0] for v in values[1:]):
+        report.record_pass()
+        return
+    report.record_failure(
+        CaseRecord(
+            params=prefix + p.items_for(base),
+            lhs=values[0],
+            rhs=values[2],
+            note="all four of base lhs/rhs and general lhs/rhs, rescaled, "
+            "must agree",
+        )
+    )
+
+
+def link_sweep(
+    report: VerificationReport,
+    base: IdentityId,
+    ns: Iterable[int],
+    lam_max: int = 0,
+    mu_max: int = 0,
+    stated: bool = False,
+) -> None:
+    """Check ``base``'s link into ``report`` at every point of ns x
+    [lam_min, lam_max] x [0, mu_max], in :func:`case_points` order.
+
+    Each failure is recorded at (base, general) plus the point.  With
+    ``stated`` the link's printed substitution is checked instead.
+    """
+    link = IDENTITIES[base].link
+    prefix = (("base", base.value), ("general", link.general.value))
+    texts = link._printed if stated else link._texts
+    check = functools.partial(_record_link, prefix, texts)
+    lams, mus = (link.lam_min, lam_max), (0, mu_max)
+    for n in ns:
+        for p in case_points(base, (n, n), lams, mus):
+            capture_case(report, base, p, check, prefix)
 
 
 def specialization_check(
@@ -891,18 +952,13 @@ def specialization_check(
 ) -> VerificationReport:
     """Confirm a theorem is its proposition rescaled, on both sides.
 
-    For each grid point the proposition's sum and closed form are evaluated
-    at the substituted (a, c) and multiplied by the dictionary scale; both
-    must equal the theorem's sum and closed form exactly.  A point outside
-    either domain is a skip.
+    At each grid point the proposition's sum and closed form, at the
+    substituted (a, c) and rescaled, must equal the theorem's sum and
+    closed form exactly.  A point outside either domain is a skip.
     """
     start = time.perf_counter()
-    rule = IDENTITIES[theorem].embedding
     report = VerificationReport(name=f"{theorem.value}-specialization")
-    check = functools.partial(_record_embedding, rule.substitution)
-    lams = (rule.lam_min, lam_max)
-    for p in case_points(theorem, (0, n_max), lams, (0, mu_max)):
-        capture_case(report, theorem, p, check)
+    link_sweep(report, theorem, range(n_max + 1), lam_max, mu_max)
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -913,26 +969,19 @@ def specialization_findings() -> VerificationReport:
     Mismatches are flagged findings, each with a concrete witness point
     showing that the stated substitution does not reproduce the theorem
     while the validated one does: the first point of n in {2, 4, 6},
-    lam in [lam_min, 3] and mu in [0, 3] where the left sides differ.
+    lam in [lam_min, 3] and mu in [0, 3] where the stated link fails.
     """
     report = VerificationReport(name="specialization-catalog")
     for theorem, record in IDENTITIES.items():
-        rule = record.embedding
-        if rule is None:
+        if record.family != "thm":
             continue
-        printed, validated = rule.printed, rule.substitution
-        if printed == validated:
+        link = record.link
+        if link.printed is None:
             report.record_pass()
             continue
         probe = VerificationReport(name=theorem.value)
-        check = functools.partial(_record_embedding, printed)
-        for n in (2, 4, 6):
-            for p in case_points(theorem, (n, n), (rule.lam_min, 3), (0, 3)):
-                capture_case(probe, theorem, p, check)
-        witness = next(
-            (r for r in probe.failures if r.params[-1] == ("side", "lhs")),
-            None,
-        )
+        link_sweep(probe, theorem, (2, 4, 6), 3, 3, stated=True)
+        witness = probe.failures[0] if probe.failures else None
         if witness is not None:
             note = (
                 "stated substitution does not reproduce the theorem; "
@@ -945,34 +994,22 @@ def specialization_findings() -> VerificationReport:
                 "every probed point; the validated column reproduces the "
                 "theorem exactly"
             )
-            if any(
-                "mu" in text and "mu" not in record.params
-                for text in printed
-            ):
+            shifts = {by for _, _, by in link._printed} - {None}
+            if shifts - set(record.params):
                 note += (
                     "; the stated text also names a parameter the theorem "
                     "does not have"
                 )
         report.record_flagged(
             CaseRecord(
-                # the witness's point, without its a, c and side
-                params=(
-                    ("theorem", theorem.value),
-                    ("stated_a", printed[0]),
-                    ("stated_c", printed[1]),
-                    ("validated_a", validated[0]),
-                    ("validated_c", validated[1]),
-                )
-                + (witness.params[:-3] if witness else ()),
+                # the witness's point, without its base and general
+                params=(("theorem", theorem.value),)
+                + tuple((f"stated_{k}", t) for k, t in link.printed)
+                + tuple((f"validated_{k}", t) for k, t in link.substitution)
+                + (witness.params[2:] if witness else ()),
                 lhs=witness.lhs if witness else None,
                 rhs=witness.rhs if witness else None,
                 note=note,
             )
         )
     return report
-
-
-def _parse_substitution(text: str, lam: int, mu: int) -> Fraction:
-    base, _, shift = text.partition("+")
-    offset = lam if shift == "lam" else mu
-    return Fraction(base) + offset

@@ -8,7 +8,9 @@ row convolutions, direct sums of recurrence and touchard, which the row
 kernel now sums too, the ``Fraction`` comparisons of the 4F3 block
 before it compared integer pairs, the hand-written closed forms that the
 identities' factor tables replaced, and the per-identity domain checks
-that the records' stated guards replaced.
+that the records' stated guards replaced, and the hand-written scales of
+the theorem-in-proposition embeddings, which the link check now reads
+off the summands.
 They are kept only as oracles for the differential tests: every
 operation reduces by a gcd, which makes them slow but easy to read.
 The floating Levin loop over mpmath's transform, which the exact one in
@@ -674,6 +676,23 @@ RHS = {
     IdentityId.COR_2: rhs_cor_2,
     IdentityId.COR_3: rhs_cor_3,
     IdentityId.COR_4: rhs_cor_4,
+}
+
+
+# the factor that turns each theorem's proposition at the substituted
+# (a, c) into the theorem: 4^n and the shift rows' starts, from the
+# quotient-to-binomial dictionary
+EMBEDDING_SCALES = {
+    IdentityId.THM_A: lambda n, lam, mu: Fraction(4) ** n * catalan(lam) ** 2,
+    IdentityId.THM_B: lambda n, lam, mu: Fraction(4) ** n
+    * catalan(lam)
+    * binomial(2 * lam, lam),
+    IdentityId.THM_C: lambda n, lam, mu: Fraction(4) ** n
+    * binomial(2 * lam, lam) ** 2,
+    IdentityId.THM_D: lambda n, lam, mu: Fraction(4) ** n
+    * binomial(2 * lam, lam) ** 2
+    * lam,
+    IdentityId.THM_E: lambda n, lam, mu: Fraction(4) ** n,
 }
 
 

@@ -319,6 +319,34 @@ def test_seeded_exact_full_calls_verify_grid_as_the_benchmark_does():
     ] == [("prop-a", 320, 0), ("prop-b", 320, 0), ("prop-c", 280, 40)]
 
 
+def test_a_failing_property_reports_its_example(tmp_path):
+    # under the project's pytest config, which turns warnings into errors,
+    # hypothesis's failure report must print the falsifying example
+    # instead of ending the run in an INTERNALERROR
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(database=None)\n"
+        "@given(st.integers())\n"
+        "def test_negative(x):\n"
+        "    assert x < 0\n"
+    )
+    root = PERFBENCH.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(root / "pyproject.toml"),
+         "--rootdir", str(root), "-p", "no:cacheprovider", "-q",
+         "test_property.py"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=tmp_path,
+    )
+    output = proc.stdout + proc.stderr
+    assert proc.returncode == 1, output[-2000:]
+    assert "Falsifying example" in output
+    assert "INTERNALERROR" not in output
+
+
 def test_every_name_in_each_modules_all_exists():
     # the package does not import the public names, so nothing else
     # notices a stale __all__ entry

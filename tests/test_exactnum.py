@@ -80,9 +80,10 @@ class TestCatalan:
         assert catalan(600) * 601 == binomial(1200, 600)
 
     def test_memo_stays_bounded(self):
+        # catalan keeps no memo at all, so nothing grows with the values
         for n in range(1200):
             assert catalan(n) * (n + 1) == math.comb(2 * n, n)
-        assert catalan.cache_info().currsize <= 512
+        assert not hasattr(catalan, "cache_info")
 
 
 class TestPochhammer:

@@ -596,9 +596,50 @@ class TestSpecializations:
         assert (report.cases_run, report.skipped) == self.EMBEDDED[theorem]
 
     def test_only_the_theorems_embed(self):
-        assert [i for i, r in IDENTITIES.items() if r.embedding] == list(
-            self.EMBEDDED
-        )
+        # every other link is a base identity's lam = 0 one
+        links = {i: r.link for i, r in IDENTITIES.items() if r.link}
+        embedded = [
+            i for i, link in links.items()
+            if IDENTITIES[link.general].family == "prop"
+        ]
+        assert embedded == list(self.EMBEDDED)
+        assert {
+            i: (link.general, link.substitution)
+            for i, link in links.items() if i not in embedded
+        } == {
+            IdentityId.MIKIC1: (IdentityId.THM_A, (("lam", "0"),)),
+            IdentityId.MIKIC2: (IdentityId.THM_B, (("lam", "0"),)),
+        }
+
+    def test_scale_read_off_the_summands_is_the_dictionary_factor(self):
+        # at every point of specialization_check's default grid: its 2,050
+        # cases and 8 skips
+        checked = 0
+        for theorem in self.EMBEDDED:
+            link = IDENTITIES[theorem].link
+            scale = ref.EMBEDDING_SCALES[theorem]
+            for p in case_points(theorem, (0, 20), (link.lam_min, 8), (0, 6)):
+                a, c = (
+                    F(text.split("+")[0]) + getattr(p, text.split("+")[1])
+                    for _, text in link.substitution
+                )
+                q = IdentityParams(n=p.n, a=a, c=c)
+                derived = identities._scale(theorem, p, q)
+                assert derived == scale(p.n, p.lam, p.mu), (theorem, p)
+                checked += 1
+        assert checked == 2058
+
+    @pytest.mark.parametrize(
+        "text", ["1/2*lam", "1/2+n", "lam+1", "", "1/2+lam+mu", "2+a"]
+    )
+    def test_a_malformed_substitution_raises_when_built(self, text):
+        link = IDENTITIES[IdentityId.THM_A].link
+        with pytest.raises(ValueError, match="not a substitution"):
+            dataclasses.replace(link, substitution=(("a", text), ("c", "2")))
+        with pytest.raises(ValueError, match="not a substitution"):
+            dataclasses.replace(link, printed=(("c", text),))
+        # a constant, and a constant plus lam or mu, are all accepted
+        dataclasses.replace(link, printed=(("a", "-1"), ("c", "3/2+mu")))
 
     def test_findings_flag_exactly_the_two_bad_rows(self):
         report = specialization_findings()
@@ -669,26 +710,23 @@ class TestSpecializations:
         }
 
     def test_a_wrong_scale_is_recorded_at_its_point(self, monkeypatch):
-        # double thm-a's scale at (n, lam) = (4, 1) only: that one point
-        # fails on its first side, at the theorem's point plus a and c
-        record = IDENTITIES[IdentityId.THM_A]
-        rule = record.embedding
-        wrong = dataclasses.replace(
-            rule,
-            scale=lambda n, lam, mu: rule.scale(n, lam, mu)
-            * (2 if (n, lam) == (4, 1) else 1),
-        )
-        monkeypatch.setitem(
-            IDENTITIES, IdentityId.THM_A,
-            dataclasses.replace(record, embedding=wrong),
-        )
+        # double thm-a's derived scale at (n, lam) = (4, 1) only: that one
+        # point fails, at the theorem's point after its base and general
+        scale = identities._scale
+
+        def doubled(base, p, q):
+            wrong = base is IdentityId.THM_A and (p.n, p.lam) == (4, 1)
+            return scale(base, p, q) * (2 if wrong else 1)
+
+        monkeypatch.setattr(identities, "_scale", doubled)
         report = specialization_check(IdentityId.THM_A, 6, 2, 0)
         theorem = lhs_value(IdentityId.THM_A, IdentityParams(n=4, lam=1))
         [case] = report.failures
         assert case.params == (
-            ("n", 4), ("lam", 1), ("a", F(3, 2)), ("c", F(3)), ("side", "lhs")
+            ("base", "thm-a"), ("general", "prop-a"), ("n", 4), ("lam", 1)
         )
         assert (case.lhs, case.rhs) == (theorem, 2 * theorem)
+        assert case.note.startswith("all four of base")
         assert report.cases_run == 21 and report.skipped == 0
 
     def test_an_arithmetic_error_is_recorded_at_its_point(self, monkeypatch):
@@ -704,7 +742,9 @@ class TestSpecializations:
         monkeypatch.setitem(identities._LHS, IdentityId.PROP_A, entry)
         report = specialization_check(IdentityId.THM_A, 6, 2, 0)
         [case] = report.failures
-        assert case.params == (("n", 4), ("lam", 1))
+        assert case.params == (
+            ("base", "thm-a"), ("general", "prop-a"), ("n", 4), ("lam", 1)
+        )
         assert (case.lhs, case.rhs) == (None, None)
         assert case.note == "ZeroDivisionError: raised at n=4"
         assert report.cases_run == 21 and report.skipped == 0
