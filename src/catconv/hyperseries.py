@@ -186,25 +186,26 @@ def _ratio_rows(
 
     Parameters are reduced ``(numerator, denominator)`` pairs.  Row k is
     ``(num, den)`` with ``term(k+1) = term(k) * num / den``, for
-    k = 0 .. steps-1.  The rows stop before the first k at which an upper
-    parameter plus k is zero: that term and every later one vanish.  Uppers
-    are checked before lowers, so termination wins; a lower parameter
-    ``l`` with ``l + k == 0`` at a step reached first raises
-    ``ZeroLowerPochhammer(l, k)``.
+    k = 0 .. steps-1.  A lower parameter ``l`` with ``l + k == 0`` for some
+    k < steps raises ``ZeroLowerPochhammer(l, k)``, least k first, then
+    list order, whichever upper ends the series: a truncated sum there is
+    a pole or 0/0 and says nothing about the series as a function of its
+    parameters.  An upper parameter ``u`` with ``u + k == 0`` only ends
+    the rows before that k, as that term and every later one vanish.
     """
+    hits = [
+        (k, i)
+        for i, (num, den) in enumerate(lowers)
+        if (k := zero_offset(num, den, steps)) is not None
+    ]
+    if hits:
+        k, i = min(hits)
+        raise ZeroLowerPochhammer(Fraction(*lowers[i]), k)
     stop = steps
     for num, den in uppers:
         k = zero_offset(num, den, stop)
         if k is not None:
             stop = k
-    hits = [
-        (k, i)
-        for i, (num, den) in enumerate(lowers)
-        if (k := zero_offset(num, den, stop)) is not None
-    ]
-    if hits:
-        k, i = min(hits)
-        raise ZeroLowerPochhammer(Fraction(*lowers[i]), k)
     scale = math.lcm(*(den for _, den in uppers), *(den for _, den in lowers))
     ups = [num * (scale // den) for num, den in uppers]
     lows = [num * (scale // den) for num, den in lowers]
@@ -311,9 +312,10 @@ def pfq_truncate(spec: SeriesSpec, order: int) -> TruncatedSeries:
     Raw term k carries the Pochhammer quotient over k!.  The argument tag
     maps it onto a power of x (with sign or quarter-square scaling), then
     the prefactor shifts and scales the whole series.  An upper parameter
-    hitting zero terminates the expansion; a lower parameter hitting zero
-    first raises :class:`ZeroLowerPochhammer`, also at the step past the
-    last stored term.
+    hitting zero terminates the expansion.  A lower parameter hitting zero
+    at a step up to the one past the last stored term raises
+    :class:`ZeroLowerPochhammer`, whether or not an upper ends the series
+    sooner.
     """
     stride = 2 if spec.argument == ARG_SQUARED else 1
     rows = _rows(spec.uppers, spec.lowers, order, stride, spec.prefactor[1])
@@ -376,12 +378,9 @@ def _product_sides(
             raise DegenerateLambda("variant requires c != 1")
     elif formula != LEMMA_LINEAR:
         raise ValueError(f"unknown product formula {formula!r}")
-    # The first factor (a; c; x) comes first, so an inadmissible c is
-    # named before anything else.  At a = 0 it ends at once instead of
-    # raising, so c = 0 is named here, before the odd part divides by it.
+    # The first factor (a; c; x) comes first, so an inadmissible c (c = 0
+    # at every a and order) is named before the odd part divides by it.
     first_rows = _rows((a,), (c,), order)
-    if c == 0:
-        raise ZeroLowerPochhammer(c, 0)
     first = _series(first_rows, order)
     c_a, c_1 = c - a, (1 + c) / 2
     odd_params = (1 + a, c_a), (c, c_1, (2 + c) / 2)
@@ -492,11 +491,11 @@ def check_product_grid(
     expanded term by term.  Nothing is kept from one (a, c) to the next.
 
     Inadmissible points are counted as skipped, never silently dropped: a
-    zero lower parameter (c = 0 included, for the lemma and its variant)
-    or the variant's c = 1 skips every lam of its (a, c), and the lemma's
-    lam = 0 or a negative integer lam that hits zero on one of the first
-    factor's rows, which stop at the order or where a nonpositive integer
-    a ends the series, skips that lam.
+    lower parameter that hits zero at a step up to the order, whichever
+    upper ends its series, or the variant's c = 1 skips every lam of its
+    (a, c), and the lemma's lam = 0 or a negative integer lam that hits
+    zero on one of the first factor's rows, which stop at the order or
+    where a nonpositive integer a ends the series, skips that lam.
     """
     start = time.perf_counter()
     grid = DEFAULT_RATIONAL_GRID
@@ -680,9 +679,9 @@ def terminating_4f3_block(
 
     A point is skipped in both reports when lam is zero, or when a lower
     parameter of the 4F3 hits zero within its n + 1 terms: c or e an
-    integer in [1-n, 0], or lam an integer in [1-n, -1].  The series is
-    then 0/0 or infinite, whatever its truncated sum happens to give.  The
-    3F2 share those lowers, so no :class:`ZeroLowerPochhammer` arises.
+    integer in [1-n, 0], where the 3F2's rows raise on the lowers they
+    share, or lam an integer in [1-n, -1].  The series is then 0/0 or
+    infinite, whatever its truncated sum happens to give.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -691,14 +690,12 @@ def terminating_4f3_block(
     lams = [_fraction(lam) for lam in lams]
     evaluation = VerificationReport(name="terminating-4f3")
     contiguous = VerificationReport(name="contiguous-relation")
-    # c or e an integer in [1-n, 0] (lam in [1-n, -1]) puts a zero in a
-    # lower parameter of the 4F3 within its n + 1 terms
-    block_skipped = any(
-        zero_offset(x.numerator, x.denominator, n) is not None for x in (c, e)
-    )
-    if not block_skipped:
-        uppers, lowers = _f43_params(n, c, e)
+    uppers, lowers = _f43_params(n, c, e)
+    try:
         rows = _ratio_rows(uppers, lowers, n)
+    except ZeroLowerPochhammer:
+        rows = None
+    else:
         p, q = _horner(rows)
         # at n = 0 the raised 3F2 does not terminate, but its weight n/lam
         # in the contiguous side vanishes
@@ -707,7 +704,7 @@ def terminating_4f3_block(
         ps, rq, qs = p * s, r * q, q * s
         factor = _f43_factor(n, uppers, lowers)
     for lam in lams:
-        if block_skipped or _undefined_lam(lam, n):
+        if rows is None or _undefined_lam(lam, n):
             evaluation.record_skip()
             contiguous.record_skip()
             continue

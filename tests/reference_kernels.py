@@ -13,6 +13,10 @@ the theorem-in-proposition embeddings, which the link check now reads
 off the summands.
 They are kept only as oracles for the differential tests: every
 operation reduces by a gcd, which makes them slow but easy to read.
+The series references state the zero-lower rule on their own, with their
+own loop and not through the kernel: a lower parameter that hits zero at
+a step the series would take if no upper ended it raises
+``ZeroLowerPochhammer``, whichever upper ends it first.
 The floating Levin loop over mpmath's transform, which the exact one in
 ``catconv.numerics`` replaced, is kept here the same way.
 """
@@ -31,10 +35,26 @@ from catconv.numerics import TailBoundExceeded
 from catconv.report import CaseRecord, VerificationReport
 
 
-def pfq_truncate(spec, order):
+def _check_lowers(lowers, steps):
+    # a lower parameter l with l + k == 0 at a step k < steps that the
+    # series would take if no upper ended it, least k first, then list order
+    for k in range(steps):
+        for l in lowers:
+            if l + k == 0:
+                raise ZeroLowerPochhammer(l, k)
+
+
+def pfq_truncate(spec, order, column=False):
+    # a column spec's first lower is the lam of a (1+lam; lam) column: its
+    # upper 1 + lam ends the term loop a step before lam hits zero, and
+    # only lam's own rule decides where lam leaves the series undefined
     if order < 0:
         raise ValueError("order must be nonnegative")
     pref_coeff, pref_power = spec.prefactor
+    stride = 2 if spec.argument == ARG_SQUARED else 1
+    # every step up to the last stored term's, and the one past it
+    lowers = spec.lowers[1:] if column else spec.lowers
+    _check_lowers(lowers, (order - pref_power) // stride + 1)
     coeffs = [Fraction(0)] * (order + 1)
     term = Fraction(1)
     k = 0
@@ -62,10 +82,7 @@ def pfq_truncate(spec, order):
             break
         denominator = Fraction(k + 1)
         for l in spec.lowers:
-            factor = l + k
-            if factor == 0:
-                raise ZeroLowerPochhammer(l, k)
-            denominator *= factor
+            denominator *= l + k
         term = term * numerator / denominator
         k += 1
     return TruncatedSeries(order, tuple(coeffs))
@@ -89,6 +106,7 @@ def series_mul(a, b):
 def pfq_unity_sum_exact(uppers, lowers, last_index):
     ups = [Fraction(u) for u in uppers]
     lows = [Fraction(l) for l in lowers]
+    _check_lowers(lows, last_index)
     total = Fraction(0)
     term = Fraction(1)
     for k in range(last_index + 1):
@@ -107,10 +125,7 @@ def pfq_unity_sum_exact(uppers, lowers, last_index):
             break
         denominator = Fraction(k + 1)
         for l in lows:
-            factor = l + k
-            if factor == 0:
-                raise ZeroLowerPochhammer(l, k)
-            denominator *= factor
+            denominator *= l + k
         term = term * numerator / denominator
     return total
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, JSON shape, determinism."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -562,35 +563,51 @@ class TestOtherCommands:
         assert code == EXIT_PASS
         assert (payload["cases_run"], payload["skipped"]) == (1, 0)
 
-    def test_coeffs_lemma_names_an_undefined_c_first(self, capsys):
-        # the first factor is built before lam is checked, so a point
-        # where c is inadmissible too still names c
+    @pytest.mark.parametrize(
+        "point, lower, offset",
+        [
+            (["lemma-linear", "--lambda=-3", "--a", "1/2", "--c=-1"], "-1", 1),
+            (["bailey-watson", "--a=-1", "--c=-3"], "-2", 2),
+        ],
+        ids=["lemma-c-before-lambda", "bailey-watson-after-a-ends"],
+    )
+    def test_coeffs_names_an_undefined_lower_first(
+        self, capsys, point, lower, offset
+    ):
+        # the lemma's first factor is built before lam is checked, so a
+        # point where c is inadmissible too still names c; at a = -1 the
+        # factor (a; 2a; x) ends after its x term, but its lower 2a still
+        # hits zero within the order, so the point is undefined, not a
+        # mismatch against the truncated sum 1 + x/2
         code, payload = run_json(
             capsys,
-            "coeffs", "--formula", "lemma-linear", "--lambda=-3",
-            "--a", "1/2", "--c=-1", "--order", "8", "--format", "json",
+            "coeffs", "--formula", *point, "--order", "8", "--format", "json",
         )
         assert code == EXIT_USAGE
         assert payload["error"] == {
             "type": "ZeroLowerPochhammer",
-            "message": "lower parameter -1 hits zero at offset 1",
+            "message": f"lower parameter {lower} hits zero at offset {offset}",
         }
 
     @pytest.mark.parametrize(
         "formula, extra",
-        [("lemma-linear", ("--lambda", "1")), ("variant-linear", ())],
+        [
+            ("lemma-linear", ("--lambda", "1")),
+            ("variant-linear", ()),
+            ("bailey-dixon", ()),
+        ],
     )
     def test_coeffs_c_zero_names_c_at_a_zero_too(self, capsys, formula, extra):
-        # at a = 0 the first factor (0; 0; x) ends at once instead of
-        # raising, so c = 0 is named as at every other a, before the odd
-        # part's prefactor divides by it
-        for a in ("0", "1/2"):
+        # at a = 0 the first factor (0; 0; x) ends at once, but its lower
+        # c = 0 hits zero at its first step, so c = 0 is named at every a
+        # and every order, before the lemma's odd part divides by c
+        for a, order in itertools.product(("0", "1/2"), ("0", "3", "8")):
             code, payload = run_json(
                 capsys,
                 "coeffs", "--formula", formula, "--a", a, "--c", "0", *extra,
-                "--order", "8", "--format", "json",
+                "--order", order, "--format", "json",
             )
-            assert code == EXIT_USAGE, a
+            assert code == EXIT_USAGE, (a, order)
             assert payload["error"] == {
                 "type": "ZeroLowerPochhammer",
                 "message": "lower parameter 0 hits zero at offset 0",

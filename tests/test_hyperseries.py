@@ -94,11 +94,20 @@ class TestPfqTruncate:
         assert series.coefficient(3) == F(3, 2)
 
     def test_terminating_upper_wins_over_later_lower_zero(self):
-        # Upper -2 kills every term past x^2 before lower -5 can hit zero.
-        spec = SeriesSpec(uppers=(F(-2),), lowers=(F(-5),))
+        # Upper -2 kills every term past x^2, and lower -12 hits zero only
+        # past the order.
+        spec = SeriesSpec(uppers=(F(-2),), lowers=(F(-12),))
         series = pfq_truncate(spec, 10)
         assert all(series.coefficient(k) == 0 for k in range(3, 11))
-        assert series.coefficient(1) == F(-2) / F(-5)
+        assert series.coefficient(1) == F(-2) / F(-12)
+
+    def test_lower_zero_within_the_order_raises_after_termination(self):
+        # Upper -2 ends the series after x^2, but lower -5 still hits zero
+        # within the order: a pole or 0/0, not the truncated sum.
+        spec = SeriesSpec(uppers=(F(-2),), lowers=(F(-5),))
+        with pytest.raises(ZeroLowerPochhammer) as caught:
+            pfq_truncate(spec, 10)
+        assert (caught.value.parameter, caught.value.index) == (-5, 5)
 
     def test_lower_zero_before_termination_raises(self):
         spec = SeriesSpec(uppers=(F(-5),), lowers=(F(-2),))
@@ -250,6 +259,30 @@ class TestProductFormulae:
         report = check_product_grid(VARIANT_LINEAR, order=8)
         assert report.skipped > 0
 
+    @pytest.mark.parametrize("order", [0, 1, 8])
+    @pytest.mark.parametrize("formula", PRODUCT_FORMULAE)
+    def test_no_lattice_point_fails(self, formula, order):
+        # integers and half-integers, where uppers end series before,
+        # at and after lowers hit zero: each point passes, or a single
+        # point raises and the grid skips it
+        lattice = tuple(F(k, 2) for k in range(-6, 5))
+        lams = [F(-3), F(-1), F(-1, 2), F(1, 2), F(2)]
+        if formula != LEMMA_LINEAR:
+            lams = [None]
+        passed = undefined = 0
+        for a, c, lam in grid_points(formula, lattice, lams):
+            try:
+                report = check_product_formula(formula, a, c, lam, order)
+            except (ZeroLowerPochhammer, DegenerateLambda):
+                undefined += 1
+                continue
+            assert report.ok, report.failures
+            passed += 1
+        with mock.patch.object(hyperseries, "DEFAULT_RATIONAL_GRID", lattice):
+            grid = check_product_grid(formula, order, lams)
+        assert (grid.cases_run, grid.skipped) == (passed, undefined)
+        assert grid.ok
+
     def test_odd_coefficients_vanish_in_balanced_product(self):
         for a in (F(1, 2), F(1), F(4, 3)):
             for c in (F(3, 2), F(2), F(7, 3)):
@@ -265,7 +298,12 @@ def reference_sides(formula, specs, order):
     # a formula's two sides from its specs in the order _product_sides
     # builds them: two factors (one, squared, for Clausen), then the right
     # series or its even and odd parts
-    series = [ref.pfq_truncate(spec, order) for spec in specs]
+    # the lemma's second factor and even part carry the (1+lam; lam) column
+    column = formula == LEMMA_LINEAR
+    series = [
+        ref.pfq_truncate(spec, order, column and i in (1, 2))
+        for i, spec in enumerate(specs)
+    ]
     if formula == CLAUSEN:
         series.insert(0, series[0])
     lhs = ref.series_mul(series[0], series[1]).coeffs
@@ -355,17 +393,9 @@ def reference_point(formula, a, c, lam, order):
         return None
     try:
         if formula in (LEMMA_LINEAR, VARIANT_LINEAR):
-            # the first factor comes first, and c = 0 is inadmissible at
-            # every a: at a = 0 the factor ends at once instead of raising,
-            # but the odd part's prefactor a/c still divides by c
+            # the first factor comes first: at c = 0 it raises before the
+            # odd part's prefactor a/c divides by c
             ref.pfq_truncate(SeriesSpec((a,), (c,)), order)
-            if c == 0:
-                return None
-        if formula == LEMMA_LINEAR:
-            # the even part's lam-free base must be defined: a 1 + lam that
-            # ends that series sooner does so only by 0/0
-            base = SeriesSpec((a, c - a), (c, c / 2, (1 + c) / 2), ARG_SQUARED)
-            ref.pfq_truncate(base, order)
         return reference_sides(formula, product_specs(formula, a, c, lam), order)
     except ZeroLowerPochhammer:
         return None

@@ -1,6 +1,7 @@
 """High-precision checks: Gamma quotients, accelerated series, quadrature;
 and the exact Beta-moment integrals."""
 
+import contextlib
 import itertools
 from fractions import Fraction
 
@@ -11,7 +12,12 @@ from mpmath import mp
 
 import reference_kernels as ref
 from catconv import numerics, suite
-from catconv.hyperseries import DegenerateLambda, terminating_4f3_block
+from catconv.exactnum import ZeroLowerPochhammer
+from catconv.hyperseries import (
+    DegenerateLambda,
+    pfq_unity_sum_exact,
+    terminating_4f3_block,
+)
 from catconv.numerics import (
     NonConvergent,
     PoleError,
@@ -228,13 +234,14 @@ class TestSeriesChecks:
         # uppers, unbounded if there are none; a lower -j is a pole where
         # j is below it, whichever upper ends the sum
         uppers = [a if family == "dixon" else 1 + a, c, e]
+        lowers = [1 + a - c, 1 + a - e]
         last = min(
             (-u for u in uppers if u.denominator == 1 and u <= 0),
             default=None,
         )
         pole = any(
             l.denominator == 1 and l <= 0 and (last is None or -l < last)
-            for l in (1 + a - c, 1 + a - e)
+            for l in lowers
         )
         check = getattr(numerics, f"{family}_check")
         raised = False
@@ -245,6 +252,12 @@ class TestSeriesChecks:
         except (NonConvergent, TailBoundExceeded):
             pass
         assert raised == pole
+        # the kernel's zero-lower rule at steps = last is the same check
+        if last is not None:
+            with pytest.raises(ZeroLowerPochhammer) if raised else (
+                contextlib.nullcontext()
+            ):
+                pfq_unity_sum_exact(uppers, lowers, int(last))
 
     @pytest.mark.parametrize("n", range(9))
     def test_linear4f3_skips_where_the_4f3_block_does(self, n):
