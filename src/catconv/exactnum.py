@@ -1,8 +1,9 @@
 """Exact integer and rational building blocks.
 
 Binomial coefficients, Catalan numbers, rising factorials (Pochhammer
-symbols) and their quotients.  Everything returns Python ``int`` or
-``fractions.Fraction``; nothing here rounds.
+symbols) and their quotients.  Everything returns Python ``int``,
+``fractions.Fraction`` or, for the quotient's kernel, an unreduced
+integer pair; nothing here rounds.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ __all__ = [
     "catalan",
     "pochhammer",
     "poch_quotient",
+    "poch_quotient_pair",
     "zero_offset",
 ]
 
@@ -72,9 +74,8 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def _rising_numerator(x: Fraction, n: int) -> int:
+def _rising_numerator(p: int, q: int, n: int) -> int:
     # q^n (x)_n for x = p/q: the integers p, p+q, ..., p+(n-1)q multiplied
-    p, q = x.numerator, x.denominator
     return math.prod(range(p, p + n * q, q))
 
 
@@ -89,7 +90,8 @@ def pochhammer(x: RationalLike, n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"pochhammer requires n >= 0, got n={n}")
     x = Fraction(x)
-    return Fraction(_rising_numerator(x, n), x.denominator**n)
+    q = x.denominator
+    return Fraction(_rising_numerator(x.numerator, q, n), q**n)
 
 
 def zero_offset(num: int, den: int, n: int | None = None) -> int | None:
@@ -107,6 +109,38 @@ def zero_offset(num: int, den: int, n: int | None = None) -> int | None:
     return j if n is None or j < n else None
 
 
+def poch_quotient_pair(
+    uppers: Iterable[tuple[int, int]],
+    lowers: Iterable[tuple[int, int]],
+    n: int,
+) -> tuple[int, int]:
+    """``prod (u)_n / prod (l)_n`` as an unreduced integer pair ``(num, den)``.
+
+    Each parameter is a ``(numerator, denominator)`` pair with a positive
+    denominator, not necessarily reduced.  Every lower parameter must stay
+    clear of ``{0, -1, ..., -(n-1)}``; a hit raises
+    :class:`ZeroLowerPochhammer` naming the offending parameter and offset,
+    so ``den`` is nonzero, though it may be negative.  Each ``(p/q)_n``
+    enters as the integer ``q^n (p/q)_n`` with its ``q^n`` moved to the
+    other side; nothing is reduced.
+    """
+    if n < 0:
+        raise ValueError(f"poch_quotient requires n >= 0, got n={n}")
+    lowers = list(lowers)
+    for p, q in lowers:
+        offset = zero_offset(p, q, n)
+        if offset is not None:
+            raise ZeroLowerPochhammer(Fraction(p, q), offset)
+    num = den = 1
+    for p, q in uppers:
+        num *= _rising_numerator(p, q, n)
+        den *= q**n
+    for p, q in lowers:
+        num *= q**n
+        den *= _rising_numerator(p, q, n)
+    return num, den
+
+
 def poch_quotient(
     uppers: Iterable[RationalLike],
     lowers: Iterable[RationalLike],
@@ -114,26 +148,11 @@ def poch_quotient(
 ) -> Fraction:
     """Quotient of rising-factorial products at a shared order ``n``.
 
-    Computes ``prod (u)_n / prod (l)_n`` exactly.  Every lower parameter
-    must stay clear of ``{0, -1, ..., -(n-1)}``; a hit raises
-    :class:`ZeroLowerPochhammer` naming the offending parameter and offset.
-    Each ``(p/q)_n`` enters as the integer ``q^n (p/q)_n`` with its
-    ``q^n`` moved to the other side, and one ``Fraction`` is built at the
-    end.
+    Computes ``prod (u)_n / prod (l)_n`` exactly: the ``Fraction`` view of
+    :func:`poch_quotient_pair`, with its checks and errors.
     """
-    if n < 0:
-        raise ValueError(f"poch_quotient requires n >= 0, got n={n}")
-    lower_fracs = [Fraction(l) for l in lowers]
-    for l in lower_fracs:
-        offset = zero_offset(l.numerator, l.denominator, n)
-        if offset is not None:
-            raise ZeroLowerPochhammer(l, offset)
-    num = den = 1
-    for u in uppers:
-        u = Fraction(u)
-        num *= _rising_numerator(u, n)
-        den *= u.denominator**n
-    for l in lower_fracs:
-        num *= l.denominator**n
-        den *= _rising_numerator(l, n)
-    return Fraction(num, den)
+    pairs = [
+        [(x.numerator, x.denominator) for x in map(Fraction, xs)]
+        for xs in (uppers, lowers)
+    ]
+    return Fraction(*poch_quotient_pair(*pairs, n))

@@ -32,11 +32,14 @@ it.
 
 A ``Fraction`` is made only at the edges: from the parameters a public
 function receives, from a value a public function returns
-(``pfq_truncate``, ``series_mul`` and ``pfq_unity_sum_exact``, which are
-views over the same kernels), for the closed form's Pochhammer factor
-once per 4F3 block, and for the two sides of a failure record.  A
-``Fraction`` per term would pay a gcd on every product and sum; those
-gcds, not the big-integer products themselves, were most of the cost.
+(``pfq_truncate``, ``series_mul``, ``pfq_unity_sum_exact`` and
+``terminating_4f3_closed_form``, which are views over the same
+kernels), and for the two sides of a failure record.  A 4F3 block takes
+its closed form's Pochhammer factor as an unreduced pair from
+``exactnum.poch_quotient_pair``, whose ``Fraction`` view is
+``poch_quotient``.  A ``Fraction`` per term would pay a gcd on every
+product and sum; those gcds, not the big-integer products themselves,
+were most of the cost.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .exactnum import (
     RationalLike,
     ZeroLowerPochhammer,
     poch_quotient,
+    poch_quotient_pair,
     zero_offset,
 )
 from .report import CaseRecord, VerificationReport
@@ -565,15 +569,11 @@ def _f43_params(
 
 def _f43_factor(
     n: int, uppers: Sequence[tuple[int, int]], lowers: Sequence[tuple[int, int]]
-) -> Fraction:
-    # the lam-free half-order Pochhammer quotient of the closed form, from
-    # _f43_params' pairs: 1 - c - e - n is (1 - c - n) - e
+) -> tuple[list[tuple[int, int]], Sequence[tuple[int, int]], int]:
+    # the poch_quotient arguments of the closed form's lam-free half-order
+    # factor, from _f43_params' pairs: 1 - c - e - n is (1 - c - n) - e
     (cl, cd), (en, ed) = lowers[0], uppers[2]
-    return poch_quotient(
-        [-n, Fraction(cl * ed - en * cd, cd * ed)],
-        [Fraction(*lower) for lower in lowers],
-        n // 2,
-    )
+    return [(-n, 1), (cl * ed - en * cd, cd * ed)], lowers, n // 2
 
 
 def _f43_tail(n: int, lam: Fraction) -> tuple[int, int]:
@@ -601,7 +601,10 @@ def terminating_4f3_closed_form(
     lam = _fraction(lam)
     if lam == 0:
         raise DegenerateLambda("linear-factor parameter must be nonzero")
-    factor = _f43_factor(n, *_f43_params(n, c, e))
+    ups, lows, half = _f43_factor(n, *_f43_params(n, c, e))
+    factor = poch_quotient(
+        [Fraction(*u) for u in ups], [Fraction(*l) for l in lows], half
+    )
     return factor * Fraction(*_f43_tail(n, lam))
 
 
@@ -702,7 +705,9 @@ def terminating_4f3_block(
         raised = [(1 - n, 1)] + uppers[1:]
         r, s = _unity_sum(raised, lowers, n - 1) if n else (0, 1)
         ps, rq, qs = p * s, r * q, q * s
-        factor = _f43_factor(n, uppers, lowers)
+        factor, factor_den = poch_quotient_pair(
+            *_f43_factor(n, uppers, lowers)
+        )
     for lam in lams:
         if rows is None or _undefined_lam(lam, n):
             evaluation.record_skip()
@@ -716,7 +721,7 @@ def terminating_4f3_block(
         # factor * tail, and (lam - a)/lam P/Q + a/lam R/S at a = -n as
         # ((lam+n) P S - n R Q) / (lam Q S), each against the 4F3 sum
         for report, num, den in (
-            (evaluation, factor.numerator * tail, factor.denominator * tail_den),
+            (evaluation, factor * tail, factor_den * tail_den),
             (contiguous, (ln + n * ld) * ps - n * ld * rq, ln * qs),
         ):
             if four * den == num * four_den:

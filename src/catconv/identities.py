@@ -3,7 +3,11 @@
 Each catalog entry pairs an independent brute-force summation (the left
 side, summed term by term with no reference to any closed form) with a
 closed form (the right side, transcribed as stated).  Both are exact
-rationals, so verification is literal equality.
+rationals, so verification is literal equality.  Each side leaves its
+kernel as an unreduced integer :class:`Pair`, and two values are
+compared by cross-multiplying their pairs; a ``Fraction`` is made only
+by the public views (:func:`lhs_value`, :func:`rhs_value`,
+:func:`closed_form`) and for the sides of a failure or flagged record.
 
 Everything the catalogue states about an identity is one
 :class:`Identity` record in ``IDENTITIES``: its parameters, domain
@@ -14,7 +18,7 @@ substituted (a, c).  Both sides are data.  A closed form is a
 hypergeometric term in n: per parity of n, a table of factorials,
 binomials, Catalan numbers, Pochhammer symbols and linear factors affine
 in n, h = n // 2 and the parameters, which one evaluator turns into one
-``Fraction``.  A :class:`Summand` is two rows and a weight, scale *
+pair.  A :class:`Summand` is two rows and a weight, scale *
 sum_k w(n, k) X(k) Y(n - k), or that sum over X(0) Y(0) / (X(k) Y(n -
 k)) for the corollaries, and each row a hypergeometric term in k:
 X(k + 1) / X(k) = z (u + k) / (l + k).  One row kernel sums every record
@@ -43,7 +47,7 @@ from concurrent.futures import ProcessPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, mul
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .exactnum import RationalLike, binomial, catalan, zero_offset
 from .hyperseries import DEFAULT_RATIONAL_GRID
@@ -52,10 +56,12 @@ from .report import CaseRecord, VerificationReport
 __all__ = [
     "IdentityId",
     "IdentityParams",
+    "Pair",
     "Identity",
     "IDENTITIES",
     "DomainError",
     "validate",
+    "lhs_pair",
     "lhs_value",
     "rhs_value",
     "closed_form",
@@ -93,19 +99,28 @@ class DomainError(ValueError):
     """A parameter combination the identity's statement does not cover."""
 
 
-@dataclass(frozen=True)
-class IdentityParams:
+class _Point(NamedTuple):
     n: int
     lam: int | None = None
     mu: int | None = None
     a: Fraction | None = None
     c: Fraction | None = None
 
-    def __post_init__(self):
-        for name in ("a", "c"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not Fraction:
-                object.__setattr__(self, name, Fraction(value))
+
+class IdentityParams(_Point):
+    """One point: n, and lam and mu or a and c as the identity reads them.
+
+    An immutable tuple record; ``a`` and ``c`` are coerced to ``Fraction``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, lam=None, mu=None, a=None, c=None):
+        if a is not None and type(a) is not Fraction:
+            a = Fraction(a)
+        if c is not None and type(c) is not Fraction:
+            c = Fraction(c)
+        return tuple.__new__(cls, (n, lam, mu, a, c))
 
     def items_for(self, ident: IdentityId) -> tuple[tuple[str, object], ...]:
         return tuple((k, getattr(self, k)) for k in IDENTITIES[ident].params)
@@ -201,9 +216,12 @@ class Summand:
 
 @functools.lru_cache(maxsize=8)
 def _pascal_row(n: int) -> tuple[int, ...]:
-    # (-1)^k binomial(n, k) for k = 0 .. n
-    row = map(math.comb, itertools.repeat(n), range(n + 1))
-    return tuple(map(mul, itertools.cycle((1, -1)), row))
+    # (-1)^k binomial(n, k) for k = 0 .. n, by the exact recurrence
+    # C(n, k + 1) = C(n, k) (n - k) / (k + 1)
+    row = [1]
+    for k in range(n):
+        row.append(-row[-1] * (n - k) // (k + 1))
+    return tuple(row)
 
 
 # weight -> (step, w(n, k) for k = 0, 1, ...)
@@ -288,7 +306,36 @@ def _row(row: Row, p: IdentityParams, weight: str | None = None):
     return nums, den
 
 
-def _convolve(ident: IdentityId, p: IdentityParams) -> Fraction:
+class Pair(NamedTuple):
+    """An exact rational as an unreduced integer pair.
+
+    The denominator is nonzero and may be negative.  Like a ``Fraction``,
+    a pair has int ``numerator`` and ``denominator`` attributes, which
+    every comparison reads, so a ``Fraction`` compares the same way.
+    """
+
+    numerator: int
+    denominator: int
+
+
+def _pair(num: int, den: int) -> Pair:
+    # a zero denominator raises as Fraction(num, 0) does, with its message
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return Pair(num, den)
+
+
+def _fraction(value) -> Fraction:
+    # the Fraction view of a pair, or of a Fraction
+    return Fraction(value.numerator, value.denominator)
+
+
+def _equal(x, y) -> bool:
+    # x == y for pairs, by cross-multiplication
+    return x.numerator * y.denominator == y.numerator * x.denominator
+
+
+def _convolve(ident: IdentityId, p: IdentityParams) -> Pair:
     # ident's left side at p, from its record's summand
     s = IDENTITIES[ident].summand
     n = p.n
@@ -309,7 +356,7 @@ def _convolve(ident: IdentityId, p: IdentityParams) -> Fraction:
         total, den = sum(map(mul, x, y_back)), den_x * den_y
     if s.scale is not None:
         total *= s.scale(n, p.lam)
-    return Fraction(total, den)
+    return _pair(total, den)
 
 
 # --- the catalogue: one record per identity ----------------------------
@@ -636,9 +683,9 @@ def _values(p: IdentityParams) -> tuple[int, tuple, tuple]:
     return q, ints, (q, n * q, n // 2 * q, None, None, a_q, c_q)
 
 
-def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
-    # One integer numerator and denominator, and one Fraction at the end:
-    # lin(x) is (q x) / q and poch(x, k) is q**k (x)_k / q**k.
+def _evaluate(factors: Table, p: IdentityParams) -> Pair:
+    # One integer numerator and denominator, unreduced: lin(x) is (q x) / q
+    # and poch(x, k) is q**k (x)_k / q**k.
     q, ints, scaled = _values(p)
     num = den = 1
     for kind, args, exp in factors:
@@ -658,7 +705,24 @@ def _evaluate(factors: Table, p: IdentityParams) -> Fraction:
             value, scale, exp = scale, value, -exp
         num *= value**exp
         den *= scale**exp
-    return Fraction(num, den)
+    return _pair(num, den)
+
+
+_ZERO = Pair(0, 1)
+
+
+def _closed_pair(
+    ident: IdentityId, p: IdentityParams, corrected: bool = False
+) -> Pair:
+    # ident's right side at p as a pair; closed_form is its Fraction view
+    if ident is IdentityId.THM_D and p.n == p.lam == 0:
+        # both case branches carry n / (lam + n), which is 0/0 here; the
+        # sum is 0 by inspection
+        return _ZERO
+    record = IDENTITIES[ident]
+    texts = record.corrected if corrected else record.printed
+    factors = _tables(texts)[p.n % 2]
+    return _ZERO if factors is None else _evaluate(factors, p)
 
 
 def closed_form(
@@ -669,53 +733,54 @@ def closed_form(
     The printed table, or with ``corrected`` the corrected one.  Exact.
     ``p`` is not validated; :func:`rhs_value` does that.
     """
-    if ident is IdentityId.THM_D and p.n == p.lam == 0:
-        # both case branches carry n / (lam + n), which is 0/0 here; the
-        # sum is 0 by inspection
-        return Fraction(0)
-    record = IDENTITIES[ident]
-    texts = record.corrected if corrected else record.printed
-    factors = _tables(texts)[p.n % 2]
-    return Fraction(0) if factors is None else _evaluate(factors, p)
+    return _fraction(_closed_pair(ident, p, corrected))
 
 
-_LHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
+_LHS: dict[IdentityId, Callable[[IdentityParams], Pair]] = {
     ident: functools.partial(_convolve, ident) for ident in IDENTITIES
 }
 
-_RHS: dict[IdentityId, Callable[[IdentityParams], Fraction]] = {
-    ident: functools.partial(closed_form, ident) for ident in IdentityId
+_RHS: dict[IdentityId, Callable[[IdentityParams], Pair]] = {
+    ident: functools.partial(_closed_pair, ident) for ident in IdentityId
 }
+
+
+def lhs_pair(ident: IdentityId, p: IdentityParams) -> Pair:
+    """Brute-force sum of the identity's left side, as an unreduced pair."""
+    validate(ident, p)
+    return _LHS[ident](p)
 
 
 def lhs_value(ident: IdentityId, p: IdentityParams) -> Fraction:
     """Brute-force sum of the identity's left side. Exact."""
-    validate(ident, p)
-    return _LHS[ident](p)
+    return _fraction(lhs_pair(ident, p))
 
 
 def rhs_value(ident: IdentityId, p: IdentityParams) -> Fraction:
     """Closed-form value of the identity's right side. Exact."""
     validate(ident, p)
-    return _RHS[ident](p)
+    return _fraction(_RHS[ident](p))
 
 
 def _record_case(
     report: VerificationReport, ident: IdentityId, p: IdentityParams
 ) -> None:
-    # Compare both sides of one case exactly.  A mismatch on an identity
-    # with a documented closed-form discrepancy is flagged when the
-    # corrected variant matches the oracle; any other is a failure.
+    # Compare both sides of one case exactly, by cross-multiplying their
+    # pairs.  A mismatch on an identity with a documented closed-form
+    # discrepancy is flagged when the corrected variant matches the
+    # oracle; any other is a failure.
     validate(ident, p)
     lhs = _LHS[ident](p)
     rhs = _RHS[ident](p)
-    if lhs == rhs:
+    if _equal(lhs, rhs):
         report.record_pass()
         return
     params = p.items_for(ident)
-    if IDENTITIES[ident].corrected and lhs == closed_form(
-        ident, p, corrected=True
-    ):
+    corrected = IDENTITIES[ident].corrected and _equal(
+        lhs, _closed_pair(ident, p, corrected=True)
+    )
+    lhs, rhs = _fraction(lhs), _fraction(rhs)
+    if corrected:
         report.record_flagged(
             CaseRecord(
                 params=params,
@@ -857,12 +922,14 @@ def dictionary_check(k_max: int = 40, lam_max: int = 12) -> VerificationReport:
         rows = [(tag, _row(row, p)[0], f) for tag, row, f in _CONVERSIONS]
         for k in range(k_max + 1):
             for tag, row, formula in rows:
-                lhs, rhs = Fraction(row[k]), Fraction(formula(lam + k))
+                lhs, rhs = row[k], formula(lam + k)
                 if lhs == rhs:
                     report.record_pass()
                     continue
                 params = (("conversion", tag), ("k", k), ("lam", lam))
-                report.record_failure(CaseRecord(params, lhs, rhs))
+                report.record_failure(
+                    CaseRecord(params, Fraction(lhs), Fraction(rhs))
+                )
     report.elapsed_ms = (time.perf_counter() - start) * 1000.0
     return report
 
@@ -894,7 +961,8 @@ def _record_link(
     p: IdentityParams,
 ) -> None:
     # base's lhs and rhs at p, and its general identity's lhs and rhs at
-    # the point ``texts`` give, times the scale, must all four agree
+    # the point ``texts`` give, times the scale, must all four agree; the
+    # scale multiplies the general's pairs, and the pairs cross-multiply
     general = IDENTITIES[base].link.general
     validate(base, p)
     q = IdentityParams(n=p.n, **{
@@ -904,16 +972,18 @@ def _record_link(
     validate(general, q)
     values = (_LHS[base](p), _RHS[base](p), _LHS[general](q), _RHS[general](q))
     scale = _scale(base, p, q)
-    if scale != 1:
-        values = values[:2] + tuple(scale * v for v in values[2:])
-    if all(v == values[0] for v in values[1:]):
+    s, t = scale.numerator, scale.denominator
+    values = values[:2] + tuple(
+        Pair(v.numerator * s, v.denominator * t) for v in values[2:]
+    )
+    if all(_equal(v, values[0]) for v in values[1:]):
         report.record_pass()
         return
     report.record_failure(
         CaseRecord(
             params=prefix + p.items_for(base),
-            lhs=values[0],
-            rhs=values[2],
+            lhs=_fraction(values[0]),
+            rhs=_fraction(values[2]),
             note="all four of base lhs/rhs and general lhs/rhs, rescaled, "
             "must agree",
         )

@@ -30,7 +30,7 @@ from .identities import (
     DomainError,
     capture_case,
     case_points,
-    lhs_value,
+    lhs_pair,
     link_sweep,
     validate,
     verify_grid,
@@ -371,17 +371,19 @@ def criterion_integrals(sizes: SuiteSizes) -> list[VerificationReport]:
     ]
 
 
-# criterion 10 mixes identities in one report, so its records name theirs
+# criterion 10 mixes identities in one report, so its records name theirs;
+# a sum vanishes where its pair's numerator does
 def _record_parity(
     report: VerificationReport, ident: IdentityId, p: IdentityParams
 ) -> None:
-    value = lhs_value(ident, p)
-    if value == 0:
+    value = lhs_pair(ident, p)
+    if value.numerator == 0:
         report.record_pass()
     else:
         params = (("identity", ident.value),) + p.items_for(ident)
+        lhs = Fraction(value.numerator, value.denominator)
         report.record_failure(
-            CaseRecord(params=params, lhs=value, rhs=Fraction(0))
+            CaseRecord(params=params, lhs=lhs, rhs=Fraction(0))
         )
 
 

@@ -30,6 +30,11 @@ from catconv.report import CaseRecord, VerificationReport
 QUICK_SUITE_SHA256 = (
     "08607fa8f273bfb06c0849850af7a5884c704398e75012ef8fe34452e98dd8c6"
 )
+# `catconv all --format json --no-timing`: pins cor-2's full-size flagged
+# exact values byte for byte
+FULL_SUITE_SHA256 = (
+    "095ba4db4c85f10c4c7d9210f13916e9b45676ba1866db25ce75c87df8db4d68"
+)
 
 
 def run_cli(capsys, *argv):
@@ -318,6 +323,19 @@ class TestDeterminism:
         # skip and witness keeps this digest; one that means to move them
         # states the new digest here
         assert hashlib.sha256(serial).hexdigest() == QUICK_SUITE_SHA256
+
+    def test_full_suite_output_is_pinned(self, catconv_env):
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "catconv", "all",
+                "--format", "json", "--no-timing",
+            ],
+            capture_output=True,
+            timeout=300,
+            env=catconv_env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert hashlib.sha256(proc.stdout).hexdigest() == FULL_SUITE_SHA256
 
     def test_no_timing_strips_elapsed_keys(self, capsys):
         _, payload = run_json(capsys, *self.ARGS)

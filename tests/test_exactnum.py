@@ -12,6 +12,7 @@ from catconv.exactnum import (
     binomial,
     catalan,
     poch_quotient,
+    poch_quotient_pair,
     pochhammer,
     zero_offset,
 )
@@ -229,3 +230,58 @@ class TestAgainstReference:
         got = outcome(poch_quotient, *args)
         assert got == outcome(ref.poch_quotient, *args)
         assert got[1:3] == (Fraction(-4), 4)
+        assert outcome(pair_quotient, *args) == got
+
+
+def unreduced(values, scale):
+    # each value as a (numerator, denominator) pair, both times scale
+    return [
+        (x.numerator * scale, x.denominator * scale)
+        for x in map(Fraction, values)
+    ]
+
+
+def pair_quotient(uppers, lowers, n, scale=1):
+    """poch_quotient_pair on unreduced pairs, read as a Fraction."""
+    num, den = poch_quotient_pair(
+        unreduced(uppers, scale), unreduced(lowers, scale), n
+    )
+    assert type(num) is int and type(den) is int and den != 0
+    return Fraction(num, den)
+
+
+class TestPairKernel:
+    """The integer-pair kernel of poch_quotient against the reference."""
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(signed, max_size=4),
+        st.lists(signed, max_size=4),
+        st.integers(0, 30),
+        st.integers(1, 4),
+    )
+    def test_against_reference(self, uppers, lowers, n, scale):
+        assert outcome(pair_quotient, uppers, lowers, n, scale) == outcome(
+            ref.poch_quotient, uppers, lowers, n
+        )
+
+    @pytest.mark.parametrize(
+        "lowers, parameter, index",
+        [([-2], -2, 2), ([Fraction(5, 3), 0], 0, 0), ([-3, -1], -1, 1)],
+    )
+    def test_zero_lower_raises_on_unreduced_pairs(
+        self, lowers, parameter, index
+    ):
+        # a lower of -3 is out of range at n = 3; -1 is not
+        with pytest.raises(ZeroLowerPochhammer) as excinfo:
+            pair_quotient([Fraction(1, 2)], lowers, 3, scale=3)
+        assert (excinfo.value.parameter, excinfo.value.index) == (
+            parameter, index
+        )
+        assert str(excinfo.value) == (
+            f"lower parameter {parameter} hits zero at offset {index}"
+        )
+
+    def test_denominator_keeps_its_sign(self):
+        # (-3)_3 = -6 stays below the line: the pair is not normalized
+        assert poch_quotient_pair([(1, 1)], [(-3, 1)], 3) == (6, -6)

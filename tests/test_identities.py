@@ -2,13 +2,14 @@
 
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from catconv import identities, suite
+from catconv import hyperseries, identities, suite
 from catconv.exactnum import binomial, catalan, pochhammer
 from catconv.identities import (
     CHI_BEARING,
@@ -227,7 +228,7 @@ class TestCaseCapture:
         mikic_2 = identities._LHS[IdentityId.MIKIC2]
         monkeypatch.setitem(
             identities._LHS, IdentityId.MIKIC2,
-            lambda p: mikic_2(p) + (p.n == 5),
+            lambda p: Fraction(*mikic_2(p)) + (p.n == 5),
         )
         report = suite.criterion_mikic(suite.QUICK_SIZES).reports[0]
         assert report.cases_run == 2 * (suite.QUICK_SIZES.mikic_n + 1)
@@ -909,6 +910,136 @@ class TestAgainstHandWrittenReference:
         assert checked > 0
 
 
+@st.composite
+def identity_points(draw):
+    # an identity and a point of its parameters, not yet validated: prop
+    # points take signed rational a and c, where a pair's denominator can
+    # be negative
+    ident = draw(st.sampled_from(list(IdentityId)))
+    names = IDENTITIES[ident].params
+    n = draw(orders)
+    if "a" in names:
+        return ident, IdentityParams(n=n, a=draw(rationals), c=draw(rationals))
+    lam = draw(shifts) if "lam" in names else None
+    mu = draw(shifts) if "mu" in names else None
+    return ident, IdentityParams(n=n, lam=lam, mu=mu)
+
+
+def one_point(ident, n):
+    # a point of every parameter ident reads, inside its domain
+    names = IDENTITIES[ident].params
+    if "a" in names:
+        return IdentityParams(n=n, a=F(1, 2), c=F(5, 2))
+    lam = 2 if "lam" in names else None
+    mu = 1 if "mu" in names else None
+    return IdentityParams(n=n, lam=lam, mu=mu)
+
+
+class TestPairPath:
+    """Both sides leave their kernels as unreduced integer pairs, compared
+    by cross-multiplication; the Fraction values are the slow reference."""
+
+    @settings(max_examples=500)
+    @given(identity_points())
+    # negative denominators: prop-c's lhs (-336, -8) and rhs (-54432,
+    # -1296), then an rhs below the line against an lhs above it
+    @example((IdentityId.PROP_C, IdentityParams(n=2, a=F(-7, 3), c=F(1, 3))))
+    @example((IdentityId.PROP_C, IdentityParams(n=3, a=F(-1, 3), c=F(-5, 2))))
+    @example((IdentityId.COR_2, IdentityParams(n=3, lam=1)))
+    def test_pair_verdict_is_the_fraction_verdict(self, point):
+        ident, p = point
+        if not admitted(validate, ident, p):
+            reject()
+        lhs, rhs = identities._LHS[ident](p), identities._RHS[ident](p)
+        assert type(lhs) is type(rhs) is identities.Pair
+        assert lhs.denominator != 0 and rhs.denominator != 0
+        left, right = lhs_value(ident, p), rhs_value(ident, p)
+        assert Fraction(*lhs) == left == REFERENCE_SUMS[ident](p)
+        assert Fraction(*rhs) == right == ref.RHS[ident](p)
+        assert identities._equal(lhs, rhs) == (left == right)
+        # the grid's verdict at the point, and its witness
+        report = verify_point(ident, p)
+        if left == right:
+            assert report.ok and not report.flagged
+            return
+        # only cor-2 misses, and its corrected closed form matches
+        assert ident is IdentityId.COR_2
+        assert left == closed_form(ident, p, corrected=True)
+        [record] = report.flagged
+        assert (record.lhs, record.rhs) == (left, right)
+        assert type(record.lhs) is type(record.rhs) is Fraction
+
+    @settings(max_examples=200)
+    @given(st.integers(-(10**30), 10**30))
+    def test_a_zero_denominator_raises_as_fraction_does(self, num):
+        with pytest.raises(ZeroDivisionError) as expected:
+            Fraction(num, 0)
+        with pytest.raises(ZeroDivisionError) as got:
+            identities._pair(num, 0)
+        assert str(got.value) == str(expected.value)
+
+    def test_a_zero_closed_form_denominator_keeps_its_note(self, monkeypatch):
+        # binom(mu+h, lam) is 0 once lam > mu + h; the note is the one a
+        # Fraction of the unreduced numerator over 0 gives
+        swap_factor(
+            monkeypatch, IdentityId.THM_E, "/binom(mu+h,mu)", "/binom(mu+h,lam)"
+        )
+        report = verify_grid(IdentityId.THM_E, (0, 2), (0, 1), (0, 0))
+        assert [(dict(r.params), r.note) for r in report.failures] == [
+            ({"n": 0, "lam": 1, "mu": 0}, "ZeroDivisionError: Fraction(1, 0)"),
+        ]
+
+    def test_a_zero_sum_denominator_keeps_its_note(self, monkeypatch):
+        # prop-a's rows over (c - 1)_k hit zero at c = 1 from k = 1 on
+        swap_row(monkeypatch, IdentityId.PROP_A, (0, 1, "c"), (-1, 1, "c"))
+        report = verify_grid(
+            IdentityId.PROP_A, (0, 2), a_grid=(F(1, 2),), c_grid=(1,)
+        )
+        assert [(dict(r.params), r.note) for r in report.failures] == [
+            ({"n": n, "a": F(1, 2), "c": F(1)}, f"ZeroDivisionError: {text}")
+            for n, text in ((1, "Fraction(0, 0)"), (2, "Fraction(-8, 0)"))
+        ]
+
+
+class TestTracedNames:
+    """perfbench's tracer wraps every _LHS and _RHS entry, reads the bit
+    lengths of each value's numerator and denominator, and rebinds
+    hyperseries.poch_quotient; a value without those int attributes, or
+    a missing name, must fail here first."""
+
+    @pytest.mark.parametrize("ident", list(IdentityId))
+    def test_every_side_has_int_numerator_and_denominator(self, ident):
+        for n in (4, 5):
+            p = one_point(ident, n)
+            validate(ident, p)
+            for table in (identities._LHS, identities._RHS):
+                value = table[ident](p)
+                assert type(value.numerator) is int
+                assert type(value.denominator) is int
+                assert value.denominator != 0
+
+    def test_the_rebound_names_stay_bound(self):
+        assert set(identities._LHS) == set(identities._RHS) == set(IdentityId)
+        assert callable(hyperseries.poch_quotient)
+
+
+class TestIdentityParams:
+    def test_an_immutable_record_with_fraction_a_and_c(self):
+        p = IdentityParams(n=3, a=1, c=F(1, 2))
+        assert type(p.a) is type(p.c) is Fraction
+        assert repr(p) == (
+            "IdentityParams(n=3, lam=None, mu=None, a=Fraction(1, 1), "
+            "c=Fraction(1, 2))"
+        )
+        same = IdentityParams(3, None, None, F(1), F(1, 2))
+        assert p == same and hash(p) == hash(same)
+        assert p != IdentityParams(n=3, a=1, c=F(1, 3))
+        assert IdentityParams(n=2, lam=1) == IdentityParams(2, 1)
+        with pytest.raises(AttributeError):
+            p.n = 4
+        assert not hasattr(p, "__dict__")
+
+
 # the row kernel's keyed caches, each of a fixed size
 ROW_CACHES = (
     identities._pascal_row,
@@ -1051,6 +1182,13 @@ class TestRowCaches:
         for weight in (None, "alternating"):
             assert type(identities._row(thm_e, p, weight)[0]) is tuple
         assert type(identities._pascal_row(12)) is tuple
+
+    def test_pascal_row_is_the_signed_comb_row(self):
+        clear_rows()
+        for n in range(301):
+            assert identities._pascal_row(n) == tuple(
+                (-1) ** k * math.comb(n, k) for k in range(n + 1)
+            ), n
 
 
 class TestChainDenominatorEdges:
