@@ -21,9 +21,12 @@ in n, h = n // 2 and the parameters, which one evaluator turns into one
 pair.  A :class:`Summand` is two rows and a weight, scale *
 sum_k w(n, k) X(k) Y(n - k), or that sum over X(0) Y(0) / (X(k) Y(n -
 k)) for the corollaries, and each row a hypergeometric term in k:
-X(k + 1) / X(k) = z (u + k) / (l + k).  One row kernel sums every record
-on integers and shares nothing with the closed forms' tables.  A link's
-scale is read off the two summands, z^n X(0) Y(0) of each.
+X(k + 1) / X(k) = z (u + k) / (l + k).  A row's u and l and a link's
+substitution are written in one notation, parameter texts such as
+"1/2+lam", "2a" or "-1+c", which one parser compiles when the row or
+link is built.  One row kernel sums every record on integers and shares
+nothing with the closed forms' tables or their parser.  A link's scale
+is read off the two summands, z^n X(0) Y(0) of each.
 
 One catalogued closed form (``cor-2``) is known to disagree with the
 oracle sum by the factor ``(1+2*lam+2*n)/(1+lam+n)``; its mismatches are
@@ -160,31 +163,53 @@ MAX_SHIFT = 60
 _SEQUENCES: dict[tuple, list[int]] = {}
 _FORMS: dict[tuple, "Row"] = {}
 
+# a row parameter or link substitution text: const, coef name or
+# const+coef name with an integer coef, as "1/2", "2a" (2 a) or "-1+c"
+_PARAMETER = re.compile(
+    r"(-?\d+(?:/[1-9]\d*)?)?(?:((?(1)[+-]|-?))([1-9]\d*)?(lam|mu|a|c))?"
+)
+# the integer parameters, by name and by index in a point
+_SHIFTS = ("lam", "mu")
+_SHIFT_AT = tuple(map(_Point._fields.index, _SHIFTS))
+
+
+def _parameter(text: str, names=_SHIFTS + ("a", "c")) -> tuple:
+    # text -> (const, coef, index of its name in a point, None for none);
+    # const is an int where it is whole, so lam and mu stay integers
+    match = _PARAMETER.fullmatch(text)
+    if not text or not match or match[4] not in names + (None,):
+        raise ValueError(f"not a parameter text over {names}: {text!r}")
+    const = Fraction(match[1] or 0)
+    const = const.numerator if const.denominator == 1 else const
+    coef = int(match[3] or 1) * (-1 if match[2] == "-" else 1)
+    return const, coef, _Point._fields.index(match[4]) if match[4] else None
+
 
 @dataclass(frozen=True, eq=False)
 class Row:
     """The row X(k) = X(0) z^k (u)_k / (l)_k for k = 0 .. n, on integers.
 
-    ``u`` and ``l`` are (const, coef, name): const + coef times the
-    point's parameter ``name``, or const alone when name is None.  When
-    both are const + lam (or mu), or both constant, the row is a slice of
-    the sequence t(m) = z^m (u0)_m / (l0)_m from m = lam on, grown by
-    exact division, so X(0) = t(lam); ``linear`` multiplies X(k) by
-    lam + k.  Any other row starts at X(0) = 1, over one denominator: a
-    row of one parameter over the lcm of its entries' denominators,
-    cached per (form, value, n), and any other over q^n (l)_n, built at
-    each point.
+    ``u`` and ``l`` are parameter texts, const, coef name or const+coef
+    name such as ``"1/2+lam"``, ``"2a"`` or ``"-1+c"``, parsed once,
+    here.  When both are const + lam (or mu), or both constant, the row
+    is a slice of the sequence t(m) = z^m (u0)_m / (l0)_m from m = lam
+    on, grown by exact division, so X(0) = t(lam); ``linear`` multiplies
+    X(k) by lam + k.  Any other row starts at X(0) = 1, over one
+    denominator: a row of one parameter over the lcm of its entries'
+    denominators, cached per (form, value, n), and any other over q^n
+    (l)_n, built at each point.
     """
 
-    u: tuple
-    l: tuple
+    u: str
+    l: str
     z: int = 1
     linear: bool = False
 
     def __post_init__(self):
-        (u0, du, by), (l0, dl, l_by) = self.u, self.l
+        u, l = _parameter(self.u), _parameter(self.l)
+        (u0, du, by), (l0, dl, l_by) = u, l
         terms = form = None
-        shifted = by is None or (du == dl == 1 and by in ("lam", "mu"))
+        shifted = by is None or (du == dl == 1 and by in _SHIFT_AT)
         if by == l_by and shifted:
             terms = _SEQUENCES.setdefault((u0, l0, self.z), [1])
         elif None in (by, l_by) or by == l_by:
@@ -192,9 +217,9 @@ class Row:
             form = _FORMS.setdefault(key, self)
         if self.linear and terms is None:
             raise ValueError("only a row shifted by lam can be linear")
-        object.__setattr__(self, "_terms", terms)
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_reads", by or l_by)
+        parsed = dict(_u=u, _l=l, _terms=terms, _form=form, _reads=by or l_by)
+        for name, value in parsed.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -254,11 +279,13 @@ def _ratio_row(u, l, z: int, n: int) -> tuple[list[int], int]:
     return list(map(mul, row, tail)), tail[0]
 
 
-def _value(arg: tuple, p: IdentityParams) -> Fraction | int:
-    const, coef, name = arg
-    if name is None:
+def _value(arg: tuple, p) -> Fraction | int:
+    # const + coef times p[index], where an absent lam or mu reads as 0
+    const, coef, index = arg
+    value = None if index is None else p[index]
+    if value is None:
         return const
-    value = getattr(p, name) if coef == 1 else coef * getattr(p, name)
+    value = value if coef == 1 else coef * value
     return value + const if const else value
 
 
@@ -270,8 +297,8 @@ def _one_parameter_row(form: Row, value, n: int, weight: str | None):
     if weight is not None:
         nums, den = _one_parameter_row(form, value, n, None)
         return tuple(map(mul, _WEIGHTS[weight][1](n), nums)), den
-    p = IdentityParams(n=n, **{form._reads: value})
-    nums, den = _ratio_row(_value(form.u, p), _value(form.l, p), form.z, n)
+    p = {form._reads: value}  # the one entry the form reads
+    nums, den = _ratio_row(_value(form._u, p), _value(form._l, p), form.z, n)
     g = math.gcd(den, *nums)
     return tuple(map(floordiv, nums, itertools.repeat(g))), den // g
 
@@ -280,7 +307,7 @@ def _sequence(row: Row, stop: int) -> list[int]:
     # a slice row's sequence t(m), grown in place to m = stop - 1
     terms = row._terms
     for m in range(len(terms) - 1, stop - 1):
-        t = Fraction(terms[-1] * row.z) * (row.u[0] + m) / (row.l[0] + m)
+        t = Fraction(terms[-1] * row.z) * (row._u[0] + m) / (row._l[0] + m)
         if t.denominator != 1:
             raise ArithmeticError(f"row {row.u}, {row.l} is not integral")
         terms.append(t.numerator)
@@ -292,11 +319,11 @@ def _row(row: Row, p: IdentityParams, weight: str | None = None):
     # weight, a list is the caller's own and a cached row a tuple
     n = p.n
     if row._form is not None:
-        return _one_parameter_row(row._form, getattr(p, row._reads), n, weight)
+        return _one_parameter_row(row._form, p[row._reads], n, weight)
     if row._terms is None:
-        nums, den = _ratio_row(_value(row.u, p), _value(row.l, p), row.z, n)
+        nums, den = _ratio_row(_value(row._u, p), _value(row._l, p), row.z, n)
     else:
-        shift = getattr(p, row._reads) if row._reads else 0
+        shift = p[row._reads] if row._reads else 0
         stop = shift + n + 1
         nums, den = _sequence(row, stop)[shift:stop], 1
         if row.linear:
@@ -420,33 +447,16 @@ def _tables(texts: Texts) -> tuple[Table, Table | None]:
     )
 
 
-# a substitution text: const, const+lam or const+mu
-_SHIFT = re.compile(r"(-?\d+(?:/\d+)?)(?:\+(lam|mu))?")
 Substitution = tuple[tuple[str, str], ...]
-Parsed = tuple[tuple[str, int | Fraction, str | None], ...]
-
-
-def _substitution(texts: Substitution) -> Parsed:
-    # (name, text) pairs -> (name, const, shift) triples; const is an int
-    # where it is whole, so lam and mu stay integers
-    parsed = []
-    for name, text in texts:
-        match = _SHIFT.fullmatch(text)
-        if match is None:
-            raise ValueError(f"not a substitution: {name} = {text!r}")
-        const = Fraction(match[1])
-        const = const.numerator if const.denominator == 1 else const
-        parsed.append((name, const, match[2]))
-    return tuple(parsed)
 
 
 @dataclass(frozen=True)
 class Link:
     """How an identity is a special case of ``general``.
 
-    ``substitution`` gives each parameter of ``general`` as a text in the
-    identity's own, such as ``(("a", "1/2+lam"), ("c", "2+lam"))``: a
-    constant, or a constant plus lam or mu, where a parameter the point
+    ``substitution`` gives each parameter of ``general`` as a parameter
+    text over lam and mu, written as a :class:`Row`'s are, such as
+    ``(("a", "1/2+lam"), ("c", "2+lam"))``, where a parameter the point
     does not have reads as 0.  ``printed`` is the substitution as the
     source catalogue states it, where it states a different one, and
     ``lam_min`` the least lam checked.  The texts are parsed once, here.
@@ -459,8 +469,10 @@ class Link:
     lam_min: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "_texts", _substitution(self.substitution))
-        object.__setattr__(self, "_printed", _substitution(self.printed or ()))
+        for field in ("substitution", "printed"):
+            texts = getattr(self, field) or ()
+            parsed = tuple((k, _parameter(t, _SHIFTS)) for k, t in texts)
+            object.__setattr__(self, "_" + field, parsed)
 
 
 @dataclass(frozen=True)
@@ -517,22 +529,13 @@ def _cor_2(central: str) -> Texts:
     return shell + " lin(n) /lin(1-n)", shell + " lin(1+n) /lin(2-n)"
 
 
-_HALF = Fraction(1, 2)
-
-
-def _shifted(u0: Fraction | int, l0: int, by: str | None = "lam", z=4, **kw):
-    # the row z^k (u0 + by)_k / (l0 + by)_k, X(0) = t(by)
-    return Row((u0, 1, by), (l0, 1, by), z, **kw)
-
-
-_CATALAN = _shifted(_HALF, 2)  # catalan(m), m = lam + k
-_CENTRAL = _shifted(_HALF, 1)  # binomial(2m, m)
-_ODD_CATALAN = _shifted(3 * _HALF, 2)  # binomial(2m + 1, m)
-_ODD_CENTRAL = _shifted(3 * _HALF, 1)  # (2m + 1) binomial(2m, m)
+_CATALAN = Row("1/2+lam", "2+lam", 4)  # catalan(m), m = lam + k
+_CENTRAL = Row("1/2+lam", "1+lam", 4)  # binomial(2m, m)
+_ODD_CATALAN = Row("3/2+lam", "2+lam", 4)  # binomial(2m + 1, m)
+_ODD_CENTRAL = Row("3/2+lam", "1+lam", 4)  # (2m + 1) binomial(2m, m)
 # mikic's rows are the theorems' at lam = 0
-_CATALAN_0 = _shifted(_HALF, 2, None)
-_N_A_C, _A, _C = ("n", "a", "c"), (0, 1, "a"), (0, 1, "c")
-_A_OVER_C = Row(_A, _C)
+_CATALAN_0 = Row("1/2", "2", 4)
+_N_A_C, _A_OVER_C = ("n", "a", "c"), Row("a", "c")
 _reciprocal = functools.partial(Summand, reciprocal=True)
 
 IDENTITIES: dict[IdentityId, Identity] = {
@@ -542,7 +545,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
     ),
     IdentityId.TOUCHARD: Identity(
         ("n",), "mikic",
-        Summand(_CATALAN_0, _shifted(1, 1, None, z=2), weight="even"),
+        Summand(_CATALAN_0, Row("1", "1", 2), weight="even"),
         ("catalan(n+1)",) * 2,
     ),
     IdentityId.MIKIC1: Identity(
@@ -551,7 +554,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
         link=Link(IdentityId.THM_A, (("lam", "0"),)),
     ),
     IdentityId.MIKIC2: Identity(
-        ("n",), "mikic", Summand(_CATALAN_0, _shifted(_HALF, 1, None)),
+        ("n",), "mikic", Summand(_CATALAN_0, Row("1/2", "1", 4)),
         ("binom(n,h)^2",) * 2,
         link=Link(IdentityId.THM_B, (("lam", "0"),)),
     ),
@@ -584,7 +587,8 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # lam!/(n)_lam is undefined at n = 0 for positive lam; the catalogue
     # embeds thm-d at c = 1+mu, a parameter it does not have
     IdentityId.THM_D: Identity(
-        _N_LAM, "thm", Summand(_CENTRAL, _shifted(_HALF, 1, linear=True)),
+        _N_LAM, "thm",
+        Summand(_CENTRAL, Row("1/2+lam", "1+lam", 4, linear=True)),
         (_THM_D + " lin(n) lin(2lam+n)", _THM_D + " lin(n+1) lin(2lam+n+1)"),
         guards=(("n", "lam"),),
         link=Link(
@@ -595,10 +599,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
     # the catalogue embeds thm-e at c = 2+mu, which does not reproduce it
     IdentityId.THM_E: Identity(
         ("n", "lam", "mu"), "thm",
-        Summand(
-            Row((_HALF, 1, "lam"), (1, 2, "lam"), 4),
-            Row((_HALF, 1, "mu"), (1, 2, "mu"), 4),
-        ),
+        Summand(Row("1/2+lam", "1+2lam", 4), Row("1/2+mu", "1+2mu", 4)),
         (
             "binom(n,h) binom(n+lam+mu,h) /binom(lam+h,lam) /binom(mu+h,mu)",
             None,
@@ -614,7 +615,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
         guards=(("c", "n"),),
     ),
     IdentityId.PROP_B: Identity(
-        _N_A_C, "prop", Summand(Row(_A, (0, 2, "a")), Row(_C, (0, 2, "c"))),
+        _N_A_C, "prop", Summand(Row("a", "2a"), Row("c", "2c")),
         (
             "fact(n) poch(a+c,n) /poch(2a,n) /poch(2c,n)"
             " poch(a,h) poch(c,h) /fact(h) /poch(a+c,h)",
@@ -624,7 +625,7 @@ IDENTITIES: dict[IdentityId, Identity] = {
     ),
     # (c-1)_(n+1) != 0 also keeps (c)_n and (c)_h clear of zero
     IdentityId.PROP_C: Identity(
-        _N_A_C, "prop", Summand(_A_OVER_C, Row(_A, (-1, 1, "c"))),
+        _N_A_C, "prop", Summand(_A_OVER_C, Row("a", "-1+c")),
         (_PROP_C + " lin(2c+n-2)", _PROP_C + " lin(2a+n-1)"),
         guards=(("c-1", "n+1"),),
     ),
@@ -945,7 +946,7 @@ def _scale(base: IdentityId, p: IdentityParams, q: IdentityParams):
         start = s.x.z**p.n
         for row in (s.x, s.y):
             if row._terms is not None:
-                shift = getattr(point, row._reads) if row._reads else 0
+                shift = point[row._reads] if row._reads else 0
                 start *= _sequence(row, shift + 1)[shift]
                 start *= shift if row.linear else 1
         starts.append(start)
@@ -955,20 +956,19 @@ def _scale(base: IdentityId, p: IdentityParams, q: IdentityParams):
 
 def _record_link(
     prefix: tuple[tuple[str, object], ...],
-    texts: Parsed,
+    substitution: tuple,
     report: VerificationReport,
     base: IdentityId,
     p: IdentityParams,
 ) -> None:
     # base's lhs and rhs at p, and its general identity's lhs and rhs at
-    # the point ``texts`` give, times the scale, must all four agree; the
-    # scale multiplies the general's pairs, and the pairs cross-multiply
+    # the point ``substitution`` gives, times the scale, must all four
+    # agree; the scale multiplies the general's pairs, and they cross-multiply
     general = IDENTITIES[base].link.general
     validate(base, p)
-    q = IdentityParams(n=p.n, **{
-        name: const + (getattr(p, by) or 0) if by else const
-        for name, const, by in texts
-    })
+    q = IdentityParams(
+        n=p.n, **{name: _value(arg, p) for name, arg in substitution}
+    )
     validate(general, q)
     values = (_LHS[base](p), _RHS[base](p), _LHS[general](q), _RHS[general](q))
     scale = _scale(base, p, q)
@@ -1006,8 +1006,8 @@ def link_sweep(
     """
     link = IDENTITIES[base].link
     prefix = (("base", base.value), ("general", link.general.value))
-    texts = link._printed if stated else link._texts
-    check = functools.partial(_record_link, prefix, texts)
+    parsed = link._printed if stated else link._substitution
+    check = functools.partial(_record_link, prefix, parsed)
     lams, mus = (link.lam_min, lam_max), (0, mu_max)
     for n in ns:
         for p in case_points(base, (n, n), lams, mus):
@@ -1064,8 +1064,8 @@ def specialization_findings() -> VerificationReport:
                 "every probed point; the validated column reproduces the "
                 "theorem exactly"
             )
-            shifts = {by for _, _, by in link._printed} - {None}
-            if shifts - set(record.params):
+            reads = {_Point._fields[i] for _, (_, _, i) in link._printed if i}
+            if reads - set(record.params):
                 note += (
                     "; the stated text also names a parameter the theorem "
                     "does not have"

@@ -332,14 +332,38 @@ class TestStructuralInvariants:
         # identity, reads a parameter the point does not carry
         for ident, record in IDENTITIES.items():
             for row in (record.summand.x, record.summand.y):
-                names = {row.u[2], row.l[2]} - {None}
+                names = {
+                    IdentityParams._fields[index]
+                    for _, _, index in (row._u, row._l)
+                    if index is not None
+                }
                 assert names <= set(record.params), ident
+
+    def test_links_read_only_the_base_parameters(self):
+        # a link's texts read the special case's own parameters, and name
+        # the general's; thm-d's printed c = 1+mu, the text
+        # specialization_findings flags, is the one exception
+        foreign = set()
+        for ident, record in IDENTITIES.items():
+            link = record.link
+            if link is None:
+                continue
+            general = IDENTITIES[link.general].params
+            for field in ("substitution", "printed"):
+                texts = getattr(link, field) or ()
+                assert {name for name, _ in texts} <= set(general), ident
+                for name, (_, _, index) in getattr(link, "_" + field):
+                    if index is None:
+                        continue
+                    if IdentityParams._fields[index] not in record.params:
+                        foreign.add((ident, field, name))
+        assert foreign == {(IdentityId.THM_D, "printed", "c")}
 
     def test_only_a_row_shifted_by_lam_is_linear(self):
         # the factor lam + k belongs to a slice of an integer sequence;
         # any other row would silently drop it
         with pytest.raises(ValueError, match="linear"):
-            identities.Row((0, 1, "a"), (0, 2, "a"), linear=True)
+            identities.Row("a", "2a", linear=True)
 
     def test_arity_covers_every_identity(self):
         assert list(IDENTITIES) == list(IdentityId)
@@ -356,8 +380,8 @@ def swap_factor(monkeypatch, ident, old, new):
 
 
 def swap_row(monkeypatch, ident, old, new):
-    # replace one row parameter, such as (2, 1, "lam") for 2+lam, in every
-    # row of an identity's summand that reads it
+    # replace one row parameter text, such as "2+lam", in every row of an
+    # identity's summand that reads it
     record = IDENTITIES[ident]
     rows, swapped = {}, 0
     for side in ("x", "y"):
@@ -387,16 +411,16 @@ class TestSeededFaults:
              {"n": 0, "a": F(1, 2), "c": F(1, 2)}, F(1), F(-1)),
             # a summand's row parameter: thm-a's Catalan rows read as
             # central binomial rows, and prop-b's (c)_k / (2c)_k as 1
-            (IdentityId.THM_A, (2, 1, "lam"), (1, 1, "lam"),
+            (IdentityId.THM_A, "2+lam", "1+lam",
              {"n": 0, "lam": 1}, F(4), F(1)),
-            (IdentityId.PROP_B, (0, 2, "c"), (0, 1, "c"),
+            (IdentityId.PROP_B, "2c", "c",
              {"n": 1, "a": F(1, 2), "c": F(1, 2)}, F(1, 2), F(0)),
         ],
     )
     def test_wrong_factor_fails_at_its_first_point(
         self, monkeypatch, ident, old, new, witness, lhs, rhs
     ):
-        swap = swap_factor if isinstance(old, str) else swap_row
+        swap = swap_factor if "(" in old else swap_row
         swap(monkeypatch, ident, old, new)
         grid = suite._suite_grid(ident, suite.QUICK_SIZES)
         first = verify_grid(ident, *grid).failures[0]
@@ -408,7 +432,7 @@ class TestSeededFaults:
     ):
         # 4^m (1/2)_m / (3)_m is 2/3 at m = 1, so thm-a's rows with
         # l = 3+lam have no integer sequence to slice
-        swap_row(monkeypatch, IdentityId.THM_A, (2, 1, "lam"), (3, 1, "lam"))
+        swap_row(monkeypatch, IdentityId.THM_A, "2+lam", "3+lam")
         report = verify_grid(IdentityId.THM_A, (0, 2), (0, 1))
         assert (report.cases_run, len(report.failures)) == (6, 5)
         first = report.failures[0]
@@ -491,6 +515,112 @@ class TestFactorTables:
         record = IDENTITIES[IdentityId.PROP_A]
         with pytest.raises(ValueError, match="not an affine argument"):
             dataclasses.replace(record, guards=(("c*", "n"),))
+
+
+NAMES = ("lam", "mu", "a", "c")
+
+
+@st.composite
+def parameter_texts(draw):
+    # (text, const, coef, name) for a text const, coef name or const+coef
+    # name, with const 0 and name None for a part left out
+    const = draw(
+        st.none() | st.integers(-9, 9) | st.fractions(-9, 9, max_denominator=9)
+    )
+    names = st.sampled_from(NAMES)
+    name = draw(names if const is None else st.none() | names)
+    coef = draw(st.integers(-12, 12).filter(bool)) if name else None
+    text = "" if const is None else str(const)
+    if name:
+        sign = "-" if coef < 0 else "" if const is None else "+"
+        text += sign + ("" if abs(coef) == 1 else str(abs(coef))) + name
+    return text, const or 0, coef, name
+
+
+class TestParameterTexts:
+    """One notation for row parameters and link substitutions, parsed by
+    one parser that shares nothing with the closed forms' tables."""
+
+    @given(
+        parameter_texts(),
+        st.integers(0, 60), st.integers(0, 60),
+        st.fractions(-6, 6, max_denominator=7),
+        st.fractions(-6, 6, max_denominator=7),
+    )
+    def test_a_text_parses_to_its_const_coef_and_name(
+        self, drawn, lam, mu, a, c
+    ):
+        text, const, coef, name = drawn
+        parsed = identities._parameter(text)
+        assert parsed[0] == const and parsed[2] == (
+            None if name is None else IdentityParams._fields.index(name)
+        ), text
+        # a whole const is an int, so lam and mu stay integers
+        assert type(parsed[0]) is (int if const.denominator == 1 else F)
+        p = IdentityParams(n=3, lam=lam, mu=mu, a=a, c=c)
+        value = const if name is None else const + coef * getattr(p, name)
+        assert identities._value(parsed, p) == value, text
+
+    def test_a_leading_integer_is_a_coefficient(self):
+        # "2a" is 2 a, not 2 + a; "-1+c" is c - 1
+        p = IdentityParams(n=0, a=F(3, 4), c=F(5, 3))
+        for text, value in (("2a", F(3, 2)), ("-1+c", F(2, 3))):
+            assert identities._value(identities._parameter(text), p) == value
+
+    @pytest.mark.parametrize(
+        "text", ["1/2*lam", "1/2+n", "lam+1", "", "1/2+lam+mu", "+lam",
+                 "1/2lam", "2 lam", "1/2+2", "1/0+lam"],
+    )
+    def test_a_malformed_text_is_rejected_when_built(self, text):
+        with pytest.raises(ValueError, match="not a parameter text"):
+            identities.Row(text, "1")
+        with pytest.raises(ValueError, match="not a parameter text"):
+            identities.Link(IdentityId.PROP_A, (("a", text),))
+
+    def test_a_link_reads_no_rational_parameter(self):
+        identities.Row("2+a", "1")
+        with pytest.raises(ValueError, match="not a parameter text"):
+            identities.Link(IdentityId.PROP_A, (("a", "2+a"),))
+
+    @pytest.mark.parametrize(
+        "ident",
+        [
+            IdentityId.RECURRENCE, IdentityId.MIKIC1, IdentityId.THM_A,
+            IdentityId.THM_C, IdentityId.PROP_A, IdentityId.COR_1,
+            IdentityId.COR_3,
+        ],
+    )
+    def test_a_sum_of_one_row_shares_it(self, ident):
+        # _convolve takes its one-row and reciprocal shortcuts on x is y
+        summand = IDENTITIES[ident].summand
+        assert summand.x is summand.y
+
+    def test_sums_and_closed_forms_share_no_parser(self, monkeypatch):
+        def refuse(text, *names):
+            raise AssertionError(f"the other side's parser read {text!r}")
+
+        points = {
+            ident: IdentityParams(n=3, a=F(1, 2), c=F(5, 2))
+            if "a" in record.params else IdentityParams(n=3, lam=1, mu=2)
+            for ident, record in IDENTITIES.items()
+        }
+        expected = {ident: rhs_value(ident, p) for ident, p in points.items()}
+        # every row and link builds afresh without the tables' parser
+        monkeypatch.setattr(identities, "_affine", refuse)
+        for record in IDENTITIES.values():
+            for row in (record.summand.x, record.summand.y):
+                dataclasses.replace(row)
+            if record.link is not None:
+                dataclasses.replace(record.link)
+        monkeypatch.undo()
+        # every guard and closed form parses afresh and evaluates without
+        # the rows' parser
+        monkeypatch.setattr(identities, "_parameter", refuse)
+        identities._tables.cache_clear()
+        identities._affine.cache_clear()
+        for ident, record in IDENTITIES.items():
+            monkeypatch.setitem(IDENTITIES, ident, dataclasses.replace(record))
+            assert rhs_value(ident, points[ident]) == expected[ident], ident
 
 
 def corrected_cor_2(p):
@@ -635,9 +765,9 @@ class TestSpecializations:
     )
     def test_a_malformed_substitution_raises_when_built(self, text):
         link = IDENTITIES[IdentityId.THM_A].link
-        with pytest.raises(ValueError, match="not a substitution"):
+        with pytest.raises(ValueError, match="not a parameter text"):
             dataclasses.replace(link, substitution=(("a", text), ("c", "2")))
-        with pytest.raises(ValueError, match="not a substitution"):
+        with pytest.raises(ValueError, match="not a parameter text"):
             dataclasses.replace(link, printed=(("c", text),))
         # a constant, and a constant plus lam or mu, are all accepted
         dataclasses.replace(link, printed=(("a", "-1"), ("c", "3/2+mu")))
@@ -991,7 +1121,7 @@ class TestPairPath:
 
     def test_a_zero_sum_denominator_keeps_its_note(self, monkeypatch):
         # prop-a's rows over (c - 1)_k hit zero at c = 1 from k = 1 on
-        swap_row(monkeypatch, IdentityId.PROP_A, (0, 1, "c"), (-1, 1, "c"))
+        swap_row(monkeypatch, IdentityId.PROP_A, "c", "-1+c")
         report = verify_grid(
             IdentityId.PROP_A, (0, 2), a_grid=(F(1, 2),), c_grid=(1,)
         )
@@ -1104,7 +1234,7 @@ class TestRowCaches:
         clear_rows()
         p = IdentityParams(n=6, a=F(1, 3), c=F(1, 3))
         rows = [
-            identities.Row((0, 1, by), (0, 2, by), z)
+            identities.Row(by, "2" + by, z)
             for by, z in (("a", 1), ("c", 1), ("a", 3))
         ]
         (nums, den), same, (nums_3, den_3) = (
